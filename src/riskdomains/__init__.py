@@ -6,181 +6,32 @@ lexicon-driven weak labeling with multiword-expression fusion, a stemmed
 heads (cosine megadocument baseline, MLP, RBF network), per-domain
 threshold calibration with open-world rejection to Other, multilabel
 evaluation, and inter-annotator agreement tooling.
+
+The package root exports the names a typical program needs; every other
+name is imported from its module (riskdomains.corpus, .networks, ...).
 """
 
-from .classify import (
-    DEFAULT_ALPHA,
-    Pipeline,
-    ThresholdSet,
-    assign,
-    calibrate,
-    classify_batch,
-    classify_paragraph,
-    cosine_baseline_scores,
-    score_vectors,
-)
-from .corpus import (
-    AnnotatedParagraph,
-    KeywordLexicon,
-    Megadocument,
-    Paragraph,
-    SyntheticConfig,
-    TrainingCorpus,
-    build_megadocuments,
-    default_synthetic_config,
-    generate_synthetic_corpus,
-    lexicon_hits,
-    load_gold,
-    load_lexicon,
-    load_paragraphs,
-    weak_label,
-    write_gold,
-    write_lexicon,
-    write_paragraphs,
-)
 from .bundle import load_bundle, save_bundle
-from .domains import (
-    ALL_DOMAINS,
-    CLASSIFIED_DOMAINS,
-    Domain,
-    domain_from_name,
-)
+from .classify import classify_batch, classify_paragraph
+from .corpus import default_synthetic_config, generate_synthetic_corpus
+from .domains import Domain
 from .errors import ConfigError, DataError, NumericalError, RiskDomainsError
-from .evaluation import (
-    AgreementStats,
-    AnnotatorAccuracy,
-    MetricsReport,
-    PredictionRecord,
-    agreement_stats,
-    annotator_accuracy,
-    build_report,
-    example_prf,
-    fleiss_kappa,
-    iaa_report,
-    kappa_band,
-    load_annotations,
-    multi_kappa,
-    per_domain_prf,
-    write_annotations,
-)
-from .networks import (
-    MlpModel,
-    RbfModel,
-    TrainConfig,
-    adam_step,
-    build_rbf_prototypes,
-    compute_rbf_width,
-    init_mlp,
-    init_rbf,
-    kmeans,
-    mlp_forward,
-    rbf_forward,
-    train_mlp,
-    train_rbf,
-)
-from .pipeline import PipelineOptions, TrainedPipeline, train_pipeline
-from .porter import porter_stem
-from .textnorm import MwePhrase, Token, extract_terms, fuse_mwes, text_to_terms, tokenize
-from .vectorspace import (
-    SvdProjection,
-    TfidfModel,
-    Vocabulary,
-    cosine,
-    fit_svd,
-    fit_tfidf,
-    lda_2d,
-    project,
-    project_all,
-    vectorize,
-    vectorize_all,
-)
+from .pipeline import PipelineOptions, train_pipeline
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_DOMAINS",
-    "AgreementStats",
-    "AnnotatedParagraph",
-    "AnnotatorAccuracy",
-    "CLASSIFIED_DOMAINS",
     "ConfigError",
-    "DEFAULT_ALPHA",
     "DataError",
     "Domain",
-    "KeywordLexicon",
-    "Megadocument",
-    "MetricsReport",
-    "MlpModel",
-    "MwePhrase",
     "NumericalError",
-    "Paragraph",
-    "Pipeline",
     "PipelineOptions",
-    "PredictionRecord",
-    "RbfModel",
     "RiskDomainsError",
-    "SvdProjection",
-    "SyntheticConfig",
-    "TfidfModel",
-    "ThresholdSet",
-    "Token",
-    "TrainConfig",
-    "TrainedPipeline",
-    "TrainingCorpus",
-    "Vocabulary",
-    "adam_step",
-    "agreement_stats",
-    "annotator_accuracy",
-    "assign",
-    "build_megadocuments",
-    "build_report",
-    "build_rbf_prototypes",
-    "calibrate",
     "classify_batch",
     "classify_paragraph",
-    "compute_rbf_width",
-    "cosine",
-    "cosine_baseline_scores",
     "default_synthetic_config",
-    "domain_from_name",
-    "example_prf",
-    "extract_terms",
-    "fit_svd",
-    "fit_tfidf",
-    "fleiss_kappa",
-    "fuse_mwes",
     "generate_synthetic_corpus",
-    "iaa_report",
-    "init_mlp",
-    "kappa_band",
-    "init_rbf",
-    "kmeans",
-    "lda_2d",
-    "lexicon_hits",
-    "load_annotations",
     "load_bundle",
-    "load_gold",
-    "load_lexicon",
-    "load_paragraphs",
-    "mlp_forward",
-    "multi_kappa",
-    "per_domain_prf",
-    "porter_stem",
-    "project",
-    "project_all",
-    "rbf_forward",
     "save_bundle",
-    "score_vectors",
-    "text_to_terms",
-    "tokenize",
-    "train_mlp",
     "train_pipeline",
-    "train_rbf",
-    "vectorize",
-    "vectorize_all",
-    "weak_label",
-    "write_annotations",
-    "write_gold",
-    "write_lexicon",
-    "write_paragraphs",
 ]

@@ -15,11 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .classify import Pipeline, ThresholdSet
-from .corpus import KeywordLexicon
-from .domains import CLASSIFIED_DOMAINS, Domain
+from .corpus import KeywordLexicon, lexicon_from_json, lexicon_to_json
+from .domains import CLASSIFIED_DOMAINS
 from .errors import DataError
 from .networks import MlpModel, RbfModel
-from .textnorm import MwePhrase
 from .vectorspace import SvdProjection, TfidfModel, Vocabulary
 
 FORMAT_VERSION = 1
@@ -54,29 +53,20 @@ def _read_array(directory: Path, spec: dict, name: str) -> np.ndarray:
         )
     # frombuffer views are read-only; copy into an owned native-order array.
     native = np.float64 if spec["dtype"] == "<f8" else np.int64
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(native)
+    array = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(native)
+    if native is np.float64 and not np.isfinite(array).all():
+        raise DataError(f"bundle array {name!r} holds non-finite values")
+    return array
 
 
-def _lexicon_to_json(lexicon: KeywordLexicon) -> dict:
-    return {
-        d.value: {
-            "keywords": lexicon.keywords[d],
-            "keyphrases": [" ".join(p.words) for p in lexicon.keyphrases[d]],
-        }
-        for d in CLASSIFIED_DOMAINS
-    }
-
-
-def _lexicon_from_json(obj: dict) -> KeywordLexicon:
-    entries = {}
-    for name, spec in obj.items():
-        domain = Domain(name)
-        phrases = [
-            MwePhrase(words=tuple(s.split()), domain=name)
-            for s in spec.get("keyphrases", [])
-        ]
-        entries[domain] = (list(spec.get("keywords", [])), phrases)
-    return KeywordLexicon(entries)
+def _field(manifest: dict, key: str, convert):
+    """A required manifest field, passed through convert (int, float, ...)."""
+    if key not in manifest:
+        raise DataError(f"bundle manifest lacks field {key!r}")
+    try:
+        return convert(manifest[key])
+    except (TypeError, ValueError):
+        raise DataError(f"bundle manifest field {key!r} is malformed")
 
 
 def save_bundle(
@@ -111,6 +101,8 @@ def _save_into(
     svd = pipeline.svd
     if tfidf is None or svd is None:
         raise DataError("cannot save a pipeline without fitted TF-IDF and SVD")
+    if pipeline.thresholds is None:
+        raise DataError("cannot save a pipeline without calibrated thresholds")
 
     arrays = {
         "idf": _write_array(directory, "idf", tfidf.idf, "<f8"),
@@ -133,7 +125,7 @@ def _save_into(
         "domain_order": [d.value for d in CLASSIFIED_DOMAINS],
         "corpus_size": tfidf.corpus_size,
         "vocabulary_file": VOCAB_NAME,
-        "lexicon": _lexicon_to_json(lexicon),
+        "lexicon": lexicon_to_json(lexicon),
         "training": training_info,
     }
 
@@ -164,14 +156,13 @@ def _save_into(
     else:
         raise DataError(f"unknown model kind {pipeline.kind!r}")
 
-    if pipeline.thresholds is not None:
-        t = pipeline.thresholds
-        manifest["thresholds"] = {
-            "alpha": t.alpha,
-            "min": {d.value: t.thresholds[i] for i, d in enumerate(CLASSIFIED_DOMAINS)},
-            "mean": {d.value: t.means[i] for i, d in enumerate(CLASSIFIED_DOMAINS)},
-            "sigma": {d.value: t.sigmas[i] for i, d in enumerate(CLASSIFIED_DOMAINS)},
-        }
+    t = pipeline.thresholds
+    manifest["thresholds"] = {
+        "alpha": t.alpha,
+        "min": {d.value: t.thresholds[i] for i, d in enumerate(CLASSIFIED_DOMAINS)},
+        "mean": {d.value: t.means[i] for i, d in enumerate(CLASSIFIED_DOMAINS)},
+        "sigma": {d.value: t.sigmas[i] for i, d in enumerate(CLASSIFIED_DOMAINS)},
+    }
     manifest["arrays"] = arrays
     (directory / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -180,7 +171,7 @@ def _save_into(
 
 
 def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
-    """Load a bundle; validates format version and array shapes."""
+    """Load a bundle; validates format version, fields, shapes and finiteness."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -189,6 +180,8 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise DataError(f"{manifest_path}: invalid JSON: {e}")
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: manifest must be a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(
@@ -223,7 +216,9 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         terms=terms, index={t: i for i, t in enumerate(terms)}, df=df
     )
     tfidf = TfidfModel(
-        vocabulary=vocabulary, idf=idf, corpus_size=int(manifest["corpus_size"])
+        vocabulary=vocabulary,
+        idf=idf,
+        corpus_size=_field(manifest, "corpus_size", int),
     )
     components = arr("svd_components")
     if components.shape[1] != len(terms):
@@ -234,10 +229,10 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
     svd = SvdProjection(
         components=components, singular_values=arr("svd_singular_values")
     )
-    lexicon = _lexicon_from_json(manifest.get("lexicon", {}))
+    lexicon = lexicon_from_json(manifest.get("lexicon", {}), manifest_path)
 
     pipeline = Pipeline(
-        kind=manifest["kind"],
+        kind=_field(manifest, "kind", str),
         use_mwes=bool(manifest.get("use_mwes", True)),
         phrases=lexicon.all_phrases(),
         tfidf=tfidf,
@@ -267,27 +262,33 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
             raise DataError(
                 f"prototype width {prototypes.shape[1]} does not match k={k}"
             )
+        width = _field(manifest, "rbf_width", float)
+        if not (np.isfinite(width) and width > 0.0):
+            raise DataError(f"bundle rbf_width must be positive, got {width}")
         pipeline.rbf = RbfModel(
             prototypes=prototypes,
-            width=float(manifest["rbf_width"]),
+            width=width,
             w=arr("rbf_w"),
             b=arr("rbf_b"),
             dropout=float(manifest.get("rbf_dropout", 0.2)),
         )
     else:
-        raise DataError(f"bundle has unknown model kind {manifest['kind']!r}")
+        raise DataError(f"bundle has unknown model kind {pipeline.kind!r}")
 
-    if "thresholds" in manifest:
-        t = manifest["thresholds"]
-        try:
-            pipeline.thresholds = ThresholdSet(
-                alpha=float(t["alpha"]),
-                thresholds=np.array(
-                    [t["min"][d.value] for d in CLASSIFIED_DOMAINS]
-                ),
-                means=np.array([t["mean"][d.value] for d in CLASSIFIED_DOMAINS]),
-                sigmas=np.array([t["sigma"][d.value] for d in CLASSIFIED_DOMAINS]),
-            )
-        except KeyError as e:
-            raise DataError(f"bundle thresholds are missing a domain: {e}")
+    t = _field(manifest, "thresholds", dict)
+    try:
+        alpha = float(t["alpha"])
+        values = [
+            np.array([float(t[key][d.value]) for d in CLASSIFIED_DOMAINS])
+            for key in ("min", "mean", "sigma")
+        ]
+    except KeyError as e:
+        raise DataError(f"bundle thresholds are missing {e}")
+    except (TypeError, ValueError):
+        raise DataError("bundle thresholds are malformed")
+    if not (np.isfinite(alpha) and all(np.isfinite(v).all() for v in values)):
+        raise DataError("bundle thresholds hold non-finite values")
+    pipeline.thresholds = ThresholdSet(
+        alpha=alpha, thresholds=values[0], means=values[1], sigmas=values[2]
+    )
     return pipeline, lexicon, manifest

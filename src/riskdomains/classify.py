@@ -50,35 +50,22 @@ class ThresholdSet:
             raise ConfigError("negative sigma in threshold set")
 
 
-def calibrate(scores_per_domain, alpha: float) -> ThresholdSet:
+def calibrate(scores: np.ndarray, alpha: float) -> ThresholdSet:
     """min_d = mean_d + alpha * population sigma_d per domain.
 
-    Accepts either an (N, 7) score matrix (column per domain) or a sequence
-    of 7 per-domain score lists.
+    scores is the (N, 7) calibration score matrix, one column per domain.
     """
     if not np.isfinite(alpha):
         raise ConfigError(f"alpha must be finite, got {alpha}")
-    if isinstance(scores_per_domain, np.ndarray) and scores_per_domain.ndim == 2:
-        if scores_per_domain.shape[1] != N_CLASSIFIED:
-            raise DataError(
-                f"score matrix must have {N_CLASSIFIED} columns, "
-                f"got {scores_per_domain.shape[1]}"
-            )
-        if scores_per_domain.shape[0] == 0:
-            raise DataError("empty calibration score matrix")
-        columns = [scores_per_domain[:, i] for i in range(N_CLASSIFIED)]
-    else:
-        columns = [np.asarray(s, dtype=np.float64) for s in scores_per_domain]
-        if len(columns) != N_CLASSIFIED:
-            raise DataError(
-                f"need score lists for {N_CLASSIFIED} domains, got {len(columns)}"
-            )
-        for i, col in enumerate(columns):
-            if col.size == 0:
-                raise DataError(
-                    f"empty calibration scores for domain "
-                    f"{CLASSIFIED_DOMAINS[i].value}"
-                )
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] != N_CLASSIFIED:
+        raise DataError(
+            f"calibration scores must be an (N, {N_CLASSIFIED}) matrix, "
+            f"got shape {scores.shape}"
+        )
+    if scores.shape[0] == 0:
+        raise DataError("empty calibration score matrix")
+    columns = [scores[:, i] for i in range(N_CLASSIFIED)]
     means = np.array([float(np.mean(c)) for c in columns])
     sigmas = np.array([float(np.std(c)) for c in columns])
     return ThresholdSet(

@@ -142,11 +142,14 @@ def cmd_train(opts: _Options) -> int:
     alpha = opts.get("alpha")
     epochs = opts.get("epochs")
     loss = opts.get("loss")
+    use_mwes = opts.get("use_mwes", True)
+    if not isinstance(use_mwes, bool):
+        raise ConfigError(f"use_mwes must be true or false, got {use_mwes!r}")
     options = PipelineOptions(
         kind=str(opts.get("kind", "mlp")),
         svd_k=int(opts.get("svd_k", 100)),
         alpha=None if alpha is None else float(alpha),
-        use_mwes=bool(opts.get("use_mwes", True)),
+        use_mwes=use_mwes,
         epochs=None if epochs is None else int(epochs),
         batch_size=int(opts.get("batch_size", 128)),
         loss=None if loss is None else str(loss),

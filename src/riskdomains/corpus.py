@@ -21,7 +21,7 @@ import random
 
 from .domains import ALL_DOMAINS, CLASSIFIED_DOMAINS, Domain, domain_from_name
 from .errors import ConfigError, DataError
-from .textnorm import MwePhrase, text_to_terms, tokenize
+from .textnorm import MwePhrase, tokenize
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,6 @@ class TrainingCorpus:
 
     entries: list[tuple[Paragraph, Domain]]
 
-    def by_domain(self) -> dict[Domain, list[Paragraph]]:
-        out: dict[Domain, list[Paragraph]] = {d: [] for d in CLASSIFIED_DOMAINS}
-        for paragraph, domain in self.entries:
-            out[domain].append(paragraph)
-        return out
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -165,23 +159,22 @@ def weak_label(paragraphs: list[Paragraph], lexicon: KeywordLexicon) -> Training
 
 
 def build_megadocuments(
-    corpus: TrainingCorpus, phrases: list[MwePhrase]
+    corpus: TrainingCorpus, term_docs: list[Counter]
 ) -> dict[Domain, Megadocument]:
-    """Aggregate each domain's paragraphs into one term multiset."""
-    grouped = corpus.by_domain()
-    out: dict[Domain, Megadocument] = {}
-    for domain in CLASSIFIED_DOMAINS:
-        group = grouped[domain]
-        if not group:
+    """Sum each domain's paragraph term multisets into one megadocument.
+
+    term_docs[i] holds the terms of corpus.entries[i].
+    """
+    out = {
+        d: Megadocument(domain=d, paragraph_ids=[], terms=Counter())
+        for d in CLASSIFIED_DOMAINS
+    }
+    for (paragraph, domain), terms in zip(corpus.entries, term_docs, strict=True):
+        out[domain].paragraph_ids.append(paragraph.id)
+        out[domain].terms.update(terms)
+    for domain, megadoc in out.items():
+        if not megadoc.paragraph_ids:
             raise DataError(f"no training paragraphs for domain {domain}")
-        terms: Counter = Counter()
-        for paragraph in group:
-            terms.update(text_to_terms(paragraph.text, phrases))
-        out[domain] = Megadocument(
-            domain=domain,
-            paragraph_ids=[p.id for p in group],
-            terms=terms,
-        )
     return out
 
 
@@ -484,11 +477,12 @@ def load_paragraphs(path: str | Path) -> list[Paragraph]:
     seen: set[str] = set()
     for lineno, obj in _read_jsonl(path):
         try:
-            paragraph = Paragraph(
-                id=str(obj["id"]), text=obj["text"], source=obj.get("source", "training")
-            )
+            pid, text = str(obj["id"]), obj["text"]
         except KeyError as e:
             raise DataError(f"{path}:{lineno}: missing field {e}")
+        if not isinstance(text, str):
+            raise DataError(f"{path}:{lineno}: field 'text' must be a string")
+        paragraph = Paragraph(id=pid, text=text, source=obj.get("source", "training"))
         if paragraph.id in seen:
             raise DataError(f"{path}:{lineno}: duplicate paragraph id {paragraph.id!r}")
         seen.add(paragraph.id)
@@ -523,16 +517,47 @@ def load_gold(path: str | Path) -> dict[str, list[Domain]]:
     return gold
 
 
-def write_lexicon(path: str | Path, lexicon: KeywordLexicon) -> None:
-    obj = {
+def lexicon_to_json(lexicon: KeywordLexicon) -> dict:
+    return {
         d.value: {
             "keywords": lexicon.keywords[d],
             "keyphrases": [" ".join(p.words) for p in lexicon.keyphrases[d]],
         }
         for d in CLASSIFIED_DOMAINS
     }
+
+
+def lexicon_from_json(obj, source: str | Path) -> KeywordLexicon:
+    """Parse a lexicon JSON object; source names its origin in errors."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{source}: lexicon must be a JSON object")
+    entries: dict[Domain, tuple[list[str], list[MwePhrase]]] = {}
+    for name, spec in obj.items():
+        try:
+            domain = domain_from_name(name)
+        except DataError as e:
+            raise DataError(f"{source}: {e}") from e
+        if domain is Domain.OTHER:
+            raise DataError(f"{source}: lexicon must not define entries for Other")
+        if not isinstance(spec, dict):
+            raise DataError(f"{source}: lexicon entry {name} must be an object")
+        keywords = spec.get("keywords", [])
+        keyphrases = spec.get("keyphrases", [])
+        for strings in (keywords, keyphrases):
+            if not isinstance(strings, list) or not all(
+                isinstance(w, str) for w in strings
+            ):
+                raise DataError(
+                    f"{source}: keywords and keyphrases of {name} must be string lists"
+                )
+        phrases = [MwePhrase(words=tuple(s.split()), domain=name) for s in keyphrases]
+        entries[domain] = (keywords, phrases)
+    return KeywordLexicon(entries)
+
+
+def write_lexicon(path: str | Path, lexicon: KeywordLexicon) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2)
+        json.dump(lexicon_to_json(lexicon), f, indent=2)
         f.write("\n")
 
 
@@ -544,17 +569,7 @@ def load_lexicon(path: str | Path) -> KeywordLexicon:
         raise DataError(f"lexicon file not found: {path}")
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON: {e}")
-    entries: dict[Domain, tuple[list[str], list[MwePhrase]]] = {}
-    for name, spec in obj.items():
-        domain = domain_from_name(name)
-        if domain is Domain.OTHER:
-            raise DataError(f"{path}: lexicon must not define entries for Other")
-        phrases = [
-            MwePhrase(words=tuple(s.split()), domain=name)
-            for s in spec.get("keyphrases", [])
-        ]
-        entries[domain] = (list(spec.get("keywords", [])), phrases)
-    return KeywordLexicon(entries)
+    return lexicon_from_json(obj, path)
 
 
 def _read_jsonl(path: str | Path):
@@ -568,6 +583,9 @@ def _read_jsonl(path: str | Path):
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {e}")
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: record must be a JSON object")
+            yield lineno, obj

@@ -255,19 +255,20 @@ def _check_training_inputs(x: np.ndarray, y: np.ndarray) -> None:
         raise DataError("targets must be one-hot rows")
 
 
-def train_mlp(
-    x: np.ndarray, y: np.ndarray, config: TrainConfig
-) -> tuple[MlpModel, list[float]]:
+def _train(x, y, config: TrainConfig, init, batch_loss):
     """Minibatch Adam for exactly epochs*ceil(N/batch) steps.
 
-    Returns the model and the per-epoch mean training loss.
+    init(x, rng) builds the model; batch_loss(model, xb, yb, rng) returns
+    one batch's loss and gradients, drawing its dropout masks from rng
+    after the epoch permutation. Returns the model and the per-epoch mean
+    training loss.
     """
     config.validate()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_training_inputs(x, y)
     rng = np.random.default_rng(config.seed)
-    model = init_mlp(x.shape[1], rng)
+    model = init(x, rng)
     state = AdamState()
     params = model.params()
     n = x.shape[0]
@@ -278,12 +279,7 @@ def train_mlp(
         n_batches = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            xb, yb = x[idx], y[idx]
-            masks = (
-                dropout_mask(rng, (len(idx), HIDDEN), model.dropout1),
-                dropout_mask(rng, (len(idx), HIDDEN), model.dropout2),
-            )
-            loss, grads = mlp_loss_and_grads(model, xb, yb, config.loss, masks)
+            loss, grads = batch_loss(model, x[idx], y[idx], rng)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite training loss at epoch {epoch + 1}, "
@@ -294,6 +290,23 @@ def train_mlp(
             n_batches += 1
         history.append(epoch_loss / n_batches)
     return model, history
+
+
+def train_mlp(
+    x: np.ndarray, y: np.ndarray, config: TrainConfig
+) -> tuple[MlpModel, list[float]]:
+    """Train all three MLP layers with minibatch Adam and inverted dropout."""
+
+    def batch_loss(model, xb, yb, rng):
+        masks = (
+            dropout_mask(rng, (len(xb), HIDDEN), model.dropout1),
+            dropout_mask(rng, (len(xb), HIDDEN), model.dropout2),
+        )
+        return mlp_loss_and_grads(model, xb, yb, config.loss, masks)
+
+    return _train(
+        x, y, config, lambda data, rng: init_mlp(data.shape[1], rng), batch_loss
+    )
 
 
 @dataclass
@@ -469,41 +482,18 @@ def rbf_loss_and_grads(
 
 
 def train_rbf(
-    model: RbfModel, x: np.ndarray, y: np.ndarray, config: TrainConfig
+    prototypes: np.ndarray,
+    width: float,
+    x: np.ndarray,
+    y: np.ndarray,
+    config: TrainConfig,
 ) -> tuple[RbfModel, list[float]]:
     """Train the linear output layer with Adam; prototypes stay fixed."""
-    config.validate()
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_training_inputs(x, y)
-    rng = np.random.default_rng(config.seed)
-    model = RbfModel(
-        prototypes=model.prototypes,
-        width=model.width,
-        w=_glorot(rng, model.prototypes.shape[0], N_CLASSIFIED),
-        b=np.zeros(N_CLASSIFIED),
-        dropout=model.dropout,
+
+    def batch_loss(model, xb, yb, rng):
+        mask = dropout_mask(rng, xb.shape, model.dropout)
+        return rbf_loss_and_grads(model, xb, yb, config.loss, mask)
+
+    return _train(
+        x, y, config, lambda _, rng: init_rbf(prototypes, width, rng), batch_loss
     )
-    state = AdamState()
-    params = model.params()
-    n = x.shape[0]
-    history: list[float] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb, yb = x[idx], y[idx]
-            mask = dropout_mask(rng, xb.shape, model.dropout)
-            loss, grads = rbf_loss_and_grads(model, xb, yb, config.loss, mask)
-            if not np.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite training loss at epoch {epoch + 1}, "
-                    f"batch {n_batches + 1}"
-                )
-            adam_step(state, params, grads)
-            epoch_loss += loss
-            n_batches += 1
-        history.append(epoch_loss / n_batches)
-    return model, history

@@ -1,10 +1,11 @@
 """End-to-end training: weak labels to calibrated classifier.
 
 The stages run in a fixed order: weak-label the corpus with the lexicon,
-build megadocuments, fit TF-IDF over the labeled paragraphs, reduce with
-truncated SVD, train the chosen scorer, then calibrate thresholds on the
-scorer's outputs for the full training corpus. Disabling MWEs removes the
-keyphrases from both weak labeling and fusion, which is the ablation arm.
+fit TF-IDF over the labeled paragraphs, sum their term multisets into
+megadocuments, reduce with truncated SVD, train the chosen scorer, then
+calibrate thresholds on the scorer's outputs for the full training corpus.
+Disabling MWEs removes the keyphrases from both weak labeling and fusion,
+which is the ablation arm.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from .networks import (
     TrainConfig,
     build_rbf_prototypes,
     compute_rbf_width,
-    init_rbf,
     one_hot,
     train_mlp,
     train_rbf,
 )
 from .textnorm import text_to_terms
-from .vectorspace import fit_svd, fit_tfidf, project_all, vectorize, vectorize_all
+from .vectorspace import fit_svd, fit_tfidf, project_all, vectorize_all
 
 DEFAULT_EPOCHS = {"mlp": 30, "rbf": 50}
 # Summed binary cross entropy is the default for the MLP: the true-class-only
@@ -114,12 +114,12 @@ def train_pipeline(
         corpus = weak_label(paragraphs, effective_lexicon)
         if not corpus.entries:
             raise DataError("weak labeling produced an empty training corpus")
-    with _stage("megadocuments"):
-        megadocs = build_megadocuments(corpus, phrases)
     with _stage("fit_tfidf"):
         term_docs = [text_to_terms(p.text, phrases) for p, _ in corpus.entries]
         tfidf = fit_tfidf(term_docs)
         matrix = vectorize_all(tfidf, term_docs)
+    with _stage("megadocuments"):
+        megadocs = build_megadocuments(corpus, term_docs)
     with _stage("fit_svd"):
         svd = fit_svd(matrix, k=options.svd_k)
         vectors = project_all(svd, matrix)
@@ -135,8 +135,8 @@ def train_pipeline(
 
     if options.kind == "cosine":
         with _stage("megadocument_vectors"):
-            rows = [vectorize(tfidf, megadocs[d].terms) for d in CLASSIFIED_DOMAINS]
-            megadoc_vectors = np.vstack([project_all(svd, r) for r in rows])
+            megadoc_terms = [megadocs[d].terms for d in CLASSIFIED_DOMAINS]
+            megadoc_vectors = project_all(svd, vectorize_all(tfidf, megadoc_terms))
             norms = np.linalg.norm(megadoc_vectors, axis=1)
             if np.any(norms == 0.0):
                 dead = CLASSIFIED_DOMAINS[int(np.argmin(norms))]
@@ -168,8 +168,7 @@ def train_pipeline(
                 )
                 width = compute_rbf_width(prototypes, options.rbf_width_units)
             with _stage("train_rbf"):
-                base = init_rbf(prototypes, width, np.random.default_rng(options.seed))
-                model, history = train_rbf(base, vectors, targets, config)
+                model, history = train_rbf(prototypes, width, vectors, targets, config)
                 pipeline.rbf = model
 
     with _stage("calibrate"):

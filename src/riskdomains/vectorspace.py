@@ -73,37 +73,15 @@ def fit_tfidf(docs: Sequence[Mapping[str, int]]) -> TfidfModel:
     )
 
 
-def vectorize(model: TfidfModel, terms: Mapping[str, int]) -> sp.csr_matrix:
-    """L2-normalized count*idf weights as a 1xV sparse row.
-
-    Unknown terms are ignored; a document with no known terms yields the
-    zero vector, recognizable by nnz == 0. That is the all-unknown flag
-    every caller checks before scoring.
-    """
-    index = model.vocabulary.index
-    cols = []
-    vals = []
-    for term, count in terms.items():
-        i = index.get(term)
-        if i is not None:
-            cols.append(i)
-            vals.append(count * model.idf[i])
-    v = len(model.vocabulary)
-    if not cols:
-        return sp.csr_matrix((1, v), dtype=np.float64)
-    order = np.argsort(cols)
-    cols = np.asarray(cols, dtype=np.int64)[order]
-    vals = np.asarray(vals, dtype=np.float64)[order]
-    norm = float(np.sqrt(np.dot(vals, vals)))
-    if norm > 0.0:
-        vals = vals / norm
-    return sp.csr_matrix((vals, (np.zeros_like(cols), cols)), shape=(1, v))
-
-
 def vectorize_all(
     model: TfidfModel, docs: Iterable[Mapping[str, int]]
 ) -> sp.csr_matrix:
-    """Stack vectorize() rows into one N x V matrix without per-row overhead."""
+    """L2-normalized count*idf weights, one sparse N x V row per document.
+
+    Unknown terms are ignored; a document with no known terms yields an
+    all-zero row. That is the all-unknown flag every caller checks before
+    scoring.
+    """
     index = model.vocabulary.index
     idf = model.idf
     indptr = [0]
@@ -236,26 +214,8 @@ def _gram_svd(matrix: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     return components[:k], s[:k]
 
 
-def project(projection: SvdProjection, vector) -> np.ndarray:
-    """Map a sparse or dense V-dim vector to its k-dim coordinates."""
-    k, v = projection.components.shape
-    if sp.issparse(vector):
-        if vector.shape[1] != v:
-            raise DataError(
-                f"cannot project vector of length {vector.shape[1]} "
-                f"with {v}-column components"
-            )
-        return np.asarray((vector @ projection.components.T)).ravel()
-    vec = np.asarray(vector, dtype=np.float64).ravel()
-    if vec.shape[0] != v:
-        raise DataError(
-            f"cannot project vector of length {vec.shape[0]} "
-            f"with {v}-column components"
-        )
-    return projection.components @ vec
-
-
 def project_all(projection: SvdProjection, matrix: sp.spmatrix) -> np.ndarray:
+    """Map each row of an N x V matrix to its k-dim coordinates."""
     if matrix.shape[1] != projection.components.shape[1]:
         raise DataError(
             f"cannot project matrix with {matrix.shape[1]} columns "

@@ -50,8 +50,7 @@ def trained_cosine(small_corpus):
 @pytest.fixture(scope="session")
 def corpus_files(tmp_path_factory, small_corpus):
     """The small corpus written out in the CLI file formats."""
-    from riskdomains import write_gold, write_lexicon, write_paragraphs
-    from riskdomains.corpus import AnnotatedParagraph  # noqa: F401
+    from riskdomains.corpus import write_gold, write_lexicon, write_paragraphs
 
     paragraphs, gold, lexicon = small_corpus
     directory = tmp_path_factory.mktemp("corpus")

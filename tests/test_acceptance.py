@@ -42,7 +42,7 @@ from riskdomains.networks import (
     rbf_loss_and_grads,
 )
 from riskdomains.pipeline import PipelineOptions, train_pipeline
-from riskdomains.vectorspace import fit_svd, fit_tfidf, project_all, vectorize
+from riskdomains.vectorspace import fit_svd, fit_tfidf, project_all, vectorize_all
 
 STANDARD_COUNTS = dict(
     paragraphs_per_domain=200, multilabel_per_domain=30, other_paragraphs=100
@@ -130,7 +130,7 @@ def test_criterion_01_tfidf_matches_brute_force_oracle():
         terms = sorted({t for d in docs for t in d})
         for doc in docs:
             expected = brute_force_weights(docs, doc)
-            got = vectorize(model, doc).toarray().ravel()
+            got = vectorize_all(model, [doc]).toarray()[0]
             ordered = np.array([got[model.vocabulary.index[t]] for t in terms])
             assert np.max(np.abs(ordered - expected)) < 1e-12
     assert time.perf_counter() - start < 5.0

@@ -44,17 +44,10 @@ class TestCalibrate:
         assert np.allclose(result.thresholds, scores.mean(axis=0), atol=1e-12)
 
     def test_single_scores_have_zero_sigma(self):
-        lists = [[0.1 * (i + 1)] for i in range(7)]
-        result = calibrate(lists, alpha=5.0)
+        scores = np.array([[0.1 * (i + 1) for i in range(7)]])
+        result = calibrate(scores, alpha=5.0)
         assert np.allclose(result.sigmas, 0.0)
         assert np.allclose(result.thresholds, [0.1 * (i + 1) for i in range(7)])
-
-    def test_matrix_and_lists_agree(self):
-        rng = np.random.default_rng(1)
-        scores = rng.random((25, 7))
-        a = calibrate(scores, alpha=1.2)
-        b = calibrate([scores[:, i] for i in range(7)], alpha=1.2)
-        assert np.array_equal(a.thresholds, b.thresholds)
 
     def test_population_sigma_not_sample(self):
         scores = np.tile(np.array([[0.0], [1.0]]), (1, 7))
@@ -81,12 +74,6 @@ class TestCalibrate:
     def test_empty_matrix(self):
         with pytest.raises(DataError):
             calibrate(np.zeros((0, 7)), alpha=1.0)
-
-    def test_empty_domain_list_named(self):
-        lists = [[0.5]] * 7
-        lists[4] = []
-        with pytest.raises(DataError, match="Occupation"):
-            calibrate(lists, alpha=1.0)
 
     def test_wrong_column_count(self):
         with pytest.raises(DataError):

@@ -23,7 +23,7 @@ from riskdomains.corpus import (
 from riskdomains.corpus import build_megadocuments
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import ConfigError, DataError
-from riskdomains.textnorm import MwePhrase, tokenize
+from riskdomains.textnorm import MwePhrase, text_to_terms, tokenize
 
 
 def tiny_lexicon():
@@ -119,11 +119,15 @@ class TestMegadocuments:
                 )
         return weak_label(paragraphs, tiny_lexicon())
 
+    def megadocuments(self, corpus):
+        term_docs = [text_to_terms(p.text, []) for p, _ in corpus.entries]
+        return build_megadocuments(corpus, term_docs)
+
     def test_counts_and_id_union(self):
         counts = {d: 1 for d in CLASSIFIED_DOMAINS}
         counts[Domain.SUBSTANCE] = 2
         corpus = self.build_corpus(counts)
-        megadocs = build_megadocuments(corpus, [])
+        megadocs = self.megadocuments(corpus)
         assert len(megadocs) == 7
         assert len(megadocs[Domain.SUBSTANCE].paragraph_ids) == 2
         all_ids = sorted(
@@ -133,7 +137,7 @@ class TestMegadocuments:
 
     def test_one_paragraph_each(self):
         corpus = self.build_corpus({d: 1 for d in CLASSIFIED_DOMAINS})
-        megadocs = build_megadocuments(corpus, [])
+        megadocs = self.megadocuments(corpus)
         assert all(len(m.paragraph_ids) == 1 for m in megadocs.values())
 
     def test_empty_domain_is_named(self):
@@ -141,12 +145,12 @@ class TestMegadocuments:
         counts[Domain.MOOD] = 0
         corpus = self.build_corpus(counts)
         with pytest.raises(DataError, match="Mood"):
-            build_megadocuments(corpus, [])
+            self.megadocuments(corpus)
 
     def test_empty_corpus(self):
         corpus = self.build_corpus({d: 0 for d in CLASSIFIED_DOMAINS})
         with pytest.raises(DataError):
-            build_megadocuments(corpus, [])
+            self.megadocuments(corpus)
 
 
 class TestSyntheticGenerator:

@@ -349,10 +349,9 @@ class TestTraining:
         x, y = separable_data(rng, dim=8)
         prototypes = rng.normal(size=(14, 8))
         width = compute_rbf_width(prototypes)
-        base = init_rbf(prototypes, width, np.random.default_rng(3))
         config = TrainConfig(epochs=3, batch_size=16, seed=5, loss="mse")
-        a, _ = train_rbf(base, x, y, config)
-        b, _ = train_rbf(base, x, y, config)
+        a, _ = train_rbf(prototypes, width, x, y, config)
+        b, _ = train_rbf(prototypes, width, x, y, config)
         assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
 
     def test_rbf_loss_descends(self):
@@ -366,16 +365,17 @@ class TestTraining:
             per_domain_k=2,
             seed=0,
         )
-        base = init_rbf(prototypes, compute_rbf_width(prototypes, 1), np.random.default_rng(0))
-        _, history = train_rbf(base, x, y, TrainConfig(epochs=50, batch_size=16, seed=0, loss="mse"))
+        width = compute_rbf_width(prototypes, 1)
+        config = TrainConfig(epochs=50, batch_size=16, seed=0, loss="mse")
+        _, history = train_rbf(prototypes, width, x, y, config)
         assert history[-1] < history[0]
 
     def test_rbf_prototypes_unchanged_by_training(self):
         rng = np.random.default_rng(15)
         x, y = separable_data(rng, dim=8)
         prototypes = rng.normal(size=(10, 8))
-        base = init_rbf(prototypes, 1.0, np.random.default_rng(0))
-        trained, _ = train_rbf(base, x, y, TrainConfig(epochs=2, batch_size=16, seed=0, loss="mse"))
+        config = TrainConfig(epochs=2, batch_size=16, seed=0, loss="mse")
+        trained, _ = train_rbf(prototypes, 1.0, x, y, config)
         assert np.array_equal(trained.prototypes, prototypes)
         assert trained.width == 1.0
 

@@ -1,0 +1,130 @@
+"""Malformed inputs end in one error line and the documented exit code.
+
+Each case corrupts one field of a bundle, corpus, lexicon or config and runs
+the CLI in-process. The contract: exit 1 for a config error, 2 for a data
+error, a single "error:" line on stderr, and never a traceback or a silent
+exit 0.
+"""
+
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from riskdomains.bundle import save_bundle
+from riskdomains.cli import main
+
+
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory, small_corpus, trained_mlp, trained_rbf):
+    _, _, lexicon = small_corpus
+    root = tmp_path_factory.mktemp("bundles")
+    return {
+        "mlp": save_bundle(root / "mlp", trained_mlp.pipeline, lexicon),
+        "rbf": save_bundle(root / "rbf", trained_rbf.pipeline, lexicon),
+    }
+
+
+def corrupt_bundle(kind, corrupt):
+    """Classify the good corpus with a corrupted copy of a saved bundle."""
+
+    def case(tmp_path, corpus_files, bundles):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundles[kind], bundle)
+        corrupt(bundle)
+        return [
+            "classify", "--bundle", str(bundle),
+            "--corpus", str(corpus_files / "corpus.jsonl"),
+        ]
+
+    return case
+
+
+def edit_manifest(mutate):
+    def corrupt(bundle):
+        path = bundle / "manifest.json"
+        manifest = json.loads(path.read_text())
+        mutate(manifest)
+        path.write_text(json.dumps(manifest))
+
+    return corrupt
+
+
+def nan_idf(bundle):
+    path = bundle / "idf.bin"
+    n = len(path.read_bytes()) // 8
+    path.write_bytes(np.full(n, np.nan, dtype="<f8").tobytes())
+
+
+def classify_corpus_lines(*lines):
+    """Classify a corpus file holding the given raw lines with a good bundle."""
+
+    def case(tmp_path, corpus_files, bundles):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(line + "\n" for line in lines))
+        return ["classify", "--bundle", str(bundles["mlp"]), "--corpus", str(corpus)]
+
+    return case
+
+
+def train_with(config=None, lexicon=None):
+    """Train with a config file and, if given, a replacement lexicon."""
+
+    def case(tmp_path, corpus_files, bundles):
+        lexicon_path = corpus_files / "lexicon.json"
+        if lexicon is not None:
+            lexicon_path = tmp_path / "lexicon.json"
+            lexicon_path.write_text(json.dumps(lexicon))
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({
+            "corpus": str(corpus_files / "corpus.jsonl"),
+            "lexicon": str(lexicon_path),
+            "out": str(tmp_path / "out"),
+            **(config or {}),
+        }))
+        return ["train", "--config", str(config_path)]
+
+    return case
+
+
+CASES = {
+    "bundle_idf_all_nan": (corrupt_bundle("mlp", nan_idf), 2),
+    "bundle_no_kind": (
+        corrupt_bundle("mlp", edit_manifest(lambda m: m.pop("kind"))), 2
+    ),
+    "bundle_no_corpus_size": (
+        corrupt_bundle("mlp", edit_manifest(lambda m: m.pop("corpus_size"))), 2
+    ),
+    "bundle_no_rbf_width": (
+        corrupt_bundle("rbf", edit_manifest(lambda m: m.pop("rbf_width"))), 2
+    ),
+    "bundle_no_thresholds": (
+        corrupt_bundle("mlp", edit_manifest(lambda m: m.pop("thresholds"))), 2
+    ),
+    "bundle_lexicon_unknown_domain": (
+        corrupt_bundle(
+            "mlp",
+            edit_manifest(lambda m: m["lexicon"].update(Mania={"keywords": ["manic"]})),
+        ),
+        2,
+    ),
+    "corpus_text_not_string": (classify_corpus_lines('{"id": "a", "text": 5}'), 2),
+    "corpus_record_not_object": (classify_corpus_lines('["a", "text"]'), 2),
+    "lexicon_keywords_not_list": (train_with(lexicon={"Mood": {"keywords": 5}}), 2),
+    "config_use_mwes_string": (train_with(config={"use_mwes": "false"}), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_malformed_input_fails_loudly(name, tmp_path, corpus_files, bundles, capsys):
+    make_argv, expected_code = CASES[name]
+    argv = make_argv(tmp_path, corpus_files, bundles)
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == expected_code, captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

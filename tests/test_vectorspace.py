@@ -15,9 +15,7 @@ from riskdomains.vectorspace import (
     fit_svd,
     fit_tfidf,
     lda_2d,
-    project,
     project_all,
-    vectorize,
     vectorize_all,
 )
 
@@ -64,18 +62,19 @@ class TestTfidf:
 
     def test_vectorize_unit_norm(self):
         model = fit_tfidf(TWO_DOCS)
-        vector = vectorize(model, Counter(["patient", "calm", "calm"]))
+        vector = vectorize_all(model, [Counter(["patient", "calm", "calm"])])[0]
         assert np.linalg.norm(vector.toarray()) == pytest.approx(1.0, abs=1e-12)
 
     def test_vectorize_all_unknown_is_flagged_zero(self):
         model = fit_tfidf(TWO_DOCS)
-        vector = vectorize(model, Counter(["nothing", "matches"]))
+        vector = vectorize_all(model, [Counter(["nothing", "matches"])])[0]
         assert vector.nnz == 0
 
     def test_vectorize_known_example(self):
         # Hand computation: pre-norm weights (2*1.0, 1*(ln(1.5)+1)), then L2.
         model = fit_tfidf(TWO_DOCS)
-        dense = vectorize(model, Counter({"patient": 2, "anxious": 1})).toarray().ravel()
+        doc = Counter({"patient": 2, "anxious": 1})
+        dense = vectorize_all(model, [doc]).toarray()[0]
         idx = model.vocabulary.index
         w_patient = 2.0
         w_anxious = math.log(1.5) + 1
@@ -98,7 +97,7 @@ class TestTfidf:
             for doc in docs:
                 expected = brute_force_vectorize(docs, doc)
                 terms = sorted({t for d in docs for t in d})
-                got = vectorize(model, doc).toarray().ravel()
+                got = vectorize_all(model, [doc]).toarray()[0]
                 ordered = np.array([got[model.vocabulary.index[t]] for t in terms])
                 assert np.max(np.abs(ordered - expected)) < 1e-12
 
@@ -107,7 +106,7 @@ class TestTfidf:
         docs = [Counter(["patient"]), Counter(["anxious", "calm"]), Counter(["zzz"])]
         matrix = vectorize_all(model, docs)
         for i, doc in enumerate(docs):
-            row = vectorize(model, doc)
+            row = vectorize_all(model, [doc])
             assert np.allclose(matrix[i].toarray(), row.toarray())
 
 
@@ -193,13 +192,13 @@ class TestProject:
         self.projection = fit_svd(self.matrix, k=4)
 
     def test_zero_vector(self):
-        out = project(self.projection, sp.csr_matrix((1, 9)))
+        out = project_all(self.projection, sp.csr_matrix((1, 9)))
         assert np.allclose(out, 0.0)
 
     def test_right_singular_vector_hits_axis(self):
         for i in range(4):
             v = sp.csr_matrix(self.projection.components[i])
-            out = project(self.projection, v).ravel()
+            out = project_all(self.projection, v).ravel()
             expected = np.zeros(4)
             expected[i] = 1.0
             assert np.allclose(out, expected, atol=1e-10)
@@ -208,13 +207,13 @@ class TestProject:
         rng = np.random.default_rng(9)
         a = sp.csr_matrix(rng.normal(size=(1, 9)))
         b = sp.csr_matrix(rng.normal(size=(1, 9)))
-        left = project(self.projection, a + b)
-        right = project(self.projection, a) + project(self.projection, b)
+        left = project_all(self.projection, a + b)
+        right = project_all(self.projection, a) + project_all(self.projection, b)
         assert np.max(np.abs(left - right)) < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
-            project(self.projection, sp.csr_matrix((1, 5)))
+            project_all(self.projection, sp.csr_matrix((1, 5)))
 
 
 class TestCosine:
