@@ -3,7 +3,8 @@
 Every array lives in its own file of raw little-endian 64-bit values with
 its shape and dtype recorded in the manifest, so bundles are portable and
 the manifest stays humanly diffable. Nothing in a bundle depends on wall
-time; retraining with the same inputs reproduces byte-identical files.
+time; retraining with the same inputs, seed and BLAS thread count
+reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -35,13 +36,26 @@ def _write_array(directory: Path, name: str, array: np.ndarray, dtype: str) -> d
     return {"file": path.name, "shape": list(array.shape), "dtype": dtype}
 
 
+def _instance(type_):
+    """A convert for _field that accepts only values of one JSON type."""
+
+    def check(value):
+        if not isinstance(value, type_):
+            raise TypeError(value)
+        return value
+
+    return check
+
+
 def _read_array(directory: Path, spec: dict, name: str) -> np.ndarray:
     try:
         path = directory / spec["file"]
-        shape = tuple(spec["shape"])
+        shape = tuple(_instance(int)(d) for d in spec["shape"])
         dtype = _DTYPES[spec["dtype"]]
     except (KeyError, TypeError):
         raise DataError(f"bundle manifest entry for array {name!r} is malformed")
+    if any(d < 0 for d in shape):
+        raise DataError(f"bundle array {name!r} has a negative dimension")
     if not path.is_file():
         raise DataError(f"bundle array file missing: {path}")
     raw = path.read_bytes()
@@ -67,6 +81,21 @@ def _field(manifest: dict, key: str, convert):
         return convert(manifest[key])
     except (TypeError, ValueError):
         raise DataError(f"bundle manifest field {key!r} is malformed")
+
+
+def _dropout_rate(value) -> float:
+    """A JSON number in [0, 1), the range dropout_mask accepts."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    if not 0.0 <= value < 1.0:
+        raise ValueError(value)
+    return float(value)
+
+
+def _dropout_pair(value) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError(value)
+    return _dropout_rate(value[0]), _dropout_rate(value[1])
 
 
 def save_bundle(
@@ -194,14 +223,14 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
             "bundle domain order does not match this reader; refusing to "
             "misinterpret model outputs"
         )
-    arrays = manifest.get("arrays", {})
+    arrays = _field(manifest, "arrays", _instance(dict))
 
     def arr(name: str) -> np.ndarray:
         if name not in arrays:
             raise DataError(f"bundle manifest lacks array {name!r}")
         return _read_array(directory, arrays[name], name)
 
-    vocab_file = directory / manifest.get("vocabulary_file", VOCAB_NAME)
+    vocab_file = directory / _field(manifest, "vocabulary_file", _instance(str))
     if not vocab_file.is_file():
         raise DataError(f"bundle vocabulary file missing: {vocab_file}")
     terms = tuple(vocab_file.read_text(encoding="utf-8").splitlines())
@@ -233,7 +262,7 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
 
     pipeline = Pipeline(
         kind=_field(manifest, "kind", str),
-        use_mwes=bool(manifest.get("use_mwes", True)),
+        use_mwes=_field(manifest, "use_mwes", _instance(bool)),
         phrases=lexicon.all_phrases(),
         tfidf=tfidf,
         svd=svd,
@@ -245,12 +274,12 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
             raise DataError(f"megadoc vector shape {mv.shape} does not match k={k}")
         pipeline.megadoc_vectors = mv
     elif pipeline.kind == "mlp":
-        dropout = manifest.get("mlp_dropout", [0.2, 0.5])
+        dropout = _field(manifest, "mlp_dropout", _dropout_pair)
         pipeline.mlp = MlpModel(
             w1=arr("mlp_w1"), b1=arr("mlp_b1"),
             w2=arr("mlp_w2"), b2=arr("mlp_b2"),
             w3=arr("mlp_w3"), b3=arr("mlp_b3"),
-            dropout1=float(dropout[0]), dropout2=float(dropout[1]),
+            dropout1=dropout[0], dropout2=dropout[1],
         )
         if pipeline.mlp.w1.shape[0] != k:
             raise DataError(
@@ -270,7 +299,7 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
             width=width,
             w=arr("rbf_w"),
             b=arr("rbf_b"),
-            dropout=float(manifest.get("rbf_dropout", 0.2)),
+            dropout=_field(manifest, "rbf_dropout", _dropout_rate),
         )
     else:
         raise DataError(f"bundle has unknown model kind {pipeline.kind!r}")
@@ -288,6 +317,8 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         raise DataError("bundle thresholds are malformed")
     if not (np.isfinite(alpha) and all(np.isfinite(v).all() for v in values)):
         raise DataError("bundle thresholds hold non-finite values")
+    if np.any(values[2] < 0):
+        raise DataError("bundle thresholds hold a negative sigma")
     pipeline.thresholds = ThresholdSet(
         alpha=alpha, thresholds=values[0], means=values[1], sigmas=values[2]
     )

@@ -4,6 +4,9 @@ Documents are term multisets (paragraphs at training time, megadocuments for
 the cosine baseline). The idf is the smoothed plus-one variant
 ln((1+N)/(1+df))+1 and document vectors are L2-normalized, so every idf is
 strictly positive and every non-empty known vector has unit norm.
+
+The truncated SVD is one ARPACK run on the sparse matrix; only k = min(N, V),
+which ARPACK cannot return, takes the exact dense SVD.
 """
 
 from __future__ import annotations
@@ -18,11 +21,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .domains import Domain
-from .errors import DataError
-
-# Above this element count the dense SVD working set stops being desk-sized
-# and fit_svd switches to the Gram-matrix path.
-_DENSE_SVD_LIMIT = 2_000_000
+from .errors import DataError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -121,34 +120,12 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fill_orthonormal(rows: np.ndarray, k: int) -> np.ndarray:
-    """Extend orthonormal rows to k rows with Gram-Schmidt over basis vectors."""
-    r, v = rows.shape
-    out = np.zeros((k, v))
-    out[:r] = rows
-    have = r
-    j = 0
-    while have < k:
-        if j >= v:
-            raise DataError("cannot complete orthonormal basis: k exceeds dimension")
-        e = np.zeros(v)
-        e[j] = 1.0
-        e -= out[:have].T @ (out[:have] @ e)
-        norm = float(np.linalg.norm(e))
-        if norm > 0.5:
-            out[have] = e / norm
-            have += 1
-        j += 1
-    return out
-
-
 def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
     """Top-k right singular vectors and singular values of a sparse matrix.
 
-    Small matrices go through the exact dense factorization. Larger ones use
-    the Gram matrix of the shorter side plus one Rayleigh-Ritz refinement
-    pass, which restores the accuracy the squaring loses. Both paths are
-    fully deterministic.
+    One ARPACK run (scipy's svds) from a fixed start vector, deterministic at
+    a fixed BLAS thread count; NumericalError if it does not converge. Rows
+    come by descending singular value, each signed by _fix_signs.
     """
     matrix = sp.csr_matrix(matrix, dtype=np.float64)
     n, v = matrix.shape
@@ -166,52 +143,25 @@ def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
         )
         k = limit
 
-    if n * v <= _DENSE_SVD_LIMIT:
-        _, s, vt = scipy.linalg.svd(matrix.toarray(), full_matrices=False)
-        components = vt[:k]
-        singular = s[:k]
+    if k == limit:
+        _, singular, components = scipy.linalg.svd(
+            matrix.toarray(), full_matrices=False
+        )
     else:
-        components, singular = _gram_svd(matrix, k)
+        # Imported here: loading ARPACK adds ~50 ms to every classify start-up.
+        from scipy.sparse.linalg import ArpackError, svds
 
-    components = _fix_signs(np.ascontiguousarray(components))
+        v0 = np.full(limit, 1.0 / np.sqrt(limit))
+        try:
+            _, singular, components = svds(matrix, k=k, v0=v0)
+        except ArpackError as e:
+            raise NumericalError(f"truncated SVD did not converge: {e}")
+        order = np.argsort(-singular, kind="stable")
+        singular, components = singular[order], components[order]
+
     return SvdProjection(
-        components=components, singular_values=np.ascontiguousarray(singular)
+        components=_fix_signs(components), singular_values=singular
     )
-
-
-def _gram_svd(matrix: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    n, v = matrix.shape
-    if n <= v:
-        gram = (matrix @ matrix.T).toarray()
-        w, u = scipy.linalg.eigh(gram)
-        w = w[::-1][:k]
-        u = u[:, ::-1][:, :k]
-        tol = max(w[0], 0.0) * n * np.finfo(np.float64).eps
-        good = w > max(tol, 1e-300)
-        r = int(np.count_nonzero(good))
-        basis = (matrix.T @ u[:, :r]) / np.sqrt(w[:r])
-        basis = basis.T  # (r, V)
-    else:
-        gram = (matrix.T @ matrix).toarray()
-        w, q = scipy.linalg.eigh(gram)
-        w = w[::-1][:k]
-        q = q[:, ::-1][:, :k]
-        tol = max(w[0], 0.0) * v * np.finfo(np.float64).eps
-        good = w > max(tol, 1e-300)
-        r = int(np.count_nonzero(good))
-        basis = q[:, :r].T  # (r, V)
-
-    # Rayleigh-Ritz: re-orthonormalize the recovered subspace and take the
-    # exact SVD of the projected matrix, which repairs the squared
-    # conditioning of the Gram step.
-    q, _ = np.linalg.qr(basis.T)  # (V, r)
-    b = matrix @ q  # (N, r) dense
-    _, s, wt = scipy.linalg.svd(b, full_matrices=False)
-    components = wt @ q.T  # (r, V)
-    if r < k:
-        components = _fill_orthonormal(components, k)
-        s = np.concatenate([s, np.zeros(k - r)])
-    return components[:k], s[:k]
 
 
 def project_all(projection: SvdProjection, matrix: sp.spmatrix) -> np.ndarray:

@@ -150,8 +150,10 @@ def random_rank_r(rng, n, v, r):
 def test_criterion_02_svd_reconstruction_and_identity():
     start = time.perf_counter()
     rng = np.random.default_rng(102)
-    # Small shapes take the dense path; the wide one exercises the Gram path.
-    for n, v, r, k in [(12, 40, 5, 8), (25, 60, 10, 12), (30, 70_000, 8, 10)]:
+    # k < min(N, V) runs ARPACK, on small shapes and on one with over 2 M
+    # elements; (5, 40, 5, 5) asks for every triplet and takes the dense SVD.
+    shapes = [(12, 40, 5, 8), (25, 60, 10, 12), (30, 70_000, 8, 10), (5, 40, 5, 5)]
+    for n, v, r, k in shapes:
         dense = random_rank_r(rng, n, v, r)
         matrix = sp.csr_matrix(dense)
         projection = fit_svd(matrix, k=k)

@@ -57,6 +57,12 @@ def nan_idf(bundle):
     path.write_bytes(np.full(n, np.nan, dtype="<f8").tobytes())
 
 
+def negate_idf_shape(manifest):
+    """Two negative dimensions whose product still matches the file size."""
+    (n,) = manifest["arrays"]["idf"]["shape"]
+    manifest["arrays"]["idf"]["shape"] = [-1, -n]
+
+
 def classify_corpus_lines(*lines):
     """Classify a corpus file holding the given raw lines with a good bundle."""
 
@@ -108,6 +114,42 @@ CASES = {
             edit_manifest(lambda m: m["lexicon"].update(Mania={"keywords": ["manic"]})),
         ),
         2,
+    ),
+    "bundle_mlp_dropout_string": (
+        corrupt_bundle("mlp", edit_manifest(lambda m: m.update(mlp_dropout="x"))), 2
+    ),
+    "bundle_mlp_dropout_too_short": (
+        corrupt_bundle("mlp", edit_manifest(lambda m: m.update(mlp_dropout=[0.2]))), 2
+    ),
+    "bundle_rbf_dropout_string": (
+        corrupt_bundle("rbf", edit_manifest(lambda m: m.update(rbf_dropout="x"))), 2
+    ),
+    "bundle_vocabulary_file_not_string": (
+        corrupt_bundle("mlp", edit_manifest(lambda m: m.update(vocabulary_file=5))), 2
+    ),
+    "bundle_use_mwes_string": (
+        corrupt_bundle("mlp", edit_manifest(lambda m: m.update(use_mwes="false"))), 2
+    ),
+    "bundle_negative_sigma": (
+        corrupt_bundle(
+            "mlp", edit_manifest(lambda m: m["thresholds"]["sigma"].update(Mood=-0.1))
+        ),
+        2,
+    ),
+    "bundle_arrays_not_object": (
+        corrupt_bundle(
+            "mlp", edit_manifest(lambda m: m.update(arrays=sorted(m["arrays"])))
+        ),
+        2,
+    ),
+    "bundle_array_shape_not_integers": (
+        corrupt_bundle(
+            "mlp", edit_manifest(lambda m: m["arrays"]["idf"].update(shape=["x"]))
+        ),
+        2,
+    ),
+    "bundle_array_shape_negative": (
+        corrupt_bundle("mlp", edit_manifest(negate_idf_shape)), 2
     ),
     "corpus_text_not_string": (classify_corpus_lines('{"id": "a", "text": 5}'), 2),
     "corpus_record_not_object": (classify_corpus_lines('["a", "text"]'), 2),

@@ -7,9 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
-from riskdomains.errors import DataError
+from riskdomains.errors import DataError, NumericalError
 from riskdomains.vectorspace import (
     cosine,
     fit_svd,
@@ -131,15 +133,15 @@ class TestSvd:
             matrix.toarray()
         )
 
-    def test_full_rank_reconstruction_dense_path(self):
+    def test_full_rank_reconstruction_small(self):
         rng = np.random.default_rng(3)
         b = rng.normal(size=(12, 5))
         c = rng.normal(size=(5, 40))
         matrix = sp.csr_matrix(b @ c)
         assert self.reconstruction_error(matrix, k=5) <= 1e-8
 
-    def test_full_rank_reconstruction_gram_path(self):
-        # N*V above the dense cutoff exercises the Gram-matrix route.
+    def test_full_rank_reconstruction_large(self):
+        # Over 2 M elements: a dense SVD of this shape would be costly.
         rng = np.random.default_rng(4)
         b = rng.normal(size=(30, 8))
         c = rng.normal(size=(8, 70000))
@@ -165,6 +167,15 @@ class TestSvd:
         gram = projection.components @ projection.components.T
         assert np.max(np.abs(gram - np.eye(6))) < 1e-8
         assert np.all(projection.singular_values[3:] <= 1e-8)
+
+    def test_arpack_failure_is_numerical_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+        matrix = sp.csr_matrix(np.random.default_rng(9).normal(size=(15, 12)))
+        with pytest.raises(NumericalError):
+            fit_svd(matrix, k=6)
 
     def test_clamp_warns(self):
         matrix = sp.csr_matrix(np.eye(3))
