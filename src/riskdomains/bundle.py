@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,9 @@ _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
 
 def _write_array(directory: Path, name: str, array: np.ndarray, dtype: str) -> dict:
-    data = np.ascontiguousarray(array).astype(_DTYPES[dtype])
     path = directory / f"{name}.bin"
-    path.write_bytes(data.tobytes())
+    # tofile writes C order whatever the memory layout, without a full copy.
+    np.asarray(array, dtype=_DTYPES[dtype]).tofile(path)
     return {"file": path.name, "shape": list(array.shape), "dtype": dtype}
 
 
@@ -47,9 +48,18 @@ def _instance(type_):
     return check
 
 
-def _read_array(directory: Path, spec: dict, name: str) -> np.ndarray:
+def _bundle_file(directory: Path, name: str) -> Path:
+    """directory/name, for a plain file name that stays inside the bundle."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise DataError(f"bundle file name {name!r} is not a file inside the bundle")
+    return directory / name
+
+
+def _read_array(
+    directory: Path, spec: dict, name: str, order: str = "C"
+) -> np.ndarray:
     try:
-        path = directory / spec["file"]
+        path = _bundle_file(directory, _instance(str)(spec["file"]))
         shape = tuple(_instance(int)(d) for d in spec["shape"])
         dtype = _DTYPES[spec["dtype"]]
     except (KeyError, TypeError):
@@ -65,9 +75,10 @@ def _read_array(directory: Path, spec: dict, name: str) -> np.ndarray:
             f"bundle array {name!r} has {len(raw)} bytes, "
             f"expected {expected} for shape {list(shape)}"
         )
-    # frombuffer views are read-only; copy into an owned native-order array.
+    # frombuffer views are read-only; copy into an owned native-order array
+    # laid out in the requested memory order.
     native = np.float64 if spec["dtype"] == "<f8" else np.int64
-    array = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(native)
+    array = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(native, order=order)
     if native is np.float64 and not np.isfinite(array).all():
         raise DataError(f"bundle array {name!r} holds non-finite values")
     return array
@@ -104,20 +115,31 @@ def save_bundle(
     lexicon: KeywordLexicon,
     training_info: dict | None = None,
 ) -> Path:
-    """Write a pipeline to a bundle directory, replacing an existing bundle."""
+    """Write a pipeline to a bundle directory, replacing an existing bundle.
+
+    The bundle is written into a temporary sibling directory and renamed into
+    place, so a failed save leaves an existing bundle as it was.
+    """
     directory = Path(directory)
     if directory.exists():
         if not (directory / MANIFEST_NAME).exists() and any(directory.iterdir()):
             raise DataError(
                 f"refusing to overwrite non-bundle directory: {directory}"
             )
-        shutil.rmtree(directory)
-    directory.mkdir(parents=True)
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    # mkdtemp makes a private directory; the bundle itself is made inside it
+    # with mkdir, so it keeps the permissions of a normally created directory.
+    scratch = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
     try:
-        return _save_into(directory, pipeline, lexicon, training_info or {})
-    except BaseException:
-        shutil.rmtree(directory, ignore_errors=True)
-        raise
+        staged = scratch / "new"
+        staged.mkdir()
+        _save_into(staged, pipeline, lexicon, training_info or {})
+        if directory.exists():
+            directory.rename(scratch / "old")
+        staged.rename(directory)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return directory
 
 
 def _save_into(
@@ -125,7 +147,7 @@ def _save_into(
     pipeline: Pipeline,
     lexicon: KeywordLexicon,
     training_info: dict,
-) -> Path:
+) -> None:
     tfidf = pipeline.tfidf
     svd = pipeline.svd
     if tfidf is None or svd is None:
@@ -196,7 +218,6 @@ def _save_into(
     (directory / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return directory
 
 
 def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
@@ -225,12 +246,14 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         )
     arrays = _field(manifest, "arrays", _instance(dict))
 
-    def arr(name: str) -> np.ndarray:
+    def arr(name: str, order: str = "C") -> np.ndarray:
         if name not in arrays:
             raise DataError(f"bundle manifest lacks array {name!r}")
-        return _read_array(directory, arrays[name], name)
+        return _read_array(directory, arrays[name], name, order)
 
-    vocab_file = directory / _field(manifest, "vocabulary_file", _instance(str))
+    vocab_file = _bundle_file(
+        directory, _field(manifest, "vocabulary_file", _instance(str))
+    )
     if not vocab_file.is_file():
         raise DataError(f"bundle vocabulary file missing: {vocab_file}")
     terms = tuple(vocab_file.read_text(encoding="utf-8").splitlines())
@@ -249,7 +272,8 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         idf=idf,
         corpus_size=_field(manifest, "corpus_size", int),
     )
-    components = arr("svd_components")
+    # SvdProjection holds its components in Fortran order.
+    components = arr("svd_components", order="F")
     if components.shape[1] != len(terms):
         raise DataError(
             f"svd components width {components.shape[1]} does not match "

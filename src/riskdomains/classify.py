@@ -142,7 +142,7 @@ def score_vectors(pipeline: Pipeline, x: np.ndarray) -> np.ndarray:
         megadocs = pipeline.scorer_inputs()
         return np.vstack([cosine_baseline_scores(row, megadocs) for row in x])
     if pipeline.kind == "mlp":
-        return mlp_forward(pipeline.scorer_inputs(), x, mode="infer")
+        return mlp_forward(pipeline.scorer_inputs(), x)
     if pipeline.kind == "rbf":
         return rbf_forward(pipeline.scorer_inputs(), x)
     raise ConfigError(f"unknown model kind {pipeline.kind!r}")

@@ -355,10 +355,10 @@ _ALLOWED_KEYS = {
         "seed", "out", "corpus", "lexicon", "kind", "svd_k", "alpha",
         "epochs", "batch_size", "loss", "use_mwes",
     },
-    "classify": {"seed", "out", "bundle", "corpus"},
-    "evaluate": {"seed", "out", "predictions", "gold"},
-    "agreement": {"seed", "out", "annotations", "gold"},
-    "project-lda": {"seed", "out", "bundle", "corpus", "gold"},
+    "classify": {"out", "bundle", "corpus"},
+    "evaluate": {"out", "predictions", "gold"},
+    "agreement": {"out", "annotations", "gold"},
+    "project-lda": {"out", "bundle", "corpus", "gold"},
 }
 
 _COMMANDS = {
@@ -381,16 +381,17 @@ def build_parser() -> _Parser:
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--seed", type=int, help="random seed")
         p.add_argument("--out", help="output path (see subcommand help)")
         return p
 
     p = add("synth", "generate a synthetic corpus, gold labels, and lexicon")
+    p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--paragraphs-per-domain", type=int, dest="paragraphs_per_domain")
     p.add_argument("--multilabel-per-domain", type=int, dest="multilabel_per_domain")
     p.add_argument("--other-paragraphs", type=int, dest="other_paragraphs")
 
     p = add("train", "fit a pipeline and write a model bundle directory")
+    p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--corpus", help="paragraphs JSONL file")
     p.add_argument("--lexicon", help="keyword/keyphrase lexicon JSON file")
     p.add_argument("--kind", choices=["cosine", "mlp", "rbf"])

@@ -1,5 +1,8 @@
 """Paragraph corpora, the clinician lexicon, weak labeling and megadocuments.
 
+A megadocument is the Counter sum of one domain's weakly labeled paragraph
+term multisets.
+
 Also houses the deterministic synthetic corpus generator that stands in for
 the restricted clinical data at desk scale, and the JSON-lines file formats
 shared by the CLI:
@@ -14,12 +17,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import random
 
-from .domains import ALL_DOMAINS, CLASSIFIED_DOMAINS, Domain, domain_from_name
+from .domains import CLASSIFIED_DOMAINS, Domain, domain_from_name
 from .errors import ConfigError, DataError
 from .textnorm import MwePhrase, tokenize
 
@@ -105,13 +108,6 @@ class TrainingCorpus:
         return len(self.entries)
 
 
-@dataclass
-class Megadocument:
-    domain: Domain
-    paragraph_ids: list[str]
-    terms: Counter
-
-
 def _count_phrase(words: list[str], phrase: tuple[str, ...]) -> int:
     """Non-overlapping left-to-right occurrence count of a word sequence."""
     n, m = len(words), len(phrase)
@@ -160,20 +156,16 @@ def weak_label(paragraphs: list[Paragraph], lexicon: KeywordLexicon) -> Training
 
 def build_megadocuments(
     corpus: TrainingCorpus, term_docs: list[Counter]
-) -> dict[Domain, Megadocument]:
+) -> dict[Domain, Counter]:
     """Sum each domain's paragraph term multisets into one megadocument.
 
     term_docs[i] holds the terms of corpus.entries[i].
     """
-    out = {
-        d: Megadocument(domain=d, paragraph_ids=[], terms=Counter())
-        for d in CLASSIFIED_DOMAINS
-    }
-    for (paragraph, domain), terms in zip(corpus.entries, term_docs, strict=True):
-        out[domain].paragraph_ids.append(paragraph.id)
-        out[domain].terms.update(terms)
-    for domain, megadoc in out.items():
-        if not megadoc.paragraph_ids:
+    out = {d: Counter() for d in CLASSIFIED_DOMAINS}
+    for (_, domain), terms in zip(corpus.entries, term_docs, strict=True):
+        out[domain].update(terms)
+    for domain, terms in out.items():
+        if not terms:
             raise DataError(f"no training paragraphs for domain {domain}")
     return out
 
@@ -182,11 +174,19 @@ def build_megadocuments(
 # Synthetic corpus generation
 # ---------------------------------------------------------------------------
 
+# Lexicon keywords per domain pool, words per paragraph (noise included), and
+# the share of single-label paragraphs whose signal only phrases carry.
+N_KEYWORDS = 6
+MIN_WORDS = 16
+MAX_WORDS = 26
+MWE_RICH_FRACTION = 0.5
+
+
 @dataclass
 class SyntheticConfig:
     """Vocabulary pools and counts for the deterministic synthetic corpus.
 
-    domain_words holds the full per-domain pool; the first n_keywords of
+    domain_words holds the full per-domain pool; the first N_KEYWORDS of
     each pool form the lexicon keywords, the rest are non-keyword content
     words. Phrase constituents must come from the shared noise pool so that
     fusing them is genuinely informative.
@@ -195,13 +195,9 @@ class SyntheticConfig:
     domain_words: dict[Domain, tuple[str, ...]]
     domain_phrases: dict[Domain, tuple[tuple[str, ...], ...]]
     noise_words: tuple[str, ...]
-    n_keywords: int = 6
     paragraphs_per_domain: int = 200
     multilabel_per_domain: int = 30
     other_paragraphs: int = 100
-    min_words: int = 16
-    max_words: int = 26
-    mwe_rich_fraction: float = 0.5
 
     def validate(self) -> None:
         if self.paragraphs_per_domain < 1:
@@ -218,8 +214,8 @@ class SyntheticConfig:
             pool = self.domain_words.get(domain, ())
             if not pool:
                 raise ConfigError(f"empty word pool for domain {domain}")
-            if len(pool) < self.n_keywords:
-                raise ConfigError(f"pool for {domain} smaller than n_keywords")
+            if len(pool) < N_KEYWORDS:
+                raise ConfigError(f"pool for {domain} smaller than {N_KEYWORDS} words")
             for w in pool:
                 if w in noise:
                     raise ConfigError(f"{w!r} is in both {domain} pool and noise pool")
@@ -236,10 +232,10 @@ class SyntheticConfig:
                         )
 
     def keywords(self, domain: Domain) -> tuple[str, ...]:
-        return self.domain_words[domain][: self.n_keywords]
+        return self.domain_words[domain][:N_KEYWORDS]
 
     def extras(self, domain: Domain) -> tuple[str, ...]:
-        return self.domain_words[domain][self.n_keywords :]
+        return self.domain_words[domain][N_KEYWORDS:]
 
     def lexicon(self) -> KeywordLexicon:
         return KeywordLexicon(
@@ -399,7 +395,7 @@ def generate_synthetic_corpus(
     Primary-label counts match the config exactly: paragraphs_per_domain
     paragraphs per domain (of which multilabel_per_domain carry a second
     domain), plus other_paragraphs of pure noise labeled Other. Roughly
-    mwe_rich_fraction of the single-label paragraphs carry their domain
+    MWE_RICH_FRACTION of the single-label paragraphs carry their domain
     signal through MWE phrases built from noise-pool words.
     """
     config.validate()
@@ -422,7 +418,7 @@ def generate_synthetic_corpus(
         extras = config.extras(domain) or keywords
         phrases = config.domain_phrases[domain]
         for i in range(config.paragraphs_per_domain):
-            total = rng.randint(config.min_words, config.max_words)
+            total = rng.randint(MIN_WORDS, MAX_WORDS)
             if i < config.multilabel_per_domain:
                 other = CLASSIFIED_DOMAINS[
                     (di + 1 + i % (len(CLASSIFIED_DOMAINS) - 1)) % len(CLASSIFIED_DOMAINS)
@@ -435,7 +431,7 @@ def generate_synthetic_corpus(
                 units.append(rng.choice(config.domain_phrases[other]))
                 words = _assemble(units, total, rng, config, {domain, other})
                 emit(words, (domain, other))
-            elif rng.random() < config.mwe_rich_fraction:
+            elif rng.random() < MWE_RICH_FRACTION:
                 # MWE-rich: no lexicon keywords at all; the label is only
                 # recoverable through the phrases (plus a few pool words).
                 chosen = list(phrases) if len(phrases) <= 2 else rng.sample(phrases, 2)
@@ -455,7 +451,7 @@ def generate_synthetic_corpus(
                 emit(words, (domain,))
 
     for _ in range(config.other_paragraphs):
-        total = rng.randint(config.min_words, config.max_words)
+        total = rng.randint(MIN_WORDS, MAX_WORDS)
         words = _assemble([], total, rng, config, set())
         emit(words, (Domain.OTHER,))
 

@@ -2,7 +2,10 @@
 
 Everything here runs on plain float64 numpy arrays and a single
 np.random.Generator per training run, so a (data, config, seed) triple
-always reproduces bit-identical parameters.
+always reproduces bit-identical parameters. Dropout masks are drawn only
+inside the training loop; mlp_forward and rbf_forward are inference passes.
+The RBF layer has PROTOTYPES_PER_DOMAIN k-means prototypes per domain and
+one shared width d_max / sqrt(2).
 """
 
 from __future__ import annotations
@@ -118,30 +121,15 @@ def init_mlp(input_dim: int, rng: np.random.Generator) -> MlpModel:
     )
 
 
-def mlp_forward(
-    model: MlpModel,
-    x: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Scores in (0,1); train mode draws dropout masks from rng."""
+def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Inference scores in (0,1), without dropout."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.w1.shape[0]:
         raise DataError(
             f"mlp input dimension {x.shape[1]} does not match model "
             f"{model.w1.shape[0]}"
         )
-    masks = None
-    if mode == "train":
-        if rng is None:
-            raise ConfigError("train-mode forward pass needs a random generator")
-        masks = (
-            dropout_mask(rng, (x.shape[0], HIDDEN), model.dropout1),
-            dropout_mask(rng, (x.shape[0], HIDDEN), model.dropout2),
-        )
-    elif mode != "infer":
-        raise ConfigError(f"unknown forward mode {mode!r}")
-    _, _, _, _, _, _, p = _mlp_pass(model, x, masks)
+    _, _, _, _, _, _, p = _mlp_pass(model, x, None)
     return p
 
 
@@ -378,40 +366,27 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KmeansResult:
 
 
 def build_rbf_prototypes(
-    vectors_by_domain: dict, per_domain_k: int = PROTOTYPES_PER_DOMAIN,
-    seed: int = 0, clamp: bool = False,
+    vectors_by_domain: dict, per_domain_k: int = PROTOTYPES_PER_DOMAIN, seed: int = 0
 ) -> np.ndarray:
     """Cluster each domain's vectors separately; stack centroids in domain order."""
-    import warnings
-
     blocks = []
     for i, domain in enumerate(CLASSIFIED_DOMAINS):
         vectors = np.asarray(vectors_by_domain[domain], dtype=np.float64)
-        k = per_domain_k
-        if len(vectors) < k:
-            if not clamp:
-                raise DataError(
-                    f"domain {domain} has {len(vectors)} vectors, "
-                    f"fewer than {k} prototypes; rerun with clamping enabled"
-                )
-            warnings.warn(
-                f"clamping {domain} prototypes from {k} to {len(vectors)}",
-                stacklevel=2,
+        if len(vectors) < per_domain_k:
+            raise DataError(
+                f"domain {domain} has {len(vectors)} weakly labeled paragraphs, "
+                f"fewer than its {per_domain_k} prototypes"
             )
-            k = len(vectors)
-        blocks.append(kmeans(vectors, k, seed=seed + i).centroids)
+        blocks.append(kmeans(vectors, per_domain_k, seed=seed + i).centroids)
     return np.vstack(blocks)
 
 
-def compute_rbf_width(
-    prototypes: np.ndarray, n_effective: int | None = None
-) -> float:
-    """Shared Gaussian width d_max / sqrt(2H) over all H prototypes.
+def compute_rbf_width(prototypes: np.ndarray) -> float:
+    """Shared Gaussian width d_max / sqrt(2) over all prototypes.
 
-    n_effective substitutes another count for H in the divisor. With
-    hundreds of prototypes in a high-dimensional space the H-based width
-    makes every Gaussian vanish between prototypes, so the training
-    pipeline passes a small n_effective to keep the units responsive.
+    The paper's d_max / sqrt(2H) divides by the prototype count H; with 350
+    prototypes in 100 dimensions that width makes every Gaussian vanish
+    between prototypes, so the divisor uses a count of one.
     """
     prototypes = np.asarray(prototypes, dtype=np.float64)
     h = prototypes.shape[0]
@@ -424,10 +399,7 @@ def compute_rbf_width(
         d_max = max(d_max, float(block.max()))
     if d_max == 0.0:
         raise DataError("all prototypes coincide; RBF width would be zero")
-    divisor = h if n_effective is None else n_effective
-    if divisor < 1:
-        raise ConfigError(f"n_effective must be >= 1, got {divisor}")
-    return d_max / np.sqrt(2.0 * divisor)
+    return d_max / np.sqrt(2.0)
 
 
 def rbf_features(model: RbfModel, x: np.ndarray) -> np.ndarray:

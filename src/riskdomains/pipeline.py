@@ -26,7 +26,6 @@ from .corpus import (
 from .domains import CLASSIFIED_DOMAINS, DOMAIN_INDEX
 from .errors import ConfigError, DataError, RiskDomainsError
 from .networks import (
-    PROTOTYPES_PER_DOMAIN,
     TrainConfig,
     build_rbf_prototypes,
     compute_rbf_width,
@@ -55,11 +54,6 @@ class PipelineOptions:
     batch_size: int = 128
     loss: str | None = None          # None = per-kind default
     seed: int = 0
-    per_domain_prototypes: int = PROTOTYPES_PER_DOMAIN
-    clamp_prototypes: bool = False
-    # Effective prototype count in the width heuristic d_max/sqrt(2n); the
-    # architectural count (None) gives vanishing activations at 100 dims.
-    rbf_width_units: int | None = 1
 
     def validate(self) -> None:
         if self.kind not in ("cosine", "mlp", "rbf"):
@@ -88,7 +82,6 @@ class PipelineOptions:
 class TrainedPipeline:
     pipeline: Pipeline
     corpus: TrainingCorpus
-    options: PipelineOptions
     loss_history: list[float] = field(default_factory=list)
 
 
@@ -135,7 +128,7 @@ def train_pipeline(
 
     if options.kind == "cosine":
         with _stage("megadocument_vectors"):
-            megadoc_terms = [megadocs[d].terms for d in CLASSIFIED_DOMAINS]
+            megadoc_terms = [megadocs[d] for d in CLASSIFIED_DOMAINS]
             megadoc_vectors = project_all(svd, vectorize_all(tfidf, megadoc_terms))
             norms = np.linalg.norm(megadoc_vectors, axis=1)
             if np.any(norms == 0.0):
@@ -160,13 +153,8 @@ def train_pipeline(
                 by_domain = {
                     d: vectors[labels == DOMAIN_INDEX[d]] for d in CLASSIFIED_DOMAINS
                 }
-                prototypes = build_rbf_prototypes(
-                    by_domain,
-                    per_domain_k=options.per_domain_prototypes,
-                    seed=options.seed,
-                    clamp=options.clamp_prototypes,
-                )
-                width = compute_rbf_width(prototypes, options.rbf_width_units)
+                prototypes = build_rbf_prototypes(by_domain, seed=options.seed)
+                width = compute_rbf_width(prototypes)
             with _stage("train_rbf"):
                 model, history = train_rbf(prototypes, width, vectors, targets, config)
                 pipeline.rbf = model
@@ -174,6 +162,4 @@ def train_pipeline(
     with _stage("calibrate"):
         calibration_scores = score_vectors(pipeline, vectors)
         pipeline.thresholds = calibrate(calibration_scores, options.effective_alpha())
-    return TrainedPipeline(
-        pipeline=pipeline, corpus=corpus, options=options, loss_history=history
-    )
+    return TrainedPipeline(pipeline=pipeline, corpus=corpus, loss_history=history)

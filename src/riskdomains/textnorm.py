@@ -2,8 +2,8 @@
 
 The normalization order matters: multiword expressions are matched on the
 unstemmed lowercase word sequence, then fused into single underscore-joined
-tokens that bypass stemming, and only the remaining words are stemmed.
-Uni/bi/trigram term multisets are built over the post-fusion sequence.
+stems that bypass stemming, and only the remaining words are stemmed.
+Uni/bi/trigram term multisets are built over the post-fusion stem sequence.
 """
 
 from __future__ import annotations
@@ -18,15 +18,6 @@ from .porter import porter_stem
 _WORD_RE = re.compile(r"[a-z]+")
 
 MWE_JOINER = "_"
-
-
-@dataclass(frozen=True)
-class Token:
-    """One post-fusion token. Fused phrases keep their surface as the stem."""
-
-    surface: str
-    stem: str
-    is_mwe: bool = False
 
 
 @dataclass(frozen=True)
@@ -52,16 +43,16 @@ def tokenize(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
-def fuse_mwes(words: list[str], phrases: list[MwePhrase]) -> list[Token]:
-    """Fuse phrase occurrences into single tokens and stem the rest.
+def fuse_mwes(words: list[str], phrases: list[MwePhrase]) -> list[str]:
+    """Fuse phrase occurrences into single stems and stem the rest.
 
     Matching is longest-match, left-to-right, non-overlapping, on the
-    unstemmed lowercase words. Fused tokens join their words with "_" and
+    unstemmed lowercase words. Fused phrases join their words with "_" and
     are not stemmed.
     """
     phrase_set = {p.words for p in phrases}
     lengths = sorted({len(p) for p in phrase_set}, reverse=True)
-    tokens: list[Token] = []
+    stems: list[str] = []
     i = 0
     n = len(words)
     while i < n:
@@ -69,25 +60,21 @@ def fuse_mwes(words: list[str], phrases: list[MwePhrase]) -> list[Token]:
         for length in lengths:
             candidate = tuple(words[i : i + length])
             if len(candidate) == length and candidate in phrase_set:
-                surface = MWE_JOINER.join(candidate)
-                tokens.append(Token(surface=surface, stem=surface, is_mwe=True))
+                stems.append(MWE_JOINER.join(candidate))
                 i += length
                 fused = True
                 break
         if not fused:
-            w = words[i]
-            tokens.append(Token(surface=w, stem=porter_stem(w)))
+            stems.append(porter_stem(words[i]))
             i += 1
-    return tokens
+    return stems
 
 
-def extract_terms(tokens: list[Token]) -> Counter:
-    """Uni/bi/trigram multiset over token stems.
+def extract_terms(stems: list[str]) -> Counter:
+    """Uni/bi/trigram multiset over a post-fusion stem sequence.
 
-    Bigrams and trigrams are space-joined consecutive stems of the
-    post-fusion sequence.
+    Bigrams and trigrams are space-joined consecutive stems.
     """
-    stems = [t.stem for t in tokens]
     terms: Counter = Counter(stems)
     for i in range(len(stems) - 1):
         terms[f"{stems[i]} {stems[i + 1]}"] += 1

@@ -43,6 +43,12 @@ class TfidfModel:
 
 @dataclass(frozen=True)
 class SvdProjection:
+    """Top-k right singular vectors and their singular values.
+
+    components is held in Fortran order, so components.T is C-contiguous
+    and project_all multiplies by it without copying the (k, V) matrix.
+    """
+
     components: np.ndarray       # (k, V), rows orthonormal
     singular_values: np.ndarray  # (k,), non-increasing
 
@@ -111,8 +117,11 @@ def vectorize_all(
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each row positive (deterministic)."""
-    out = components.copy()
+    """Make the largest-magnitude entry of each row positive (deterministic).
+
+    Returns a Fortran-ordered copy, the layout SvdProjection holds.
+    """
+    out = np.array(components, order="F")
     for i in range(out.shape[0]):
         j = int(np.argmax(np.abs(out[i])))
         if out[i, j] < 0:

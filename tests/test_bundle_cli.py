@@ -1,17 +1,21 @@
 """Bundle persistence and the command line interface."""
 
+import argparse
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riskdomains.bundle as bundle_module
 from riskdomains.bundle import load_bundle, save_bundle
 from riskdomains.classify import Pipeline, classify_batch
-from riskdomains.cli import main
+from riskdomains.cli import _ALLOWED_KEYS, build_parser, main
 from riskdomains.corpus import load_gold
 from riskdomains.domains import Domain
 from riskdomains.errors import DataError
+from riskdomains.pipeline import PipelineOptions
 
 
 def dir_bytes(directory) -> dict[str, bytes]:
@@ -123,6 +127,27 @@ class TestBundleErrors:
         save_bundle(saved, trained_mlp.pipeline, lexicon)
         load_bundle(saved)
 
+    def test_failed_overwrite_keeps_old_bundle(
+        self, saved, trained_mlp, small_corpus, monkeypatch
+    ):
+        _, _, lexicon = small_corpus
+        before = dir_bytes(saved)
+        write_array = bundle_module._write_array
+        written = []
+
+        def fail_on_third(directory, name, array, dtype):
+            written.append(name)
+            if len(written) == 3:
+                raise OSError("disk full")
+            return write_array(directory, name, array, dtype)
+
+        monkeypatch.setattr(bundle_module, "_write_array", fail_on_third)
+        with pytest.raises(OSError, match="disk full"):
+            save_bundle(saved, trained_mlp.pipeline, lexicon)
+        assert dir_bytes(saved) == before
+        load_bundle(saved)
+        assert [p.name for p in saved.parent.iterdir()] == [saved.name]
+
     def test_failed_save_removes_directory(self, small_corpus, tmp_path):
         _, _, lexicon = small_corpus
         target = tmp_path / "halfway"
@@ -211,6 +236,19 @@ class TestCliTrain:
         code, _, err = run_cli([], capsys)
         assert code == 1
         assert "error:" in err
+
+
+def test_flags_config_keys_and_options_agree():
+    """Each PipelineOptions field is reachable from train; each flag is a key."""
+    fields = {f.name for f in dataclasses.fields(PipelineOptions)}
+    assert fields <= _ALLOWED_KEYS["train"]
+    subparsers = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    for name, parser in subparsers.choices.items():
+        dests = {a.dest for a in parser._actions} - {"help", "config"}
+        assert dests == _ALLOWED_KEYS[name], name
 
 
 class TestCliClassifyEvaluate:

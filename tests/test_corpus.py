@@ -1,6 +1,7 @@
 """Weak labeling, megadocuments, the synthetic generator, and file formats."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -129,16 +130,17 @@ class TestMegadocuments:
         corpus = self.build_corpus(counts)
         megadocs = self.megadocuments(corpus)
         assert len(megadocs) == 7
-        assert len(megadocs[Domain.SUBSTANCE].paragraph_ids) == 2
-        all_ids = sorted(
-            pid for m in megadocs.values() for pid in m.paragraph_ids
+        assert megadocs[Domain.SUBSTANCE] == {"marijuana": 2}
+        total = sum(megadocs.values(), Counter())
+        assert total == sum(
+            (text_to_terms(p.text, []) for p, _ in corpus.entries), Counter()
         )
-        assert all_ids == sorted(p.id for p, _ in corpus.entries)
 
     def test_one_paragraph_each(self):
         corpus = self.build_corpus({d: 1 for d in CLASSIFIED_DOMAINS})
         megadocs = self.megadocuments(corpus)
-        assert all(len(m.paragraph_ids) == 1 for m in megadocs.values())
+        for paragraph, domain in corpus.entries:
+            assert megadocs[domain] == text_to_terms(paragraph.text, [])
 
     def test_empty_domain_is_named(self):
         counts = {d: 1 for d in CLASSIFIED_DOMAINS}

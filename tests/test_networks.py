@@ -97,11 +97,6 @@ class TestMlpForward:
         with pytest.raises(DataError):
             mlp_forward(model, np.ones((1, 9)))
 
-    def test_train_mode_needs_rng(self):
-        model = self.zero_model()
-        with pytest.raises(ConfigError):
-            mlp_forward(model, np.ones((1, 10)), mode="train")
-
 
 class TestGradients:
     @pytest.mark.parametrize("loss", ["cce", "bce", "mse"])
@@ -252,37 +247,24 @@ class TestRbfPieces:
         with pytest.raises(DataError, match="Occupation"):
             build_rbf_prototypes(vectors_by_domain, per_domain_k=50, seed=0)
 
-    def test_clamp_warns_and_shrinks(self):
-        rng = np.random.default_rng(8)
-        vectors_by_domain = {d: rng.normal(size=(60, 4)) for d in CLASSIFIED_DOMAINS}
-        vectors_by_domain[Domain.OCCUPATION] = rng.normal(size=(10, 4))
-        with pytest.warns(UserWarning, match="Occupation"):
-            prototypes = build_rbf_prototypes(
-                vectors_by_domain, per_domain_k=50, seed=0, clamp=True
-            )
-        assert prototypes.shape == (6 * 50 + 10, 4)
-
     def test_width_two_prototypes(self):
         prototypes = np.array([[0.0, 0.0], [2.0, 0.0]])
-        assert compute_rbf_width(prototypes) == pytest.approx(1.0, abs=1e-12)
+        assert compute_rbf_width(prototypes) == pytest.approx(
+            2.0 / np.sqrt(2.0), abs=1e-12
+        )
 
     def test_width_350_prototypes(self):
+        # d_max / sqrt(2), independent of the prototype count.
         prototypes = np.zeros((350, 3))
         prototypes[-1, 0] = 5.0
         assert compute_rbf_width(prototypes) == pytest.approx(
-            5.0 / np.sqrt(700.0), abs=1e-12
+            5.0 / np.sqrt(2.0), abs=1e-12
         )
-        assert compute_rbf_width(prototypes) == pytest.approx(0.188982, abs=1e-6)
+        assert compute_rbf_width(prototypes) == pytest.approx(3.535534, abs=1e-6)
 
     def test_width_coincident_prototypes(self):
         with pytest.raises(DataError):
             compute_rbf_width(np.ones((5, 3)))
-
-    def test_width_effective_count_override(self):
-        prototypes = np.array([[0.0, 0.0], [2.0, 0.0]])
-        assert compute_rbf_width(prototypes, n_effective=1) == pytest.approx(
-            2.0 / np.sqrt(2.0), abs=1e-12
-        )
 
     def test_forward_at_prototype(self):
         rng = np.random.default_rng(9)
@@ -365,7 +347,7 @@ class TestTraining:
             per_domain_k=2,
             seed=0,
         )
-        width = compute_rbf_width(prototypes, 1)
+        width = compute_rbf_width(prototypes)
         config = TrainConfig(epochs=50, batch_size=16, seed=0, loss="mse")
         _, history = train_rbf(prototypes, width, x, y, config)
         assert history[-1] < history[0]

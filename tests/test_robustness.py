@@ -1,12 +1,14 @@
 """Malformed inputs end in one error line and the documented exit code.
 
-Each case corrupts one field of a bundle, corpus, lexicon or config and runs
-the CLI in-process. The contract: exit 1 for a config error, 2 for a data
-error, a single "error:" line on stderr, and never a traceback or a silent
-exit 0.
+Each case corrupts one field of a bundle, corpus, lexicon or config, or
+passes input the program cannot use, and runs the CLI in-process; a case may
+also give a pattern the error line must match. The contract: exit 1 for a
+config error, 2 for a data error, a single "error:" line on stderr, and
+never a traceback or a silent exit 0.
 """
 
 import json
+import re
 import shutil
 
 import numpy as np
@@ -61,6 +63,39 @@ def negate_idf_shape(manifest):
     """Two negative dimensions whose product still matches the file size."""
     (n,) = manifest["arrays"]["idf"]["shape"]
     manifest["arrays"]["idf"]["shape"] = [-1, -n]
+
+
+def vocabulary_outside(bundle):
+    """Move the vocabulary next to the bundle and name it by absolute path."""
+    outside = bundle.parent / "vocabulary.txt"
+    (bundle / "vocabulary.txt").rename(outside)
+    edit_manifest(lambda m: m.update(vocabulary_file=str(outside)))(bundle)
+
+
+def idf_outside(bundle):
+    """Name a copy of idf.bin in the bundle's parent as ../idf.bin."""
+    shutil.copy(bundle / "idf.bin", bundle.parent / "idf.bin")
+    edit_manifest(lambda m: m["arrays"]["idf"].update(file="../idf.bin"))(bundle)
+
+
+def classify_with_seed(tmp_path, corpus_files, bundles):
+    return [
+        "classify", "--seed", "1", "--bundle", str(bundles["mlp"]),
+        "--corpus", str(corpus_files / "corpus.jsonl"),
+    ]
+
+
+def train_rbf_on_small_synth(tmp_path, corpus_files, bundles):
+    """rbf needs 50 weakly labeled paragraphs per domain; give it about 20."""
+    data = tmp_path / "data"
+    assert main([
+        "synth", "--seed", "7", "--out", str(data),
+        "--paragraphs-per-domain", "20", "--multilabel-per-domain", "3",
+    ]) == 0
+    return [
+        "train", "--kind", "rbf", "--corpus", str(data / "corpus.jsonl"),
+        "--lexicon", str(data / "lexicon.json"), "--out", str(tmp_path / "out"),
+    ]
 
 
 def classify_corpus_lines(*lines):
@@ -151,6 +186,12 @@ CASES = {
     "bundle_array_shape_negative": (
         corrupt_bundle("mlp", edit_manifest(negate_idf_shape)), 2
     ),
+    "bundle_vocabulary_file_absolute": (corrupt_bundle("mlp", vocabulary_outside), 2),
+    "bundle_array_file_in_parent": (corrupt_bundle("mlp", idf_outside), 2),
+    "classify_seed_flag": (classify_with_seed, 1),
+    "train_rbf_too_few_paragraphs": (
+        train_rbf_on_small_synth, 2, r"domain Appearance has \d+ weakly labeled"
+    ),
     "corpus_text_not_string": (classify_corpus_lines('{"id": "a", "text": 5}'), 2),
     "corpus_record_not_object": (classify_corpus_lines('["a", "text"]'), 2),
     "lexicon_keywords_not_list": (train_with(lexicon={"Mood": {"keywords": 5}}), 2),
@@ -160,7 +201,7 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_malformed_input_fails_loudly(name, tmp_path, corpus_files, bundles, capsys):
-    make_argv, expected_code = CASES[name]
+    make_argv, expected_code, *message = CASES[name]
     argv = make_argv(tmp_path, corpus_files, bundles)
     capsys.readouterr()
     code = main(argv)
@@ -168,5 +209,6 @@ def test_malformed_input_fails_loudly(name, tmp_path, corpus_files, bundles, cap
     assert code == expected_code, captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert all(re.search(pattern, lines[0]) for pattern in message), lines[0]
     assert "Traceback" not in captured.err
     assert captured.out == ""

@@ -8,7 +8,6 @@ from riskdomains.errors import DataError
 from riskdomains.porter import porter_stem
 from riskdomains.textnorm import (
     MwePhrase,
-    Token,
     extract_terms,
     fuse_mwes,
     text_to_terms,
@@ -39,33 +38,28 @@ class TestTokenize:
 
 class TestFuseMwes:
     def test_single_phrase(self):
-        tokens = fuse_mwes(["panic", "attack"], [phrase("panic", "attack")])
-        assert tokens == [Token(surface="panic_attack", stem="panic_attack", is_mwe=True)]
+        stems = fuse_mwes(["panic", "attack"], [phrase("panic", "attack")])
+        assert stems == ["panic_attack"]
 
     def test_no_match_identity(self):
-        tokens = fuse_mwes(["calm", "patient"], [phrase("panic", "attack")])
-        assert [t.surface for t in tokens] == ["calm", "patient"]
-        assert [t.stem for t in tokens] == [porter_stem("calm"), porter_stem("patient")]
-        assert not any(t.is_mwe for t in tokens)
+        stems = fuse_mwes(["calm", "patient"], [phrase("panic", "attack")])
+        assert stems == [porter_stem("calm"), porter_stem("patient")]
 
     def test_longest_match_wins(self):
         phrases = [phrase("attention", "span"), phrase("short", "attention", "span")]
-        tokens = fuse_mwes(["short", "attention", "span"], phrases)
-        assert [t.surface for t in tokens] == ["short_attention_span"]
-        assert tokens[0].is_mwe
+        stems = fuse_mwes(["short", "attention", "span"], phrases)
+        assert stems == ["short_attention_span"]
 
     def test_non_overlapping_left_to_right(self):
         # After "panic attack" is consumed, "attack dog" cannot match.
         phrases = [phrase("panic", "attack"), phrase("attack", "dog")]
-        tokens = fuse_mwes(["panic", "attack", "dog"], phrases)
-        assert [t.surface for t in tokens] == ["panic_attack", "dog"]
+        stems = fuse_mwes(["panic", "attack", "dog"], phrases)
+        assert stems == ["panic_attack", porter_stem("dog")]
 
     def test_mwe_token_invariants(self):
-        tokens = fuse_mwes(["panic", "attack", "today"], [phrase("panic", "attack")])
-        mwe = tokens[0]
-        assert mwe.is_mwe and "_" in mwe.surface and mwe.stem == mwe.surface
-        plain = tokens[1]
-        assert not plain.is_mwe and plain.stem == porter_stem(plain.surface)
+        # A fused phrase keeps its joined surface unstemmed; other words stem.
+        stems = fuse_mwes(["panic", "attack", "today"], [phrase("panic", "attack")])
+        assert stems == ["panic_attack", porter_stem("today")]
 
     def test_token_count_bound(self):
         rng = random.Random(3)
@@ -73,16 +67,10 @@ class TestFuseMwes:
         phrases = [phrase("panic", "attack"), phrase("alpha", "beta", "gamma")]
         for _ in range(50):
             words = [rng.choice(vocabulary) for _ in range(rng.randint(0, 20))]
-            tokens = fuse_mwes(words, phrases)
-            assert len(tokens) <= len(words)
-            fused = any(t.is_mwe for t in tokens)
-            assert (len(tokens) == len(words)) == (not fused)
-
-    def test_idempotent_on_own_surfaces(self):
-        phrases = [phrase("panic", "attack")]
-        tokens = fuse_mwes(["panic", "attack", "calm"], phrases)
-        again = fuse_mwes([t.surface for t in tokens], phrases)
-        assert [t.surface for t in again] == [t.surface for t in tokens]
+            stems = fuse_mwes(words, phrases)
+            assert len(stems) <= len(words)
+            fused = any("_" in s for s in stems)
+            assert (len(stems) == len(words)) == (not fused)
 
 
 class TestExtractTerms:
@@ -95,8 +83,8 @@ class TestExtractTerms:
         assert dict(terms) == {"patient": 1}
 
     def test_fused_terms(self):
-        tokens = fuse_mwes(["panic", "attack", "today"], [phrase("panic", "attack")])
-        terms = extract_terms(tokens)
+        stems = fuse_mwes(["panic", "attack", "today"], [phrase("panic", "attack")])
+        terms = extract_terms(stems)
         assert dict(terms) == {
             "panic_attack": 1,
             "todai": 1,
@@ -114,10 +102,10 @@ class TestExtractTerms:
         vocabulary = ["one", "two", "three", "four", "five"]
         for _ in range(50):
             words = [rng.choice(vocabulary) for _ in range(rng.randint(0, 15))]
-            tokens = fuse_mwes(words, [])
-            u = len(tokens)
+            stems = fuse_mwes(words, [])
+            u = len(stems)
             expected = u + max(0, u - 1) + max(0, u - 2)
-            assert sum(extract_terms(tokens).values()) == expected
+            assert sum(extract_terms(stems).values()) == expected
 
 
 def test_text_to_terms_composes():
