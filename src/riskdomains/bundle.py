@@ -296,6 +296,9 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         mv = arr("megadoc_vectors")
         if mv.shape != (len(CLASSIFIED_DOMAINS), k):
             raise DataError(f"megadoc vector shape {mv.shape} does not match k={k}")
+        for domain, row in zip(CLASSIFIED_DOMAINS, mv):
+            if not row.any():
+                raise DataError(f"bundle megadocument vector for {domain} is zero")
         pipeline.megadoc_vectors = mv
     elif pipeline.kind == "mlp":
         dropout = _field(manifest, "mlp_dropout", _dropout_pair)

@@ -18,13 +18,7 @@ from .domains import CLASSIFIED_DOMAINS, Domain, N_CLASSIFIED
 from .errors import ConfigError, DataError
 from .networks import MlpModel, RbfModel, mlp_forward, rbf_forward
 from .textnorm import MwePhrase, text_to_terms
-from .vectorspace import (
-    SvdProjection,
-    TfidfModel,
-    cosine,
-    project_all,
-    vectorize_all,
-)
+from .vectorspace import SvdProjection, TfidfModel, project_all, vectorize_all
 
 # The cosine baseline needs a wider margin than the trained models: its
 # scores ride the corpus-wide noise direction, so pure-noise paragraphs
@@ -76,33 +70,27 @@ def calibrate(scores: np.ndarray, alpha: float) -> ThresholdSet:
     )
 
 
-def assign(scores: np.ndarray, thresholds: ThresholdSet) -> list[Domain]:
-    """Domains clearing their thresholds, by descending margin; else [Other].
+def assign(
+    scores: np.ndarray, thresholds: ThresholdSet, known: np.ndarray
+) -> list[list[Domain]]:
+    """Labels for each row of the (N, 7) score matrix.
 
-    Margin ties break on fixed domain index order.
+    A row gets the domains clearing their thresholds, by descending margin,
+    else [Other]. Margin ties break on fixed domain index order. A row whose
+    known flag is False is [Other] without consulting the thresholds.
     """
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    if scores.shape != (N_CLASSIFIED,):
-        raise DataError(f"expected {N_CLASSIFIED} scores, got {scores.shape}")
-    margins = scores - thresholds.thresholds
-    qualifying = [i for i in range(N_CLASSIFIED) if scores[i] >= thresholds.thresholds[i]]
-    if not qualifying:
-        return [Domain.OTHER]
-    qualifying.sort(key=lambda i: (-margins[i], i))
-    return [CLASSIFIED_DOMAINS[i] for i in qualifying]
-
-
-def cosine_baseline_scores(
-    doc: np.ndarray, megadoc_vectors: np.ndarray
-) -> np.ndarray:
-    """Cosine similarity of the document against each domain megadocument."""
-    megadoc_vectors = np.asarray(megadoc_vectors, dtype=np.float64)
-    if megadoc_vectors.shape[0] != N_CLASSIFIED:
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] != N_CLASSIFIED:
         raise DataError(
-            f"expected {N_CLASSIFIED} megadocument vectors, "
-            f"got {megadoc_vectors.shape[0]}"
+            f"expected an (N, {N_CLASSIFIED}) score matrix, got {scores.shape}"
         )
-    return np.array([cosine(doc, megadoc_vectors[i]) for i in range(N_CLASSIFIED)])
+    t = thresholds.thresholds
+    qualifies = (scores >= t) & np.asarray(known, dtype=bool)[:, None]
+    order = np.argsort(t - scores, axis=1, kind="stable")
+    return [
+        [CLASSIFIED_DOMAINS[i] for i in row if q[i]] or [Domain.OTHER]
+        for row, q in zip(order.tolist(), qualifies.tolist())
+    ]
 
 
 @dataclass
@@ -136,16 +124,41 @@ class Pipeline:
 
 
 def score_vectors(pipeline: Pipeline, x: np.ndarray) -> np.ndarray:
-    """Batch scores (N, 7) for projected document vectors."""
+    """Batch scores (N, 7) for projected document vectors.
+
+    The cosine scores are the row-normalized products with the megadocument
+    vectors, clipped to [-1, 1].
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if pipeline.kind == "cosine":
         megadocs = pipeline.scorer_inputs()
-        return np.vstack([cosine_baseline_scores(row, megadocs) for row in x])
+        if megadocs.shape[0] != N_CLASSIFIED:
+            raise DataError(
+                f"expected {N_CLASSIFIED} megadocument vectors, "
+                f"got {megadocs.shape[0]}"
+            )
+        norms = np.outer(np.linalg.norm(x, axis=1), np.linalg.norm(megadocs, axis=1))
+        if np.any(norms == 0.0):
+            raise DataError("cosine of a zero vector is undefined")
+        return np.clip(x @ megadocs.T / norms, -1.0, 1.0)
     if pipeline.kind == "mlp":
         return mlp_forward(pipeline.scorer_inputs(), x)
     if pipeline.kind == "rbf":
         return rbf_forward(pipeline.scorer_inputs(), x)
     raise ConfigError(f"unknown model kind {pipeline.kind!r}")
+
+
+def embed(pipeline: Pipeline, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize, vectorize and project texts: (N, k) vectors and (N,) known.
+
+    known[i] is False when text i has no term in the vocabulary; its vector
+    is all zero.
+    """
+    tfidf = pipeline._require("tfidf")
+    svd = pipeline._require("svd")
+    phrases = (pipeline.phrases or []) if pipeline.use_mwes else []
+    matrix = vectorize_all(tfidf, [text_to_terms(text, phrases) for text in texts])
+    return project_all(svd, matrix), np.diff(matrix.indptr) > 0
 
 
 def classify_paragraph(
@@ -165,24 +178,8 @@ def classify_batch(
     pipeline: Pipeline, texts: Sequence[str]
 ) -> tuple[list[list[Domain]], np.ndarray]:
     """Classify texts in order; output order equals input order."""
-    tfidf = pipeline._require("tfidf")
-    svd = pipeline._require("svd")
+    vectors, known = embed(pipeline, texts)
     thresholds = pipeline._require("thresholds")
-    pipeline.scorer_inputs()
-    phrases = (pipeline.phrases or []) if pipeline.use_mwes else []
-
-    term_docs = [text_to_terms(text, phrases) for text in texts]
-    matrix = vectorize_all(tfidf, term_docs)
-    row_norms = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
-    nonzero = row_norms > 0.0
     scores = np.zeros((len(texts), N_CLASSIFIED))
-    if np.any(nonzero):
-        projected = project_all(svd, matrix[np.flatnonzero(nonzero)])
-        scores[nonzero] = score_vectors(pipeline, projected)
-    labels: list[list[Domain]] = []
-    for i in range(len(texts)):
-        if nonzero[i]:
-            labels.append(assign(scores[i], thresholds))
-        else:
-            labels.append([Domain.OTHER])
-    return labels, scores
+    scores[known] = score_vectors(pipeline, vectors[known])
+    return assign(scores, thresholds, known), scores

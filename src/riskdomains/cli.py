@@ -20,10 +20,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .bundle import load_bundle, save_bundle
-from .classify import classify_batch
+from .classify import classify_batch, embed
 from .corpus import (
     Paragraph,
     _read_jsonl,
@@ -32,12 +30,13 @@ from .corpus import (
     load_gold,
     load_lexicon,
     load_paragraphs,
+    parse_labels,
     weak_label,
     write_gold,
     write_lexicon,
     write_paragraphs,
 )
-from .domains import CLASSIFIED_DOMAINS, Domain, domain_from_name
+from .domains import CLASSIFIED_DOMAINS, Domain
 from .errors import ConfigError, DataError, RiskDomainsError
 from .evaluation import (
     PredictionRecord,
@@ -45,11 +44,9 @@ from .evaluation import (
     iaa_report,
     load_annotations,
 )
-from .networks import N_CLASSIFIED
 from .pipeline import PipelineOptions, train_pipeline
 from .plots import write_scatter_svg
-from .textnorm import text_to_terms
-from .vectorspace import lda_2d, project_all, vectorize_all
+from .vectorspace import lda_2d
 
 CORPUS_NAME = "corpus.jsonl"
 GOLD_NAME = "gold.jsonl"
@@ -165,7 +162,7 @@ def cmd_train(opts: _Options) -> int:
     training_info = {
         "corpus": corpus_path.name,
         "paragraphs": len(paragraphs),
-        "weakly_labeled": len(trained.corpus.entries),
+        "weakly_labeled": trained.weakly_labeled,
         "svd_k": options.svd_k,
         "alpha": options.effective_alpha(),
         "seed": options.seed,
@@ -188,10 +185,7 @@ def cmd_classify(opts: _Options) -> int:
     corpus_path = _existing_file(opts.require("corpus"), "corpus")
     pipeline, _, _ = load_bundle(bundle_dir)
     paragraphs = load_paragraphs(corpus_path)
-    if paragraphs:
-        labels, scores = classify_batch(pipeline, [p.text for p in paragraphs])
-    else:
-        labels, scores = [], np.zeros((0, N_CLASSIFIED))
+    labels, scores = classify_batch(pipeline, [p.text for p in paragraphs])
     lines = []
     for p, assigned, row in zip(paragraphs, labels, scores):
         lines.append(
@@ -221,12 +215,12 @@ def _load_predictions(path: Path) -> dict[str, list[Domain]]:
     for lineno, obj in _read_jsonl(path):
         try:
             pid = str(obj["id"])
-            raw = obj["labels"]
+            labels = parse_labels(obj["labels"], f"{path}:{lineno}")
         except KeyError as e:
             raise DataError(f"{path}:{lineno}: missing field {e}")
         if pid in predictions:
             raise DataError(f"{path}:{lineno}: duplicate prediction id {pid!r}")
-        predictions[pid] = [domain_from_name(n) for n in raw]
+        predictions[pid] = list(labels)
     return predictions
 
 
@@ -322,10 +316,7 @@ def cmd_project_lda(opts: _Options) -> int:
     if not labeled:
         raise DataError("no labeled paragraphs to project")
 
-    phrases = (pipeline.phrases or []) if pipeline.use_mwes else []
-    term_docs = [text_to_terms(p.text, phrases) for p, _ in labeled]
-    matrix = vectorize_all(pipeline.tfidf, term_docs)
-    vectors = project_all(pipeline.svd, matrix)
+    vectors, _ = embed(pipeline, [p.text for p, _ in labeled])
     domains = [d for _, d in labeled]
     coords = lda_2d(vectors, domains)
 

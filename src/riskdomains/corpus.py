@@ -497,13 +497,23 @@ def write_gold(path: str | Path, gold: list[AnnotatedParagraph]) -> None:
             )
 
 
+def parse_labels(raw, where: str) -> tuple[Domain, ...]:
+    """Domains of a JSON list of domain names; where prefixes every error."""
+    if not isinstance(raw, list) or not all(isinstance(n, str) for n in raw):
+        raise DataError(f"{where}: labels must be a list of domain names")
+    try:
+        return tuple(domain_from_name(name) for name in raw)
+    except DataError as e:
+        raise DataError(f"{where}: {e}") from e
+
+
 def load_gold(path: str | Path) -> dict[str, list[Domain]]:
     """Ordered gold labels keyed by paragraph id."""
     gold: dict[str, list[Domain]] = {}
     for lineno, obj in _read_jsonl(path):
         try:
             pid = str(obj["id"])
-            labels = tuple(domain_from_name(name) for name in obj["labels"])
+            labels = parse_labels(obj["labels"], f"{path}:{lineno}")
         except KeyError as e:
             raise DataError(f"{path}:{lineno}: missing field {e}")
         if pid in gold:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, Sequence
 
-from .corpus import _read_jsonl, validate_labels
-from .domains import ALL_DOMAINS, Domain, domain_from_name
+from .corpus import _read_jsonl, parse_labels, validate_labels
+from .domains import ALL_DOMAINS, Domain
 from .errors import DataError
 
 
@@ -388,13 +388,11 @@ def load_annotations(path: str | Path) -> dict[str, list[list[Domain]]]:
             raise DataError(f"{path}:{lineno}: missing field {e}")
         if pid in annotations:
             raise DataError(f"{path}:{lineno}: duplicate annotation id {pid!r}")
-        if len(raw) != 3:
-            raise DataError(
-                f"{path}:{lineno}: expected 3 annotators, got {len(raw)}"
-            )
+        if not isinstance(raw, list) or len(raw) != 3:
+            raise DataError(f"{path}:{lineno}: expected a list of 3 annotators")
         lists = []
         for labels in raw:
-            domains = tuple(domain_from_name(n) for n in labels)
+            domains = parse_labels(labels, f"{path}:{lineno}")
             validate_labels(pid, domains)
             lists.append(list(domains))
         annotations[pid] = lists

@@ -1,9 +1,10 @@
 """End-to-end training: weak labels to calibrated classifier.
 
 The stages run in a fixed order: weak-label the corpus with the lexicon,
-fit TF-IDF over the labeled paragraphs, sum their term multisets into
-megadocuments, reduce with truncated SVD, train the chosen scorer, then
-calibrate thresholds on the scorer's outputs for the full training corpus.
+fit TF-IDF over the labeled paragraphs, reduce with truncated SVD, train the
+chosen scorer, then calibrate thresholds on the scorer's outputs for the
+full training corpus. Only the cosine scorer sums the paragraph term
+multisets into megadocuments; mlp and rbf never build them.
 Disabling MWEs removes the keyphrases from both weak labeling and fusion,
 which is the ablation arm.
 """
@@ -16,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import DEFAULT_ALPHA, Pipeline, calibrate, score_vectors
-from .corpus import (
-    KeywordLexicon,
-    Paragraph,
-    TrainingCorpus,
-    build_megadocuments,
-    weak_label,
-)
+from .corpus import KeywordLexicon, Paragraph, build_megadocuments, weak_label
 from .domains import CLASSIFIED_DOMAINS, DOMAIN_INDEX
 from .errors import ConfigError, DataError, RiskDomainsError
 from .networks import (
@@ -81,7 +76,7 @@ class PipelineOptions:
 @dataclass
 class TrainedPipeline:
     pipeline: Pipeline
-    corpus: TrainingCorpus
+    weakly_labeled: int
     loss_history: list[float] = field(default_factory=list)
 
 
@@ -105,14 +100,14 @@ def train_pipeline(
 
     with _stage("weak_label"):
         corpus = weak_label(paragraphs, effective_lexicon)
-        if not corpus.entries:
-            raise DataError("weak labeling produced an empty training corpus")
+        labeled = {d for _, d in corpus.entries}
+        for domain in CLASSIFIED_DOMAINS:
+            if domain not in labeled:
+                raise DataError(f"no training paragraphs for domain {domain}")
     with _stage("fit_tfidf"):
         term_docs = [text_to_terms(p.text, phrases) for p, _ in corpus.entries]
         tfidf = fit_tfidf(term_docs)
         matrix = vectorize_all(tfidf, term_docs)
-    with _stage("megadocuments"):
-        megadocs = build_megadocuments(corpus, term_docs)
     with _stage("fit_svd"):
         svd = fit_svd(matrix, k=options.svd_k)
         vectors = project_all(svd, matrix)
@@ -127,6 +122,8 @@ def train_pipeline(
     history: list[float] = []
 
     if options.kind == "cosine":
+        with _stage("megadocuments"):
+            megadocs = build_megadocuments(corpus, term_docs)
         with _stage("megadocument_vectors"):
             megadoc_terms = [megadocs[d] for d in CLASSIFIED_DOMAINS]
             megadoc_vectors = project_all(svd, vectorize_all(tfidf, megadoc_terms))
@@ -162,4 +159,6 @@ def train_pipeline(
     with _stage("calibrate"):
         calibration_scores = score_vectors(pipeline, vectors)
         pipeline.thresholds = calibrate(calibration_scores, options.effective_alpha())
-    return TrainedPipeline(pipeline=pipeline, corpus=corpus, loss_history=history)
+    return TrainedPipeline(
+        pipeline=pipeline, weakly_labeled=len(corpus), loss_history=history
+    )

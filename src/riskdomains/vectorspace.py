@@ -1,4 +1,4 @@
-"""TF-IDF over uni/bi/trigram terms, truncated SVD, cosine, and 2-d LDA.
+"""TF-IDF over uni/bi/trigram terms, truncated SVD, and 2-d LDA.
 
 Documents are term multisets (paragraphs at training time, megadocuments for
 the cosine baseline). The idf is the smoothed plus-one variant
@@ -181,16 +181,6 @@ def project_all(projection: SvdProjection, matrix: sp.spmatrix) -> np.ndarray:
             f"using {projection.components.shape[1]}-column components"
         )
     return np.asarray(matrix @ projection.components.T)
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise DataError("cosine of a zero vector is undefined")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def lda_2d(vectors: np.ndarray, labels: Sequence[Domain]) -> np.ndarray:

@@ -11,7 +11,7 @@ from riskdomains.classify import (
     calibrate,
     classify_batch,
     classify_paragraph,
-    cosine_baseline_scores,
+    score_vectors,
 )
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import ConfigError, DataError
@@ -24,6 +24,15 @@ def flat_thresholds(value: float) -> ThresholdSet:
         means=np.full(7, value),
         sigmas=np.zeros(7),
     )
+
+
+def assign_row(scores, thresholds: ThresholdSet):
+    """Labels of one known row through the matrix assign."""
+    return assign(np.asarray(scores)[None, :], thresholds, np.ones(1, dtype=bool))[0]
+
+
+def cosine_scores(x, megadocs):
+    return score_vectors(Pipeline(kind="cosine", megadoc_vectors=megadocs), x)
 
 
 class TestCalibrate:
@@ -93,8 +102,7 @@ class TestAlphaMonotonicity:
             thresholds = calibrate(scores, alpha=alpha)
             counts = []
             other = 0
-            for row in scores:
-                labels = assign(row, thresholds)
+            for labels in assign(scores, thresholds, np.ones(len(scores), dtype=bool)):
                 if labels == [Domain.OTHER]:
                     counts.append(0)
                     other += 1
@@ -109,18 +117,21 @@ class TestAlphaMonotonicity:
 
 class TestAssign:
     def test_all_below_is_other(self):
-        assert assign(np.full(7, 0.1), flat_thresholds(0.5)) == [Domain.OTHER]
+        assert assign_row(np.full(7, 0.1), flat_thresholds(0.5)) == [Domain.OTHER]
 
     def test_single_qualifier(self):
         scores = np.full(7, 0.1)
         scores[4] = 0.9
-        assert assign(scores, flat_thresholds(0.5)) == [Domain.OCCUPATION]
+        assert assign_row(scores, flat_thresholds(0.5)) == [Domain.OCCUPATION]
 
     def test_descending_margin_order(self):
         scores = np.full(7, 0.1)
         scores[3] = 0.9  # Mood, margin 0.4
         scores[6] = 0.7  # Substance, margin 0.2
-        assert assign(scores, flat_thresholds(0.5)) == [Domain.MOOD, Domain.SUBSTANCE]
+        assert assign_row(scores, flat_thresholds(0.5)) == [
+            Domain.MOOD,
+            Domain.SUBSTANCE,
+        ]
 
     def test_margin_not_raw_score_orders(self):
         thresholds = ThresholdSet(
@@ -132,7 +143,7 @@ class TestAssign:
         scores = np.array([0.6, 0.95, 0.0, 0.0, 0.0, 0.0, 0.0])
         # Appearance margin 0.5 beats ThoughtContent margin 0.05 despite
         # the lower raw score.
-        assert assign(scores, thresholds) == [
+        assert assign_row(scores, thresholds) == [
             Domain.APPEARANCE,
             Domain.THOUGHT_CONTENT,
         ]
@@ -141,7 +152,7 @@ class TestAssign:
         scores = np.full(7, 0.1)
         scores[0] = 0.7
         scores[6] = 0.7
-        assert assign(scores, flat_thresholds(0.5)) == [
+        assert assign_row(scores, flat_thresholds(0.5)) == [
             Domain.APPEARANCE,
             Domain.SUBSTANCE,
         ]
@@ -149,47 +160,92 @@ class TestAssign:
     def test_exact_threshold_qualifies(self):
         scores = np.full(7, 0.1)
         scores[2] = 0.5
-        assert assign(scores, flat_thresholds(0.5)) == [Domain.INTERPERSONAL]
+        assert assign_row(scores, flat_thresholds(0.5)) == [Domain.INTERPERSONAL]
 
     def test_other_is_exclusive(self):
         rng = np.random.default_rng(4)
         thresholds = flat_thresholds(0.5)
         for _ in range(200):
-            labels = assign(rng.random(7), thresholds)
+            labels = assign_row(rng.random(7), thresholds)
             assert labels
             if Domain.OTHER in labels:
                 assert labels == [Domain.OTHER]
 
     def test_wrong_score_count(self):
         with pytest.raises(DataError):
-            assign(np.zeros(6), flat_thresholds(0.5))
+            assign_row(np.zeros(6), flat_thresholds(0.5))
+        with pytest.raises(DataError):
+            assign(np.zeros(7), flat_thresholds(0.5), np.ones(1, dtype=bool))
+
+    def test_unknown_row_is_other(self):
+        scores = np.ones((1, 7))
+        known = np.zeros(1, dtype=bool)
+        assert assign(scores, flat_thresholds(0.5), known) == [[Domain.OTHER]]
+
+    def test_rows_match_expected_lists(self):
+        scores = np.full((4, 7), 0.1)
+        scores[0, 3] = 0.9  # Mood, margin 0.4
+        scores[0, 6] = 0.7  # Substance, margin 0.2
+        scores[1, 0] = scores[1, 6] = 0.7  # tie: domain index order
+        scores[2, 2] = 0.5  # exactly at the threshold
+        scores[3] = 0.9  # above every threshold but unknown
+        known = np.array([True, True, True, False])
+        assert assign(scores, flat_thresholds(0.5), known) == [
+            [Domain.MOOD, Domain.SUBSTANCE],
+            [Domain.APPEARANCE, Domain.SUBSTANCE],
+            [Domain.INTERPERSONAL],
+            [Domain.OTHER],
+        ]
 
 
 class TestCosineBaseline:
     def test_identity_megadocs(self):
-        megadocs = np.eye(7)
-        scores = cosine_baseline_scores(np.eye(7)[3], megadocs)
-        assert scores[3] == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(np.delete(scores, 3), 0.0)
+        scores = cosine_scores(np.eye(7)[3], np.eye(7))
+        assert scores.shape == (1, 7)
+        assert scores[0, 3] == pytest.approx(1.0, abs=1e-12)
+        # Orthogonal pairs score exactly 0.
+        assert np.array_equal(np.delete(scores[0], 3), np.zeros(6))
+
+    def test_identical(self):
+        megadocs = np.random.default_rng(6).normal(size=(7, 3))
+        megadocs[0] = [0.3, -0.4, 1.2]
+        scores = cosine_scores(megadocs[0], megadocs)
+        assert scores[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_forty_five_degrees(self):
-        megadocs = np.eye(7)
         doc = np.zeros(7)
         doc[0] = doc[1] = 1.0
-        scores = cosine_baseline_scores(doc, megadocs)
-        assert scores[0] == pytest.approx(0.7071067811865475, abs=1e-12)
-        assert scores[1] == pytest.approx(0.7071067811865475, abs=1e-12)
+        scores = cosine_scores(doc, np.eye(7))
+        assert scores[0, 0] == pytest.approx(0.7071067811865475, abs=1e-12)
+        assert scores[0, 1] == pytest.approx(0.7071067811865475, abs=1e-12)
 
     def test_rows_map_to_domains(self):
         rng = np.random.default_rng(5)
         megadocs = rng.random((7, 10)) + 0.1
-        doc = megadocs[5].copy()
-        scores = cosine_baseline_scores(doc, megadocs)
-        assert int(np.argmax(scores)) == 5
+        scores = cosine_scores(megadocs[[5, 2]], megadocs)
+        assert scores[0, 5] == pytest.approx(1.0, abs=1e-12)
+        assert list(np.argmax(scores, axis=1)) == [5, 2]
+
+    def test_within_unit_interval(self):
+        rng = np.random.default_rng(10)
+        megadocs = rng.normal(size=(7, 6))
+        x = np.vstack([rng.normal(size=(20, 6)), megadocs, -megadocs])
+        scores = cosine_scores(x, megadocs)
+        assert np.all(np.abs(scores) <= 1.0)
+        assert np.allclose(np.diag(scores[20:27]), 1.0)
+        assert np.allclose(np.diag(scores[27:]), -1.0)
 
     def test_wrong_row_count(self):
         with pytest.raises(DataError):
-            cosine_baseline_scores(np.ones(4), np.ones((6, 4)))
+            cosine_scores(np.ones(4), np.ones((6, 4)))
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(DataError, match="zero vector"):
+            cosine_scores(np.vstack([np.ones(7), np.zeros(7)]), np.eye(7))
+        megadocs = np.eye(7)
+        megadocs[4] = 0.0
+        with pytest.raises(DataError, match="zero vector"):
+            cosine_scores(np.ones(7), megadocs)
 
 
 class TestClassifyText:

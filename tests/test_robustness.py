@@ -19,26 +19,35 @@ from riskdomains.cli import main
 
 
 @pytest.fixture(scope="module")
-def bundles(tmp_path_factory, small_corpus, trained_mlp, trained_rbf):
+def bundles(tmp_path_factory, small_corpus, trained_mlp, trained_rbf, trained_cosine):
     _, _, lexicon = small_corpus
     root = tmp_path_factory.mktemp("bundles")
     return {
         "mlp": save_bundle(root / "mlp", trained_mlp.pipeline, lexicon),
         "rbf": save_bundle(root / "rbf", trained_rbf.pipeline, lexicon),
+        "cosine": save_bundle(root / "cosine", trained_cosine.pipeline, lexicon),
     }
 
 
-def corrupt_bundle(kind, corrupt):
-    """Classify the good corpus with a corrupted copy of a saved bundle."""
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def corrupt_bundle(kind, corrupt, *corpus_lines):
+    """Classify with a corrupted copy of a saved bundle.
+
+    The corpus is the good one, or a file holding the given raw lines.
+    """
 
     def case(tmp_path, corpus_files, bundles):
         bundle = tmp_path / "bundle"
         shutil.copytree(bundles[kind], bundle)
         corrupt(bundle)
-        return [
-            "classify", "--bundle", str(bundle),
-            "--corpus", str(corpus_files / "corpus.jsonl"),
-        ]
+        corpus = corpus_files / "corpus.jsonl"
+        if corpus_lines:
+            corpus = write_lines(tmp_path / "corpus.jsonl", corpus_lines)
+        return ["classify", "--bundle", str(bundle), "--corpus", str(corpus)]
 
     return case
 
@@ -63,6 +72,14 @@ def negate_idf_shape(manifest):
     """Two negative dimensions whose product still matches the file size."""
     (n,) = manifest["arrays"]["idf"]["shape"]
     manifest["arrays"]["idf"]["shape"] = [-1, -n]
+
+
+def zero_megadoc_row(bundle):
+    """Zero the first (Appearance) megadocument vector."""
+    path = bundle / "megadoc_vectors.bin"
+    vectors = np.fromfile(path, dtype="<f8").reshape(7, -1)
+    vectors[0] = 0.0
+    vectors.tofile(path)
 
 
 def vocabulary_outside(bundle):
@@ -102,11 +119,26 @@ def classify_corpus_lines(*lines):
     """Classify a corpus file holding the given raw lines with a good bundle."""
 
     def case(tmp_path, corpus_files, bundles):
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text("".join(line + "\n" for line in lines))
+        corpus = write_lines(tmp_path / "corpus.jsonl", lines)
         return ["classify", "--bundle", str(bundles["mlp"]), "--corpus", str(corpus)]
 
     return case
+
+
+def run_on_lines(command, **files):
+    """Run a subcommand whose --<flag> files hold the given raw lines."""
+
+    def case(tmp_path, corpus_files, bundles):
+        argv = [command]
+        for flag, lines in files.items():
+            argv += [f"--{flag}", str(write_lines(tmp_path / f"{flag}.jsonl", lines))]
+        return argv
+
+    return case
+
+
+# A well-formed gold or prediction record.
+MOOD_RECORD = '{"id": "a", "labels": ["Mood"]}'
 
 
 def train_with(config=None, lexicon=None):
@@ -187,6 +219,12 @@ CASES = {
         corrupt_bundle("mlp", edit_manifest(negate_idf_shape)), 2
     ),
     "bundle_vocabulary_file_absolute": (corrupt_bundle("mlp", vocabulary_outside), 2),
+    # No paragraph has a known term, so no cosine is ever computed.
+    "bundle_megadoc_vector_zero": (
+        corrupt_bundle("cosine", zero_megadoc_row, '{"id": "a", "text": "zzyzx qwfp"}'),
+        2,
+        "Appearance",
+    ),
     "bundle_array_file_in_parent": (corrupt_bundle("mlp", idf_outside), 2),
     "classify_seed_flag": (classify_with_seed, 1),
     "train_rbf_too_few_paragraphs": (
@@ -194,6 +232,41 @@ CASES = {
     ),
     "corpus_text_not_string": (classify_corpus_lines('{"id": "a", "text": 5}'), 2),
     "corpus_record_not_object": (classify_corpus_lines('["a", "text"]'), 2),
+    "gold_labels_number": (
+        run_on_lines(
+            "evaluate", predictions=[MOOD_RECORD], gold=['{"id": "a", "labels": 5}']
+        ),
+        2,
+    ),
+    "gold_labels_string": (
+        run_on_lines(
+            "evaluate",
+            predictions=[MOOD_RECORD],
+            gold=['{"id": "a", "labels": "Other"}'],
+        ),
+        2,
+        "list",
+    ),
+    "predictions_labels_null": (
+        run_on_lines(
+            "evaluate", predictions=['{"id": "a", "labels": null}'], gold=[MOOD_RECORD]
+        ),
+        2,
+    ),
+    "annotators_number": (
+        run_on_lines(
+            "agreement", annotations=['{"id": "a", "annotators": 5}'], gold=[MOOD_RECORD]
+        ),
+        2,
+    ),
+    "annotators_labels_numbers": (
+        run_on_lines(
+            "agreement",
+            annotations=['{"id": "a", "annotators": [5, 5, 5]}'],
+            gold=[MOOD_RECORD],
+        ),
+        2,
+    ),
     "lexicon_keywords_not_list": (train_with(lexicon={"Mood": {"keywords": 5}}), 2),
     "config_use_mwes_string": (train_with(config={"use_mwes": "false"}), 1),
 }

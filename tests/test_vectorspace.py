@@ -1,4 +1,4 @@
-"""TF-IDF, truncated SVD, cosine, and the 2-d discriminant projection."""
+"""TF-IDF, truncated SVD, and the 2-d discriminant projection."""
 
 import math
 import warnings
@@ -13,7 +13,6 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import DataError, NumericalError
 from riskdomains.vectorspace import (
-    cosine,
     fit_svd,
     fit_tfidf,
     lda_2d,
@@ -225,30 +224,6 @@ class TestProject:
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
             project_all(self.projection, sp.csr_matrix((1, 5)))
-
-
-class TestCosine:
-    def test_identical(self):
-        v = np.array([0.3, -0.4, 1.2])
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
-
-    def test_forty_five_degrees(self):
-        value = cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        assert value == pytest.approx(0.7071067811865475, abs=1e-12)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(DataError):
-            cosine(np.zeros(3), np.ones(3))
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            u = rng.normal(size=6)
-            v = rng.normal(size=6)
-            assert cosine(u, v) == cosine(v, u)
 
 
 class TestLda2d:
