@@ -219,6 +219,20 @@ class TestCosineBaseline:
         assert scores[0, 0] == pytest.approx(0.7071067811865475, abs=1e-12)
         assert scores[0, 1] == pytest.approx(0.7071067811865475, abs=1e-12)
 
+    def test_forty_five_degrees_to_unnormalised_megadoc(self):
+        megadocs = 3.0 * np.eye(7)
+        megadocs[2] = 0.0
+        megadocs[2, :2] = 1.0
+        scores = cosine_scores(np.eye(7)[0], megadocs)
+        assert scores[0, 2] == pytest.approx(0.7071067811865475, abs=1e-12)
+
+    def test_orthogonal(self):
+        megadocs = np.eye(7)
+        megadocs[4] = 0.0
+        megadocs[4, 1] = 2.0
+        scores = cosine_scores(np.eye(7)[0], megadocs)
+        assert scores[0, 4] == 0.0
+
     def test_rows_map_to_domains(self):
         rng = np.random.default_rng(5)
         megadocs = rng.random((7, 10)) + 0.1
