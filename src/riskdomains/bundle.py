@@ -94,29 +94,12 @@ def _field(manifest: dict, key: str, convert):
         raise DataError(f"bundle manifest field {key!r} is malformed")
 
 
-def _dropout_rate(value) -> float:
-    """A JSON number in [0, 1), the range dropout_mask accepts."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(value)
-    if not 0.0 <= value < 1.0:
-        raise ValueError(value)
-    return float(value)
-
-
-def _dropout_pair(value) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise TypeError(value)
-    return _dropout_rate(value[0]), _dropout_rate(value[1])
-
-
 def save_bundle(
-    directory: str | Path,
-    pipeline: Pipeline,
-    lexicon: KeywordLexicon,
-    training_info: dict | None = None,
+    directory: str | Path, pipeline: Pipeline, training_info: dict | None = None
 ) -> Path:
     """Write a pipeline to a bundle directory, replacing an existing bundle.
 
+    The manifest stores the pipeline's own lexicon, the one it fuses with.
     The bundle is written into a temporary sibling directory and renamed into
     place, so a failed save leaves an existing bundle as it was.
     """
@@ -133,7 +116,7 @@ def save_bundle(
     try:
         staged = scratch / "new"
         staged.mkdir()
-        _save_into(staged, pipeline, lexicon, training_info or {})
+        _save_into(staged, pipeline, training_info or {})
         if directory.exists():
             directory.rename(scratch / "old")
         staged.rename(directory)
@@ -142,18 +125,16 @@ def save_bundle(
     return directory
 
 
-def _save_into(
-    directory: Path,
-    pipeline: Pipeline,
-    lexicon: KeywordLexicon,
-    training_info: dict,
-) -> None:
+def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None:
     tfidf = pipeline.tfidf
     svd = pipeline.svd
     if tfidf is None or svd is None:
         raise DataError("cannot save a pipeline without fitted TF-IDF and SVD")
     if pipeline.thresholds is None:
         raise DataError("cannot save a pipeline without calibrated thresholds")
+    if pipeline.lexicon is None:
+        raise DataError("cannot save a pipeline without its lexicon")
+    scorer = pipeline.checked_scorer()
 
     arrays = {
         "idf": _write_array(directory, "idf", tfidf.idf, "<f8"),
@@ -176,36 +157,26 @@ def _save_into(
         "domain_order": [d.value for d in CLASSIFIED_DOMAINS],
         "corpus_size": tfidf.corpus_size,
         "vocabulary_file": VOCAB_NAME,
-        "lexicon": lexicon_to_json(lexicon),
+        "lexicon": lexicon_to_json(pipeline.lexicon),
         "training": training_info,
     }
 
     if pipeline.kind == "cosine":
-        if pipeline.megadoc_vectors is None:
-            raise DataError("cosine pipeline has no megadocument vectors")
         arrays["megadoc_vectors"] = _write_array(
-            directory, "megadoc_vectors", pipeline.megadoc_vectors, "<f8"
+            directory, "megadoc_vectors", scorer, "<f8"
         )
     elif pipeline.kind == "mlp":
-        if pipeline.mlp is None:
-            raise DataError("mlp pipeline has no trained network")
-        for name, value in pipeline.mlp.params().items():
+        for name, value in scorer.params().items():
             arrays[f"mlp_{name}"] = _write_array(
                 directory, f"mlp_{name}", value, "<f8"
             )
-        manifest["mlp_dropout"] = [pipeline.mlp.dropout1, pipeline.mlp.dropout2]
-    elif pipeline.kind == "rbf":
-        if pipeline.rbf is None:
-            raise DataError("rbf pipeline has no trained network")
-        arrays["rbf_prototypes"] = _write_array(
-            directory, "rbf_prototypes", pipeline.rbf.prototypes, "<f8"
-        )
-        arrays["rbf_w"] = _write_array(directory, "rbf_w", pipeline.rbf.w, "<f8")
-        arrays["rbf_b"] = _write_array(directory, "rbf_b", pipeline.rbf.b, "<f8")
-        manifest["rbf_width"] = pipeline.rbf.width
-        manifest["rbf_dropout"] = pipeline.rbf.dropout
     else:
-        raise DataError(f"unknown model kind {pipeline.kind!r}")
+        arrays["rbf_prototypes"] = _write_array(
+            directory, "rbf_prototypes", scorer.prototypes, "<f8"
+        )
+        arrays["rbf_w"] = _write_array(directory, "rbf_w", scorer.w, "<f8")
+        arrays["rbf_b"] = _write_array(directory, "rbf_b", scorer.b, "<f8")
+        manifest["rbf_width"] = scorer.width
 
     t = pipeline.thresholds
     manifest["thresholds"] = {
@@ -221,7 +192,13 @@ def _save_into(
 
 
 def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
-    """Load a bundle; validates format version, fields, shapes and finiteness."""
+    """Load a bundle; validates format version, fields, shapes and finiteness.
+
+    Returns the pipeline, its lexicon and the manifest. A bundle whose
+    manifest says use_mwes false fuses no keyphrases, whatever its stored
+    lexicon holds. Manifest fields the reader does not use, such as the
+    mlp_dropout and rbf_dropout that older bundles carry, are ignored.
+    """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -283,11 +260,14 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         components=components, singular_values=arr("svd_singular_values")
     )
     lexicon = lexicon_from_json(manifest.get("lexicon", {}), manifest_path)
+    use_mwes = _field(manifest, "use_mwes", _instance(bool))
+    if not use_mwes:
+        lexicon = lexicon.without_keyphrases()
 
     pipeline = Pipeline(
         kind=_field(manifest, "kind", str),
-        use_mwes=_field(manifest, "use_mwes", _instance(bool)),
-        phrases=lexicon.all_phrases(),
+        use_mwes=use_mwes,
+        lexicon=lexicon,
         tfidf=tfidf,
         svd=svd,
     )
@@ -299,18 +279,16 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         for domain, row in zip(CLASSIFIED_DOMAINS, mv):
             if not row.any():
                 raise DataError(f"bundle megadocument vector for {domain} is zero")
-        pipeline.megadoc_vectors = mv
+        pipeline.scorer = mv
     elif pipeline.kind == "mlp":
-        dropout = _field(manifest, "mlp_dropout", _dropout_pair)
-        pipeline.mlp = MlpModel(
+        pipeline.scorer = MlpModel(
             w1=arr("mlp_w1"), b1=arr("mlp_b1"),
             w2=arr("mlp_w2"), b2=arr("mlp_b2"),
             w3=arr("mlp_w3"), b3=arr("mlp_b3"),
-            dropout1=dropout[0], dropout2=dropout[1],
         )
-        if pipeline.mlp.w1.shape[0] != k:
+        if pipeline.scorer.w1.shape[0] != k:
             raise DataError(
-                f"mlp input width {pipeline.mlp.w1.shape[0]} does not match k={k}"
+                f"mlp input width {pipeline.scorer.w1.shape[0]} does not match k={k}"
             )
     elif pipeline.kind == "rbf":
         prototypes = arr("rbf_prototypes")
@@ -321,12 +299,8 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         width = _field(manifest, "rbf_width", float)
         if not (np.isfinite(width) and width > 0.0):
             raise DataError(f"bundle rbf_width must be positive, got {width}")
-        pipeline.rbf = RbfModel(
-            prototypes=prototypes,
-            width=width,
-            w=arr("rbf_w"),
-            b=arr("rbf_b"),
-            dropout=_field(manifest, "rbf_dropout", _dropout_rate),
+        pipeline.scorer = RbfModel(
+            prototypes=prototypes, width=width, w=arr("rbf_w"), b=arr("rbf_b")
         )
     else:
         raise DataError(f"bundle has unknown model kind {pipeline.kind!r}")

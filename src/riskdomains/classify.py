@@ -14,17 +14,16 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import KeywordLexicon
 from .domains import CLASSIFIED_DOMAINS, Domain, N_CLASSIFIED
 from .errors import ConfigError, DataError
 from .networks import MlpModel, RbfModel, mlp_forward, rbf_forward
-from .textnorm import MwePhrase, text_to_terms
+from .textnorm import text_to_terms
 from .vectorspace import SvdProjection, TfidfModel, project_all, vectorize_all
 
-# The cosine baseline needs a wider margin than the trained models: its
-# scores ride the corpus-wide noise direction, so pure-noise paragraphs
-# sit close under the domain means. 2.2 rejects them while the assignment
-# quality stays on the flat part of the alpha curve.
-DEFAULT_ALPHA = {"mlp": 0.78, "rbf": 1.2, "cosine": 2.2}
+# The scorer each model kind holds: the (7, k) megadocument vectors for
+# cosine, a trained network for mlp and rbf.
+SCORER_TYPES = {"cosine": np.ndarray, "mlp": MlpModel, "rbf": RbfModel}
 
 
 @dataclass(frozen=True)
@@ -95,17 +94,20 @@ def assign(
 
 @dataclass
 class Pipeline:
-    """Everything needed to classify raw text; all stages immutable once set."""
+    """Everything needed to classify raw text; all stages immutable once set.
+
+    lexicon is the lexicon the pipeline fuses phrases with: its keyphrases
+    are already dropped when use_mwes is false. scorer is of the type
+    SCORER_TYPES gives for kind.
+    """
 
     kind: str                          # cosine | mlp | rbf
     use_mwes: bool = True
-    phrases: list[MwePhrase] | None = None
+    lexicon: KeywordLexicon | None = None
     tfidf: TfidfModel | None = None
     svd: SvdProjection | None = None
     thresholds: ThresholdSet | None = None
-    mlp: MlpModel | None = None
-    rbf: RbfModel | None = None
-    megadoc_vectors: np.ndarray | None = None
+    scorer: np.ndarray | MlpModel | RbfModel | None = None
 
     def _require(self, name: str):
         value = getattr(self, name)
@@ -113,14 +115,17 @@ class Pipeline:
             raise ConfigError(f"pipeline stage {name!r} is not fitted")
         return value
 
-    def scorer_inputs(self):
-        if self.kind == "cosine":
-            return self._require("megadoc_vectors")
-        if self.kind == "mlp":
-            return self._require("mlp")
-        if self.kind == "rbf":
-            return self._require("rbf")
-        raise ConfigError(f"unknown model kind {self.kind!r}")
+    def checked_scorer(self):
+        """The scorer, after checking that it is the one kind calls for."""
+        expected = SCORER_TYPES.get(self.kind)
+        if expected is None:
+            raise ConfigError(f"unknown model kind {self.kind!r}")
+        if not isinstance(self.scorer, expected):
+            raise ConfigError(
+                f"{self.kind} pipeline needs a fitted {expected.__name__} scorer, "
+                f"got {type(self.scorer).__name__}"
+            )
+        return self.scorer
 
 
 def score_vectors(pipeline: Pipeline, x: np.ndarray) -> np.ndarray:
@@ -130,22 +135,19 @@ def score_vectors(pipeline: Pipeline, x: np.ndarray) -> np.ndarray:
     vectors, clipped to [-1, 1].
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if pipeline.kind == "cosine":
-        megadocs = pipeline.scorer_inputs()
-        if megadocs.shape[0] != N_CLASSIFIED:
-            raise DataError(
-                f"expected {N_CLASSIFIED} megadocument vectors, "
-                f"got {megadocs.shape[0]}"
-            )
-        norms = np.outer(np.linalg.norm(x, axis=1), np.linalg.norm(megadocs, axis=1))
-        if np.any(norms == 0.0):
-            raise DataError("cosine of a zero vector is undefined")
-        return np.clip(x @ megadocs.T / norms, -1.0, 1.0)
+    scorer = pipeline.checked_scorer()
     if pipeline.kind == "mlp":
-        return mlp_forward(pipeline.scorer_inputs(), x)
+        return mlp_forward(scorer, x)
     if pipeline.kind == "rbf":
-        return rbf_forward(pipeline.scorer_inputs(), x)
-    raise ConfigError(f"unknown model kind {pipeline.kind!r}")
+        return rbf_forward(scorer, x)
+    if scorer.shape[0] != N_CLASSIFIED:
+        raise DataError(
+            f"expected {N_CLASSIFIED} megadocument vectors, got {scorer.shape[0]}"
+        )
+    norms = np.outer(np.linalg.norm(x, axis=1), np.linalg.norm(scorer, axis=1))
+    if np.any(norms == 0.0):
+        raise DataError("cosine of a zero vector is undefined")
+    return np.clip(x @ scorer.T / norms, -1.0, 1.0)
 
 
 def embed(pipeline: Pipeline, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +158,7 @@ def embed(pipeline: Pipeline, texts: Sequence[str]) -> tuple[np.ndarray, np.ndar
     """
     tfidf = pipeline._require("tfidf")
     svd = pipeline._require("svd")
-    phrases = (pipeline.phrases or []) if pipeline.use_mwes else []
+    phrases = pipeline._require("lexicon").all_phrases()
     matrix = vectorize_all(tfidf, [text_to_terms(text, phrases) for text in texts])
     return project_all(svd, matrix), np.diff(matrix.indptr) > 0
 

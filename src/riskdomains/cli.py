@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,13 +25,14 @@ from .bundle import load_bundle, save_bundle
 from .classify import classify_batch, embed
 from .corpus import (
     Paragraph,
-    _read_jsonl,
     default_synthetic_config,
     generate_synthetic_corpus,
     load_gold,
     load_lexicon,
     load_paragraphs,
     parse_labels,
+    read_records,
+    require_field,
     weak_label,
     write_gold,
     write_lexicon,
@@ -79,21 +81,45 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
-class _Options:
-    """Flag > config > default resolution with unknown-key detection."""
+_TYPE_NAMES = {
+    str: "a string", int: "an integer", float: "a number", bool: "true or false"
+}
 
-    def __init__(self, args: argparse.Namespace, allowed: set[str]):
+
+def _is_json_type(value, expected: type) -> bool:
+    """A bool is no int, and an int is accepted where a float is expected."""
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
+class _Options:
+    """Flag > config > default resolution with key and type checks."""
+
+    def __init__(self, args: argparse.Namespace, allowed: dict[str, type]):
         self._args = vars(args)
         self._config = _load_config(self._args.get("config"))
-        unknown = set(self._config) - allowed
+        unknown = set(self._config) - set(allowed)
         if unknown:
             raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
+        for key, value in self._config.items():
+            if not _is_json_type(value, allowed[key]):
+                raise ConfigError(
+                    f"config key {key!r} must be {_TYPE_NAMES[allowed[key]]}, "
+                    f"got {value!r}"
+                )
 
     def get(self, key: str, default=None):
         value = self._args.get(key)
         if value is None:
             value = self._config.get(key, default)
         return value
+
+    def given(self, keys) -> dict:
+        """The keys that a flag or the config sets, with their values."""
+        return {key: self.get(key) for key in keys if self.get(key) is not None}
 
     def require(self, key: str):
         value = self.get(key)
@@ -111,11 +137,11 @@ def _existing_file(path, what: str) -> Path:
 
 def cmd_synth(opts: _Options) -> int:
     out = Path(opts.get("out", "."))
-    seed = int(opts.get("seed", 0))
+    seed = opts.get("seed", 0)
     config = default_synthetic_config(
-        paragraphs_per_domain=int(opts.get("paragraphs_per_domain", 200)),
-        multilabel_per_domain=int(opts.get("multilabel_per_domain", 30)),
-        other_paragraphs=int(opts.get("other_paragraphs", 100)),
+        **opts.given(
+            ("paragraphs_per_domain", "multilabel_per_domain", "other_paragraphs")
+        )
     )
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -136,21 +162,8 @@ def cmd_train(opts: _Options) -> int:
     corpus_path = _existing_file(opts.require("corpus"), "corpus")
     lexicon_path = _existing_file(opts.require("lexicon"), "lexicon")
     out = opts.require("out")
-    alpha = opts.get("alpha")
-    epochs = opts.get("epochs")
-    loss = opts.get("loss")
-    use_mwes = opts.get("use_mwes", True)
-    if not isinstance(use_mwes, bool):
-        raise ConfigError(f"use_mwes must be true or false, got {use_mwes!r}")
     options = PipelineOptions(
-        kind=str(opts.get("kind", "mlp")),
-        svd_k=int(opts.get("svd_k", 100)),
-        alpha=None if alpha is None else float(alpha),
-        use_mwes=use_mwes,
-        epochs=None if epochs is None else int(epochs),
-        batch_size=int(opts.get("batch_size", 128)),
-        loss=None if loss is None else str(loss),
-        seed=int(opts.get("seed", 0)),
+        **opts.given(f.name for f in dataclasses.fields(PipelineOptions))
     )
     paragraphs = load_paragraphs(corpus_path)
     lexicon = load_lexicon(lexicon_path)
@@ -174,8 +187,7 @@ def cmd_train(opts: _Options) -> int:
             loss=options.effective_loss(),
             final_loss=trained.loss_history[-1] if trained.loss_history else None,
         )
-    effective = lexicon if options.use_mwes else lexicon.without_keyphrases()
-    path = save_bundle(out, trained.pipeline, effective, training_info)
+    path = save_bundle(out, trained.pipeline, training_info)
     _log(f"wrote bundle to {path}")
     return 0
 
@@ -211,17 +223,10 @@ def cmd_classify(opts: _Options) -> int:
 
 
 def _load_predictions(path: Path) -> dict[str, list[Domain]]:
-    predictions: dict[str, list[Domain]] = {}
-    for lineno, obj in _read_jsonl(path):
-        try:
-            pid = str(obj["id"])
-            labels = parse_labels(obj["labels"], f"{path}:{lineno}")
-        except KeyError as e:
-            raise DataError(f"{path}:{lineno}: missing field {e}")
-        if pid in predictions:
-            raise DataError(f"{path}:{lineno}: duplicate prediction id {pid!r}")
-        predictions[pid] = list(labels)
-    return predictions
+    return {
+        pid: list(parse_labels(require_field(obj, "labels", where), where))
+        for where, pid, obj in read_records(path)
+    }
 
 
 def cmd_evaluate(opts: _Options) -> int:
@@ -311,8 +316,7 @@ def cmd_project_lda(opts: _Options) -> int:
             if p.id in gold and gold[p.id][0] is not Domain.OTHER:
                 labeled.append((p, gold[p.id][0]))
     else:
-        effective = lexicon if pipeline.use_mwes else lexicon.without_keyphrases()
-        labeled = list(weak_label(paragraphs, effective).entries)
+        labeled = list(weak_label(paragraphs, lexicon).entries)
     if not labeled:
         raise DataError("no labeled paragraphs to project")
 
@@ -337,19 +341,21 @@ def cmd_project_lda(opts: _Options) -> int:
     return 0
 
 
+# Config keys of each subcommand and the type of their JSON values.
 _ALLOWED_KEYS = {
     "synth": {
-        "seed", "out",
-        "paragraphs_per_domain", "multilabel_per_domain", "other_paragraphs",
+        "seed": int, "out": str, "paragraphs_per_domain": int,
+        "multilabel_per_domain": int, "other_paragraphs": int,
     },
     "train": {
-        "seed", "out", "corpus", "lexicon", "kind", "svd_k", "alpha",
-        "epochs", "batch_size", "loss", "use_mwes",
+        "seed": int, "out": str, "corpus": str, "lexicon": str, "kind": str,
+        "svd_k": int, "alpha": float, "epochs": int, "batch_size": int,
+        "loss": str, "use_mwes": bool,
     },
-    "classify": {"out", "bundle", "corpus"},
-    "evaluate": {"out", "predictions", "gold"},
-    "agreement": {"out", "annotations", "gold"},
-    "project-lda": {"out", "bundle", "corpus", "gold"},
+    "classify": {"out": str, "bundle": str, "corpus": str},
+    "evaluate": {"out": str, "predictions": str, "gold": str},
+    "agreement": {"out": str, "annotations": str, "gold": str},
+    "project-lda": {"out": str, "bundle": str, "corpus": str, "gold": str},
 }
 
 _COMMANDS = {

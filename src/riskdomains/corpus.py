@@ -470,19 +470,13 @@ def write_paragraphs(path: str | Path, paragraphs: list[Paragraph]) -> None:
 
 def load_paragraphs(path: str | Path) -> list[Paragraph]:
     paragraphs: list[Paragraph] = []
-    seen: set[str] = set()
-    for lineno, obj in _read_jsonl(path):
-        try:
-            pid, text = str(obj["id"]), obj["text"]
-        except KeyError as e:
-            raise DataError(f"{path}:{lineno}: missing field {e}")
+    for where, pid, obj in read_records(path):
+        text = require_field(obj, "text", where)
         if not isinstance(text, str):
-            raise DataError(f"{path}:{lineno}: field 'text' must be a string")
-        paragraph = Paragraph(id=pid, text=text, source=obj.get("source", "training"))
-        if paragraph.id in seen:
-            raise DataError(f"{path}:{lineno}: duplicate paragraph id {paragraph.id!r}")
-        seen.add(paragraph.id)
-        paragraphs.append(paragraph)
+            raise DataError(f"{where}: field 'text' must be a string")
+        paragraphs.append(
+            Paragraph(id=pid, text=text, source=obj.get("source", "training"))
+        )
     return paragraphs
 
 
@@ -510,14 +504,8 @@ def parse_labels(raw, where: str) -> tuple[Domain, ...]:
 def load_gold(path: str | Path) -> dict[str, list[Domain]]:
     """Ordered gold labels keyed by paragraph id."""
     gold: dict[str, list[Domain]] = {}
-    for lineno, obj in _read_jsonl(path):
-        try:
-            pid = str(obj["id"])
-            labels = parse_labels(obj["labels"], f"{path}:{lineno}")
-        except KeyError as e:
-            raise DataError(f"{path}:{lineno}: missing field {e}")
-        if pid in gold:
-            raise DataError(f"{path}:{lineno}: duplicate gold id {pid!r}")
+    for where, pid, obj in read_records(path):
+        labels = parse_labels(require_field(obj, "labels", where), where)
         validate_labels(pid, labels)
         gold[pid] = list(labels)
     return gold
@@ -578,20 +566,40 @@ def load_lexicon(path: str | Path) -> KeywordLexicon:
     return lexicon_from_json(obj, path)
 
 
-def _read_jsonl(path: str | Path):
+def require_field(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise DataError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def read_records(path: str | Path):
+    """Yield (where, id, record) for each record of a JSON-lines file.
+
+    where is "path:line". Every record is a JSON object whose id is a JSON
+    string or integer, and no two records share an id.
+    """
     try:
         f = open(path, encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f"file not found: {path}")
+    seen: set[str] = set()
     with f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {e}")
+                raise DataError(f"{where}: invalid JSON: {e}")
             if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: record must be a JSON object")
-            yield lineno, obj
+                raise DataError(f"{where}: record must be a JSON object")
+            raw = require_field(obj, "id", where)
+            if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+                raise DataError(f"{where}: field 'id' must be a string or an integer")
+            pid = str(raw)
+            if pid in seen:
+                raise DataError(f"{where}: duplicate id {pid!r}")
+            seen.add(pid)
+            yield where, pid, obj

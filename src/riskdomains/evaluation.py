@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, Sequence
 
-from .corpus import _read_jsonl, parse_labels, validate_labels
+from .corpus import parse_labels, read_records, require_field, validate_labels
 from .domains import ALL_DOMAINS, Domain
 from .errors import DataError
 
@@ -380,19 +380,13 @@ def iaa_report(
 def load_annotations(path: str | Path) -> dict[str, list[list[Domain]]]:
     """JSON-lines of {id, annotators: [labels, labels, labels]}."""
     annotations: dict[str, list[list[Domain]]] = {}
-    for lineno, obj in _read_jsonl(path):
-        try:
-            pid = str(obj["id"])
-            raw = obj["annotators"]
-        except KeyError as e:
-            raise DataError(f"{path}:{lineno}: missing field {e}")
-        if pid in annotations:
-            raise DataError(f"{path}:{lineno}: duplicate annotation id {pid!r}")
+    for where, pid, obj in read_records(path):
+        raw = require_field(obj, "annotators", where)
         if not isinstance(raw, list) or len(raw) != 3:
-            raise DataError(f"{path}:{lineno}: expected a list of 3 annotators")
+            raise DataError(f"{where}: expected a list of 3 annotators")
         lists = []
         for labels in raw:
-            domains = parse_labels(labels, f"{path}:{lineno}")
+            domains = parse_labels(labels, where)
             validate_labels(pid, domains)
             lists.append(list(domains))
         annotations[pid] = lists

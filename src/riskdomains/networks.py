@@ -20,6 +20,10 @@ from .errors import ConfigError, DataError, NumericalError
 
 HIDDEN = 100
 PROTOTYPES_PER_DOMAIN = 50
+# Inverted dropout rates, read only while training: the MLP's two hidden
+# layers, and the RBF network's input.
+MLP_DROPOUT = (0.2, 0.5)
+RBF_DROPOUT = 0.2
 
 
 @dataclass
@@ -32,8 +36,6 @@ class MlpModel:
     b2: np.ndarray
     w3: np.ndarray
     b3: np.ndarray
-    dropout1: float = 0.2
-    dropout2: float = 0.5
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
@@ -48,7 +50,6 @@ class RbfModel:
     width: float
     w: np.ndarray           # (H, 7)
     b: np.ndarray           # (7,)
-    dropout: float = 0.2
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "b": self.b}
@@ -286,9 +287,8 @@ def train_mlp(
     """Train all three MLP layers with minibatch Adam and inverted dropout."""
 
     def batch_loss(model, xb, yb, rng):
-        masks = (
-            dropout_mask(rng, (len(xb), HIDDEN), model.dropout1),
-            dropout_mask(rng, (len(xb), HIDDEN), model.dropout2),
+        masks = tuple(
+            dropout_mask(rng, (len(xb), HIDDEN), rate) for rate in MLP_DROPOUT
         )
         return mlp_loss_and_grads(model, xb, yb, config.loss, masks)
 
@@ -463,7 +463,7 @@ def train_rbf(
     """Train the linear output layer with Adam; prototypes stay fixed."""
 
     def batch_loss(model, xb, yb, rng):
-        mask = dropout_mask(rng, xb.shape, model.dropout)
+        mask = dropout_mask(rng, xb.shape, RBF_DROPOUT)
         return rbf_loss_and_grads(model, xb, yb, config.loss, mask)
 
     return _train(

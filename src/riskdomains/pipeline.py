@@ -6,7 +6,8 @@ chosen scorer, then calibrate thresholds on the scorer's outputs for the
 full training corpus. Only the cosine scorer sums the paragraph term
 multisets into megadocuments; mlp and rbf never build them.
 Disabling MWEs removes the keyphrases from both weak labeling and fusion,
-which is the ablation arm.
+which is the ablation arm. This is the one place that decides the lexicon a
+pipeline fuses with: the trained Pipeline carries it, and bundles store it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import DEFAULT_ALPHA, Pipeline, calibrate, score_vectors
+from .classify import Pipeline, calibrate, score_vectors
 from .corpus import KeywordLexicon, Paragraph, build_megadocuments, weak_label
 from .domains import CLASSIFIED_DOMAINS, DOMAIN_INDEX
 from .errors import ConfigError, DataError, RiskDomainsError
@@ -31,6 +32,11 @@ from .networks import (
 from .textnorm import text_to_terms
 from .vectorspace import fit_svd, fit_tfidf, project_all, vectorize_all
 
+# The cosine baseline needs a wider margin than the trained models: its
+# scores ride the corpus-wide noise direction, so pure-noise paragraphs
+# sit close under the domain means. 2.2 rejects them while the assignment
+# quality stays on the flat part of the alpha curve.
+DEFAULT_ALPHA = {"mlp": 0.78, "rbf": 1.2, "cosine": 2.2}
 DEFAULT_EPOCHS = {"mlp": 30, "rbf": 50}
 # Summed binary cross entropy is the default for the MLP: the true-class-only
 # categorical variant has no gradient pushing non-target sigmoids down, so
@@ -95,11 +101,12 @@ def train_pipeline(
     options: PipelineOptions,
 ) -> TrainedPipeline:
     options.validate()
-    effective_lexicon = lexicon if options.use_mwes else lexicon.without_keyphrases()
-    phrases = effective_lexicon.all_phrases()
+    if not options.use_mwes:
+        lexicon = lexicon.without_keyphrases()
+    phrases = lexicon.all_phrases()
 
     with _stage("weak_label"):
-        corpus = weak_label(paragraphs, effective_lexicon)
+        corpus = weak_label(paragraphs, lexicon)
         labeled = {d for _, d in corpus.entries}
         for domain in CLASSIFIED_DOMAINS:
             if domain not in labeled:
@@ -115,7 +122,7 @@ def train_pipeline(
     pipeline = Pipeline(
         kind=options.kind,
         use_mwes=options.use_mwes,
-        phrases=phrases,
+        lexicon=lexicon,
         tfidf=tfidf,
         svd=svd,
     )
@@ -131,7 +138,7 @@ def train_pipeline(
             if np.any(norms == 0.0):
                 dead = CLASSIFIED_DOMAINS[int(np.argmin(norms))]
                 raise DataError(f"megadocument vector for {dead} is zero")
-            pipeline.megadoc_vectors = megadoc_vectors
+            pipeline.scorer = megadoc_vectors
     else:
         labels = np.array([DOMAIN_INDEX[d] for _, d in corpus.entries])
         targets = one_hot(labels)
@@ -143,8 +150,7 @@ def train_pipeline(
         )
         if options.kind == "mlp":
             with _stage("train_mlp"):
-                model, history = train_mlp(vectors, targets, config)
-                pipeline.mlp = model
+                pipeline.scorer, history = train_mlp(vectors, targets, config)
         else:
             with _stage("rbf_prototypes"):
                 by_domain = {
@@ -154,7 +160,7 @@ def train_pipeline(
                 width = compute_rbf_width(prototypes)
             with _stage("train_rbf"):
                 model, history = train_rbf(prototypes, width, vectors, targets, config)
-                pipeline.rbf = model
+                pipeline.scorer = model
 
     with _stage("calibrate"):
         calibration_scores = score_vectors(pipeline, vectors)

@@ -34,6 +34,13 @@ def trained_mlp(small_corpus):
 
 
 @pytest.fixture(scope="session")
+def trained_mlp_nomwe(small_corpus):
+    paragraphs, _, lexicon = small_corpus
+    options = PipelineOptions(kind="mlp", seed=TRAIN_SEED, use_mwes=False)
+    return train_pipeline(paragraphs, lexicon, options)
+
+
+@pytest.fixture(scope="session")
 def trained_rbf(small_corpus):
     paragraphs, _, lexicon = small_corpus
     options = PipelineOptions(kind="rbf", seed=TRAIN_SEED)

@@ -12,7 +12,7 @@ import riskdomains.bundle as bundle_module
 from riskdomains.bundle import load_bundle, save_bundle
 from riskdomains.classify import Pipeline, classify_batch
 from riskdomains.cli import _ALLOWED_KEYS, build_parser, main
-from riskdomains.corpus import load_gold
+from riskdomains.corpus import lexicon_to_json, load_gold
 from riskdomains.domains import Domain
 from riskdomains.errors import DataError
 from riskdomains.pipeline import PipelineOptions
@@ -28,36 +28,45 @@ def dir_bytes(directory) -> dict[str, bytes]:
 
 
 class TestBundleRoundTrip:
-    @pytest.fixture(params=["cosine", "mlp", "rbf"])
-    def trained(self, request, trained_cosine, trained_mlp, trained_rbf):
+    @pytest.fixture(params=["cosine", "mlp", "rbf", "mlp_nomwe"])
+    def trained(
+        self, request, trained_cosine, trained_mlp, trained_rbf, trained_mlp_nomwe
+    ):
         return {
-            "cosine": trained_cosine, "mlp": trained_mlp, "rbf": trained_rbf
+            "cosine": trained_cosine,
+            "mlp": trained_mlp,
+            "rbf": trained_rbf,
+            "mlp_nomwe": trained_mlp_nomwe,
         }[request.param]
 
     def test_loaded_bundle_classifies_identically(
         self, trained, small_corpus, tmp_path
     ):
         paragraphs, _, lexicon = small_corpus
-        save_bundle(tmp_path / "bundle", trained.pipeline, lexicon)
+        save_bundle(tmp_path / "bundle", trained.pipeline)
         loaded, loaded_lexicon, manifest = load_bundle(tmp_path / "bundle")
-        texts = [p.text for p in paragraphs[:20]]
+        texts = [p.text for p in paragraphs]
         labels_a, scores_a = classify_batch(trained.pipeline, texts)
         labels_b, scores_b = classify_batch(loaded, texts)
         assert labels_a == labels_b
         assert np.array_equal(scores_a, scores_b)
         assert manifest["kind"] == trained.pipeline.kind
+        assert loaded_lexicon is loaded.lexicon
         assert loaded_lexicon.keywords == lexicon.keywords
+        assert loaded_lexicon.all_phrases() == trained.pipeline.lexicon.all_phrases()
+        # The manifest stores the fused lexicon: no keyphrases without MWEs.
+        stored = [p for e in manifest["lexicon"].values() for p in e["keyphrases"]]
+        fused = len(lexicon.all_phrases()) if trained.pipeline.use_mwes else 0
+        assert len(stored) == fused
 
-    def test_saves_are_byte_identical(self, trained, small_corpus, tmp_path):
-        _, _, lexicon = small_corpus
+    def test_saves_are_byte_identical(self, trained, tmp_path):
         info = {"corpus": "corpus.jsonl", "seed": 42}
-        save_bundle(tmp_path / "a", trained.pipeline, lexicon, info)
-        save_bundle(tmp_path / "b", trained.pipeline, lexicon, info)
+        save_bundle(tmp_path / "a", trained.pipeline, info)
+        save_bundle(tmp_path / "b", trained.pipeline, info)
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
-    def test_thresholds_survive_round_trip(self, trained, small_corpus, tmp_path):
-        _, _, lexicon = small_corpus
-        save_bundle(tmp_path / "bundle", trained.pipeline, lexicon)
+    def test_thresholds_survive_round_trip(self, trained, tmp_path):
+        save_bundle(tmp_path / "bundle", trained.pipeline)
         loaded, _, _ = load_bundle(tmp_path / "bundle")
         assert np.array_equal(
             loaded.thresholds.thresholds, trained.pipeline.thresholds.thresholds
@@ -65,11 +74,52 @@ class TestBundleRoundTrip:
         assert loaded.thresholds.alpha == trained.pipeline.thresholds.alpha
 
 
+class TestOlderBundles:
+    """Bundles written before the manifest lost its dropout fields."""
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [("mlp", {"mlp_dropout": [0.2, 0.5]}), ("rbf", {"rbf_dropout": 0.2})],
+    )
+    def test_dropout_fields_are_ignored(
+        self, kind, extra, trained_mlp, trained_rbf, small_corpus, tmp_path
+    ):
+        paragraphs, _, _ = small_corpus
+        pipeline = {"mlp": trained_mlp, "rbf": trained_rbf}[kind].pipeline
+        saved = save_bundle(tmp_path / "bundle", pipeline)
+        path = saved / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert not set(extra) & set(manifest)
+        path.write_text(json.dumps({**manifest, **extra}))
+        texts = [p.text for p in paragraphs]
+        labels_a, scores_a = classify_batch(pipeline, texts)
+        labels_b, scores_b = classify_batch(load_bundle(saved)[0], texts)
+        assert labels_a == labels_b
+        assert np.array_equal(scores_a, scores_b)
+
+    def test_no_mwes_bundle_with_keyphrases_fuses_none(
+        self, trained_mlp_nomwe, small_corpus, tmp_path
+    ):
+        """A no-MWE bundle saved with the full lexicon still fuses no phrase."""
+        paragraphs, _, lexicon = small_corpus
+        saved = save_bundle(tmp_path / "bundle", trained_mlp_nomwe.pipeline)
+        path = saved / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["lexicon"] = lexicon_to_json(lexicon)
+        path.write_text(json.dumps(manifest))
+        loaded, loaded_lexicon, _ = load_bundle(saved)
+        assert loaded_lexicon.all_phrases() == []
+        texts = [p.text for p in paragraphs]
+        labels_a, scores_a = classify_batch(trained_mlp_nomwe.pipeline, texts)
+        labels_b, scores_b = classify_batch(loaded, texts)
+        assert labels_a == labels_b
+        assert np.array_equal(scores_a, scores_b)
+
+
 class TestBundleErrors:
     @pytest.fixture
-    def saved(self, trained_mlp, small_corpus, tmp_path):
-        _, _, lexicon = small_corpus
-        return save_bundle(tmp_path / "bundle", trained_mlp.pipeline, lexicon)
+    def saved(self, trained_mlp, tmp_path):
+        return save_bundle(tmp_path / "bundle", trained_mlp.pipeline)
 
     def edit_manifest(self, saved: Path, mutate) -> None:
         path = saved / "manifest.json"
@@ -113,24 +163,19 @@ class TestBundleErrors:
         with pytest.raises(DataError, match="vocabulary size"):
             load_bundle(saved)
 
-    def test_refuses_non_bundle_directory(self, trained_mlp, small_corpus, tmp_path):
-        _, _, lexicon = small_corpus
+    def test_refuses_non_bundle_directory(self, trained_mlp, tmp_path):
         target = tmp_path / "precious"
         target.mkdir()
         (target / "notes.txt").write_text("not a bundle")
         with pytest.raises(DataError, match="refusing"):
-            save_bundle(target, trained_mlp.pipeline, lexicon)
+            save_bundle(target, trained_mlp.pipeline)
         assert (target / "notes.txt").exists()
 
-    def test_overwrites_existing_bundle(self, saved, trained_mlp, small_corpus):
-        _, _, lexicon = small_corpus
-        save_bundle(saved, trained_mlp.pipeline, lexicon)
+    def test_overwrites_existing_bundle(self, saved, trained_mlp):
+        save_bundle(saved, trained_mlp.pipeline)
         load_bundle(saved)
 
-    def test_failed_overwrite_keeps_old_bundle(
-        self, saved, trained_mlp, small_corpus, monkeypatch
-    ):
-        _, _, lexicon = small_corpus
+    def test_failed_overwrite_keeps_old_bundle(self, saved, trained_mlp, monkeypatch):
         before = dir_bytes(saved)
         write_array = bundle_module._write_array
         written = []
@@ -143,16 +188,15 @@ class TestBundleErrors:
 
         monkeypatch.setattr(bundle_module, "_write_array", fail_on_third)
         with pytest.raises(OSError, match="disk full"):
-            save_bundle(saved, trained_mlp.pipeline, lexicon)
+            save_bundle(saved, trained_mlp.pipeline)
         assert dir_bytes(saved) == before
         load_bundle(saved)
         assert [p.name for p in saved.parent.iterdir()] == [saved.name]
 
-    def test_failed_save_removes_directory(self, small_corpus, tmp_path):
-        _, _, lexicon = small_corpus
+    def test_failed_save_removes_directory(self, tmp_path):
         target = tmp_path / "halfway"
         with pytest.raises(DataError):
-            save_bundle(target, Pipeline(kind="mlp"), lexicon)
+            save_bundle(target, Pipeline(kind="mlp"))
         assert not target.exists()
 
 
@@ -239,16 +283,21 @@ class TestCliTrain:
 
 
 def test_flags_config_keys_and_options_agree():
-    """Each PipelineOptions field is reachable from train; each flag is a key."""
+    """Each PipelineOptions field is reachable from train; each flag is a key
+    whose config value has the flag's type."""
     fields = {f.name for f in dataclasses.fields(PipelineOptions)}
-    assert fields <= _ALLOWED_KEYS["train"]
+    assert fields <= _ALLOWED_KEYS["train"].keys()
     subparsers = next(
         a for a in build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
     )
     for name, parser in subparsers.choices.items():
         dests = {a.dest for a in parser._actions} - {"help", "config"}
-        assert dests == _ALLOWED_KEYS[name], name
+        assert dests == _ALLOWED_KEYS[name].keys(), name
+        for action in parser._actions:
+            if action.dest in dests:
+                flag_type = bool if action.const is not None else action.type or str
+                assert _ALLOWED_KEYS[name][action.dest] is flag_type, action.dest
 
 
 class TestCliClassifyEvaluate:

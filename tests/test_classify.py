@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from riskdomains.classify import (
-    DEFAULT_ALPHA,
     Pipeline,
     ThresholdSet,
     assign,
@@ -15,6 +14,7 @@ from riskdomains.classify import (
 )
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import ConfigError, DataError
+from riskdomains.pipeline import DEFAULT_ALPHA
 
 
 def flat_thresholds(value: float) -> ThresholdSet:
@@ -32,7 +32,7 @@ def assign_row(scores, thresholds: ThresholdSet):
 
 
 def cosine_scores(x, megadocs):
-    return score_vectors(Pipeline(kind="cosine", megadoc_vectors=megadocs), x)
+    return score_vectors(Pipeline(kind="cosine", scorer=megadocs), x)
 
 
 class TestCalibrate:
@@ -325,7 +325,7 @@ class TestUnfittedPipeline:
         fitted = trained_mlp.pipeline
         broken = Pipeline(
             kind="forest",
-            phrases=fitted.phrases,
+            lexicon=fitted.lexicon,
             tfidf=fitted.tfidf,
             svd=fitted.svd,
             thresholds=fitted.thresholds,
@@ -337,10 +337,24 @@ class TestUnfittedPipeline:
         fitted = trained_mlp.pipeline
         broken = Pipeline(
             kind="rbf",
-            phrases=fitted.phrases,
+            lexicon=fitted.lexicon,
             tfidf=fitted.tfidf,
             svd=fitted.svd,
             thresholds=fitted.thresholds,
+        )
+        with pytest.raises(ConfigError, match="rbf"):
+            classify_batch(broken, ["some text"])
+
+
+    def test_scorer_of_wrong_type_for_kind(self, trained_mlp):
+        fitted = trained_mlp.pipeline
+        broken = Pipeline(
+            kind="rbf",
+            lexicon=fitted.lexicon,
+            tfidf=fitted.tfidf,
+            svd=fitted.svd,
+            thresholds=fitted.thresholds,
+            scorer=fitted.scorer,
         )
         with pytest.raises(ConfigError, match="rbf"):
             classify_batch(broken, ["some text"])

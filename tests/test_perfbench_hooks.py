@@ -1,12 +1,17 @@
-"""Every function the benchmark tracer wraps by name still exists.
+"""The names and shapes the benchmark harness relies on still hold.
 
 perfbench/tracing.py replaces module-level references to the functions it
 names; a rename in src/ would silently drop that span from the benchmark.
+perfbench/worker.py and run.py unpack three values from load_bundle.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from riskdomains.bundle import load_bundle, save_bundle
+from riskdomains.classify import Pipeline
+from riskdomains.corpus import KeywordLexicon
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -22,3 +27,12 @@ def test_every_traced_function_resolves():
         if not callable(getattr(module, attr, None)):
             missing.append(f"riskdomains.{module_name}.{attr}")
     assert not missing
+
+
+def test_load_bundle_returns_pipeline_lexicon_manifest(trained_mlp, tmp_path):
+    loaded = load_bundle(save_bundle(tmp_path / "bundle", trained_mlp.pipeline))
+    assert isinstance(loaded, tuple) and len(loaded) == 3
+    pipeline, lexicon, manifest = loaded
+    assert isinstance(pipeline, Pipeline)
+    assert isinstance(lexicon, KeywordLexicon)
+    assert isinstance(manifest, dict)

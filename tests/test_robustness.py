@@ -19,13 +19,12 @@ from riskdomains.cli import main
 
 
 @pytest.fixture(scope="module")
-def bundles(tmp_path_factory, small_corpus, trained_mlp, trained_rbf, trained_cosine):
-    _, _, lexicon = small_corpus
+def bundles(tmp_path_factory, trained_mlp, trained_rbf, trained_cosine):
     root = tmp_path_factory.mktemp("bundles")
     return {
-        "mlp": save_bundle(root / "mlp", trained_mlp.pipeline, lexicon),
-        "rbf": save_bundle(root / "rbf", trained_rbf.pipeline, lexicon),
-        "cosine": save_bundle(root / "cosine", trained_cosine.pipeline, lexicon),
+        "mlp": save_bundle(root / "mlp", trained_mlp.pipeline),
+        "rbf": save_bundle(root / "rbf", trained_rbf.pipeline),
+        "cosine": save_bundle(root / "cosine", trained_cosine.pipeline),
     }
 
 
@@ -161,6 +160,17 @@ def train_with(config=None, lexicon=None):
     return case
 
 
+def synth_with(config):
+    """Run synth with a config file."""
+
+    def case(tmp_path, corpus_files, bundles):
+        config_path = tmp_path / "synth.json"
+        config_path.write_text(json.dumps({"out": str(tmp_path / "out"), **config}))
+        return ["synth", "--config", str(config_path)]
+
+    return case
+
+
 CASES = {
     "bundle_idf_all_nan": (corrupt_bundle("mlp", nan_idf), 2),
     "bundle_no_kind": (
@@ -181,15 +191,6 @@ CASES = {
             edit_manifest(lambda m: m["lexicon"].update(Mania={"keywords": ["manic"]})),
         ),
         2,
-    ),
-    "bundle_mlp_dropout_string": (
-        corrupt_bundle("mlp", edit_manifest(lambda m: m.update(mlp_dropout="x"))), 2
-    ),
-    "bundle_mlp_dropout_too_short": (
-        corrupt_bundle("mlp", edit_manifest(lambda m: m.update(mlp_dropout=[0.2]))), 2
-    ),
-    "bundle_rbf_dropout_string": (
-        corrupt_bundle("rbf", edit_manifest(lambda m: m.update(rbf_dropout="x"))), 2
     ),
     "bundle_vocabulary_file_not_string": (
         corrupt_bundle("mlp", edit_manifest(lambda m: m.update(vocabulary_file=5))), 2
@@ -232,6 +233,38 @@ CASES = {
     ),
     "corpus_text_not_string": (classify_corpus_lines('{"id": "a", "text": 5}'), 2),
     "corpus_record_not_object": (classify_corpus_lines('["a", "text"]'), 2),
+    "corpus_id_null": (
+        classify_corpus_lines('{"id": null, "text": "anxious depressed tearful"}'),
+        2,
+        r"corpus\.jsonl:1: field 'id'",
+    ),
+    "gold_id_null": (
+        run_on_lines(
+            "evaluate",
+            predictions=[MOOD_RECORD],
+            gold=['{"id": null, "labels": ["Mood"]}'],
+        ),
+        2,
+        r"gold\.jsonl:1: field 'id'",
+    ),
+    "predictions_id_null": (
+        run_on_lines(
+            "evaluate",
+            predictions=['{"id": null, "labels": ["Mood"]}'],
+            gold=[MOOD_RECORD],
+        ),
+        2,
+        r"predictions\.jsonl:1: field 'id'",
+    ),
+    "annotations_id_null": (
+        run_on_lines(
+            "agreement",
+            annotations=['{"id": null, "annotators": [["Mood"], ["Mood"], ["Mood"]]}'],
+            gold=[MOOD_RECORD],
+        ),
+        2,
+        r"annotations\.jsonl:1: field 'id'",
+    ),
     "gold_labels_number": (
         run_on_lines(
             "evaluate", predictions=[MOOD_RECORD], gold=['{"id": "a", "labels": 5}']
@@ -269,6 +302,12 @@ CASES = {
     ),
     "lexicon_keywords_not_list": (train_with(lexicon={"Mood": {"keywords": 5}}), 2),
     "config_use_mwes_string": (train_with(config={"use_mwes": "false"}), 1),
+    "config_svd_k_string": (train_with(config={"svd_k": "abc"}), 1, "svd_k"),
+    "config_svd_k_fraction": (train_with(config={"svd_k": 7.9}), 1, "svd_k"),
+    "config_epochs_list": (train_with(config={"epochs": [3]}), 1, "epochs"),
+    "config_synth_count_string": (
+        synth_with({"paragraphs_per_domain": "x"}), 1, "paragraphs_per_domain"
+    ),
 }
 
 
