@@ -5,22 +5,27 @@ its shape and dtype recorded in the manifest, so bundles are portable and
 the manifest stays humanly diffable. Nothing in a bundle depends on wall
 time; retraining with the same inputs, seed and BLAS thread count
 reproduces byte-identical files.
+
+A scorer is stored field by field under its kind's SCORER_PREFIXES entry: an
+array field f as <prefix>f.bin, a scalar as the manifest field <prefix>f.
+Loading walks the same fields; the scorer type checks the shapes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from .classify import Pipeline, ThresholdSet
+from .classify import SCORER_TYPES, Pipeline, ThresholdSet
 from .corpus import KeywordLexicon, lexicon_from_json, lexicon_to_json
 from .domains import CLASSIFIED_DOMAINS
 from .errors import DataError
-from .networks import MlpModel, RbfModel
 from .vectorspace import SvdProjection, TfidfModel, Vocabulary
 
 FORMAT_VERSION = 1
@@ -28,6 +33,7 @@ MANIFEST_NAME = "manifest.json"
 VOCAB_NAME = "vocabulary.txt"
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
+SCORER_PREFIXES = {"cosine": "megadoc_", "mlp": "mlp_", "rbf": "rbf_"}
 
 
 def _write_array(directory: Path, name: str, array: np.ndarray, dtype: str) -> dict:
@@ -128,14 +134,6 @@ def save_bundle(
 def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None:
     tfidf = pipeline.tfidf
     svd = pipeline.svd
-    if tfidf is None or svd is None:
-        raise DataError("cannot save a pipeline without fitted TF-IDF and SVD")
-    if pipeline.thresholds is None:
-        raise DataError("cannot save a pipeline without calibrated thresholds")
-    if pipeline.lexicon is None:
-        raise DataError("cannot save a pipeline without its lexicon")
-    scorer = pipeline.checked_scorer()
-
     arrays = {
         "idf": _write_array(directory, "idf", tfidf.idf, "<f8"),
         "df": _write_array(directory, "df", tfidf.vocabulary.df, "<i8"),
@@ -160,23 +158,13 @@ def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None
         "lexicon": lexicon_to_json(pipeline.lexicon),
         "training": training_info,
     }
-
-    if pipeline.kind == "cosine":
-        arrays["megadoc_vectors"] = _write_array(
-            directory, "megadoc_vectors", scorer, "<f8"
-        )
-    elif pipeline.kind == "mlp":
-        for name, value in scorer.params().items():
-            arrays[f"mlp_{name}"] = _write_array(
-                directory, f"mlp_{name}", value, "<f8"
-            )
-    else:
-        arrays["rbf_prototypes"] = _write_array(
-            directory, "rbf_prototypes", scorer.prototypes, "<f8"
-        )
-        arrays["rbf_w"] = _write_array(directory, "rbf_w", scorer.w, "<f8")
-        arrays["rbf_b"] = _write_array(directory, "rbf_b", scorer.b, "<f8")
-        manifest["rbf_width"] = scorer.width
+    prefix = SCORER_PREFIXES[pipeline.kind]
+    for f in dataclasses.fields(pipeline.scorer):
+        name, value = prefix + f.name, getattr(pipeline.scorer, f.name)
+        if isinstance(value, np.ndarray):
+            arrays[name] = _write_array(directory, name, value, "<f8")
+        else:
+            manifest[name] = value
 
     t = pipeline.thresholds
     manifest["thresholds"] = {
@@ -236,10 +224,10 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
     terms = tuple(vocab_file.read_text(encoding="utf-8").splitlines())
     idf = arr("idf")
     df = arr("df")
-    if len(terms) != idf.shape[0] or len(terms) != df.shape[0]:
+    if idf.shape != (len(terms),) or df.shape != (len(terms),):
         raise DataError(
-            f"vocabulary size {len(terms)} does not match idf/df arrays "
-            f"({idf.shape[0]}/{df.shape[0]})"
+            f"vocabulary size {len(terms)} does not match idf/df arrays of "
+            f"shapes {list(idf.shape)}/{list(df.shape)}"
         )
     vocabulary = Vocabulary(
         terms=terms, index={t: i for i, t in enumerate(terms)}, df=df
@@ -251,59 +239,30 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
     )
     # SvdProjection holds its components in Fortran order.
     components = arr("svd_components", order="F")
-    if components.shape[1] != len(terms):
+    singular_values = arr("svd_singular_values")
+    if (
+        components.shape[1:] != (len(terms),)
+        or singular_values.shape != components.shape[:1]
+    ):
         raise DataError(
-            f"svd components width {components.shape[1]} does not match "
-            f"vocabulary size {len(terms)}"
+            f"svd components of shape {list(components.shape)} and singular values "
+            f"of shape {list(singular_values.shape)} do not fit {len(terms)} terms"
         )
-    svd = SvdProjection(
-        components=components, singular_values=arr("svd_singular_values")
-    )
+    svd = SvdProjection(components=components, singular_values=singular_values)
     lexicon = lexicon_from_json(manifest.get("lexicon", {}), manifest_path)
     use_mwes = _field(manifest, "use_mwes", _instance(bool))
     if not use_mwes:
         lexicon = lexicon.without_keyphrases()
 
-    pipeline = Pipeline(
-        kind=_field(manifest, "kind", str),
-        use_mwes=use_mwes,
-        lexicon=lexicon,
-        tfidf=tfidf,
-        svd=svd,
-    )
-    k = components.shape[0]
-    if pipeline.kind == "cosine":
-        mv = arr("megadoc_vectors")
-        if mv.shape != (len(CLASSIFIED_DOMAINS), k):
-            raise DataError(f"megadoc vector shape {mv.shape} does not match k={k}")
-        for domain, row in zip(CLASSIFIED_DOMAINS, mv):
-            if not row.any():
-                raise DataError(f"bundle megadocument vector for {domain} is zero")
-        pipeline.scorer = mv
-    elif pipeline.kind == "mlp":
-        pipeline.scorer = MlpModel(
-            w1=arr("mlp_w1"), b1=arr("mlp_b1"),
-            w2=arr("mlp_w2"), b2=arr("mlp_b2"),
-            w3=arr("mlp_w3"), b3=arr("mlp_b3"),
-        )
-        if pipeline.scorer.w1.shape[0] != k:
-            raise DataError(
-                f"mlp input width {pipeline.scorer.w1.shape[0]} does not match k={k}"
-            )
-    elif pipeline.kind == "rbf":
-        prototypes = arr("rbf_prototypes")
-        if prototypes.shape[1] != k:
-            raise DataError(
-                f"prototype width {prototypes.shape[1]} does not match k={k}"
-            )
-        width = _field(manifest, "rbf_width", float)
-        if not (np.isfinite(width) and width > 0.0):
-            raise DataError(f"bundle rbf_width must be positive, got {width}")
-        pipeline.scorer = RbfModel(
-            prototypes=prototypes, width=width, w=arr("rbf_w"), b=arr("rbf_b")
-        )
-    else:
-        raise DataError(f"bundle has unknown model kind {pipeline.kind!r}")
+    kind = _field(manifest, "kind", str)
+    if kind not in SCORER_TYPES:
+        raise DataError(f"bundle has unknown model kind {kind!r}")
+    scorer_type, prefix = SCORER_TYPES[kind], SCORER_PREFIXES[kind]
+    scorer = scorer_type(**{
+        name: arr(prefix + name) if hint is np.ndarray
+        else _field(manifest, prefix + name, hint)
+        for name, hint in typing.get_type_hints(scorer_type).items()
+    })
 
     t = _field(manifest, "thresholds", dict)
     try:
@@ -320,7 +279,11 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         raise DataError("bundle thresholds hold non-finite values")
     if np.any(values[2] < 0):
         raise DataError("bundle thresholds hold a negative sigma")
-    pipeline.thresholds = ThresholdSet(
+    thresholds = ThresholdSet(
         alpha=alpha, thresholds=values[0], means=values[1], sigmas=values[2]
+    )
+    pipeline = Pipeline(
+        kind=kind, use_mwes=use_mwes, lexicon=lexicon, tfidf=tfidf, svd=svd,
+        thresholds=thresholds, scorer=scorer,
     )
     return pipeline, lexicon, manifest

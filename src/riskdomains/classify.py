@@ -17,13 +17,44 @@ import numpy as np
 from .corpus import KeywordLexicon
 from .domains import CLASSIFIED_DOMAINS, Domain, N_CLASSIFIED
 from .errors import ConfigError, DataError
-from .networks import MlpModel, RbfModel, mlp_forward, rbf_forward
+from .networks import MlpModel, RbfModel
 from .textnorm import text_to_terms
 from .vectorspace import SvdProjection, TfidfModel, project_all, vectorize_all
 
-# The scorer each model kind holds: the (7, k) megadocument vectors for
-# cosine, a trained network for mlp and rbf.
-SCORER_TYPES = {"cosine": np.ndarray, "mlp": MlpModel, "rbf": RbfModel}
+
+@dataclass(frozen=True)
+class CosineModel:
+    """The cosine baseline: one megadocument vector per classified domain."""
+
+    vectors: np.ndarray  # (7, k), no zero row
+
+    def __post_init__(self):
+        if self.vectors.ndim != 2 or self.vectors.shape[0] != N_CLASSIFIED:
+            raise DataError(
+                f"expected {N_CLASSIFIED} megadocument vectors, "
+                f"got an array of shape {list(self.vectors.shape)}"
+            )
+        for domain, row in zip(CLASSIFIED_DOMAINS, self.vectors):
+            if not row.any():
+                raise DataError(f"megadocument vector for {domain} is the zero vector")
+
+    def scores(self, x: np.ndarray) -> np.ndarray:
+        """Row-normalized products with the vectors, clipped to [-1, 1]."""
+        vectors = self.vectors
+        if x.shape[1] != vectors.shape[1]:
+            raise DataError(
+                f"cosine input dimension {x.shape[1]} does not match "
+                f"megadocument vectors {vectors.shape[1]}"
+            )
+        norms = np.outer(np.linalg.norm(x, axis=1), np.linalg.norm(vectors, axis=1))
+        if np.any(norms == 0.0):
+            raise DataError("cosine of a zero vector is undefined")
+        return np.clip(x @ vectors.T / norms, -1.0, 1.0)
+
+
+# The scorer type each model kind holds.
+SCORER_TYPES = {"cosine": CosineModel, "mlp": MlpModel, "rbf": RbfModel}
+Scorer = CosineModel | MlpModel | RbfModel
 
 
 @dataclass(frozen=True)
@@ -92,62 +123,40 @@ def assign(
     ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pipeline:
-    """Everything needed to classify raw text; all stages immutable once set.
+    """Everything needed to classify raw text, complete and checked when built.
 
     lexicon is the lexicon the pipeline fuses phrases with: its keyphrases
     are already dropped when use_mwes is false. scorer is of the type
-    SCORER_TYPES gives for kind.
+    SCORER_TYPES gives for kind (ConfigError otherwise) and scores the
+    svd.k-dimensional vectors the SVD gives (DataError otherwise).
     """
 
-    kind: str                          # cosine | mlp | rbf
-    use_mwes: bool = True
-    lexicon: KeywordLexicon | None = None
-    tfidf: TfidfModel | None = None
-    svd: SvdProjection | None = None
-    thresholds: ThresholdSet | None = None
-    scorer: np.ndarray | MlpModel | RbfModel | None = None
+    kind: str  # cosine | mlp | rbf
+    use_mwes: bool
+    lexicon: KeywordLexicon
+    tfidf: TfidfModel
+    svd: SvdProjection
+    thresholds: ThresholdSet
+    scorer: Scorer
 
-    def _require(self, name: str):
-        value = getattr(self, name)
-        if value is None:
-            raise ConfigError(f"pipeline stage {name!r} is not fitted")
-        return value
-
-    def checked_scorer(self):
-        """The scorer, after checking that it is the one kind calls for."""
+    def __post_init__(self):
         expected = SCORER_TYPES.get(self.kind)
         if expected is None:
             raise ConfigError(f"unknown model kind {self.kind!r}")
         if not isinstance(self.scorer, expected):
             raise ConfigError(
-                f"{self.kind} pipeline needs a fitted {expected.__name__} scorer, "
+                f"{self.kind} pipeline needs a {expected.__name__} scorer, "
                 f"got {type(self.scorer).__name__}"
             )
-        return self.scorer
+        # Each scorer checks the width of what it scores; probe it once.
+        self.scorer.scores(np.eye(1, self.svd.k))
 
 
-def score_vectors(pipeline: Pipeline, x: np.ndarray) -> np.ndarray:
-    """Batch scores (N, 7) for projected document vectors.
-
-    The cosine scores are the row-normalized products with the megadocument
-    vectors, clipped to [-1, 1].
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    scorer = pipeline.checked_scorer()
-    if pipeline.kind == "mlp":
-        return mlp_forward(scorer, x)
-    if pipeline.kind == "rbf":
-        return rbf_forward(scorer, x)
-    if scorer.shape[0] != N_CLASSIFIED:
-        raise DataError(
-            f"expected {N_CLASSIFIED} megadocument vectors, got {scorer.shape[0]}"
-        )
-    norms = np.outer(np.linalg.norm(x, axis=1), np.linalg.norm(scorer, axis=1))
-    if np.any(norms == 0.0):
-        raise DataError("cosine of a zero vector is undefined")
-    return np.clip(x @ scorer.T / norms, -1.0, 1.0)
+def score_vectors(scorer: Scorer, x: np.ndarray) -> np.ndarray:
+    """Batch scores (N, 7) of a scorer for projected document vectors."""
+    return scorer.scores(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
 
 def embed(pipeline: Pipeline, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -156,11 +165,10 @@ def embed(pipeline: Pipeline, texts: Sequence[str]) -> tuple[np.ndarray, np.ndar
     known[i] is False when text i has no term in the vocabulary; its vector
     is all zero.
     """
-    tfidf = pipeline._require("tfidf")
-    svd = pipeline._require("svd")
-    phrases = pipeline._require("lexicon").all_phrases()
-    matrix = vectorize_all(tfidf, [text_to_terms(text, phrases) for text in texts])
-    return project_all(svd, matrix), np.diff(matrix.indptr) > 0
+    phrases = pipeline.lexicon.all_phrases()
+    terms = [text_to_terms(text, phrases) for text in texts]
+    matrix = vectorize_all(pipeline.tfidf, terms)
+    return project_all(pipeline.svd, matrix), np.diff(matrix.indptr) > 0
 
 
 def classify_paragraph(
@@ -181,7 +189,6 @@ def classify_batch(
 ) -> tuple[list[list[Domain]], np.ndarray]:
     """Classify texts in order; output order equals input order."""
     vectors, known = embed(pipeline, texts)
-    thresholds = pipeline._require("thresholds")
     scores = np.zeros((len(texts), N_CLASSIFIED))
-    scores[known] = score_vectors(pipeline, vectors[known])
-    return assign(scores, thresholds, known), scores
+    scores[known] = score_vectors(pipeline.scorer, vectors[known])
+    return assign(scores, pipeline.thresholds, known), scores

@@ -474,6 +474,8 @@ def load_paragraphs(path: str | Path) -> list[Paragraph]:
         text = require_field(obj, "text", where)
         if not isinstance(text, str):
             raise DataError(f"{where}: field 'text' must be a string")
+        if not text:
+            raise DataError(f"{where}: field 'text' is empty")
         paragraphs.append(
             Paragraph(id=pid, text=text, source=obj.get("source", "training"))
         )

@@ -26,20 +26,43 @@ MLP_DROPOUT = (0.2, 0.5)
 RBF_DROPOUT = 0.2
 
 
+def _check_shapes(model: str, **expected: tuple[np.ndarray, tuple | None]) -> None:
+    """DataError naming the first parameter (keyword) whose array is not of
+    its expected shape; a shape of None accepts any matrix."""
+    for name, (array, shape) in expected.items():
+        if (array.ndim != 2) if shape is None else (array.shape != shape):
+            want = "a matrix" if shape is None else f"shape {list(shape)}"
+            raise DataError(
+                f"{model} parameter {name} has shape {list(array.shape)}, "
+                f"expected {want}"
+            )
+
+
 @dataclass
 class MlpModel:
-    """Three affine blocks in->100->100->7 with ReLU, ReLU, sigmoid."""
+    """Three affine blocks k->H1->H2->7 with ReLU, ReLU, sigmoid; trained H = HIDDEN."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
+    w1: np.ndarray  # (k, H1)
+    b1: np.ndarray  # (H1,)
+    w2: np.ndarray  # (H1, H2)
+    b2: np.ndarray  # (H2,)
+    w3: np.ndarray  # (H2, 7)
+    b3: np.ndarray  # (7,)
+
+    def __post_init__(self):
+        _check_shapes("mlp", w1=(self.w1, None), w3=(self.w3, None))
+        h1, h2 = self.w1.shape[1], self.w3.shape[0]
+        _check_shapes(
+            "mlp", b1=(self.b1, (h1,)), w2=(self.w2, (h1, h2)), b2=(self.b2, (h2,)),
+            w3=(self.w3, (h2, N_CLASSIFIED)), b3=(self.b3, (N_CLASSIFIED,)),
+        )
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
                 "w3": self.w3, "b3": self.b3}
+
+    def scores(self, x: np.ndarray) -> np.ndarray:
+        return mlp_forward(self, x)
 
 
 @dataclass
@@ -47,12 +70,22 @@ class RbfModel:
     """Gaussian layer over fixed prototypes plus one trained linear layer."""
 
     prototypes: np.ndarray  # (H, k)
-    width: float
+    width: float            # finite, > 0
     w: np.ndarray           # (H, 7)
     b: np.ndarray           # (7,)
 
+    def __post_init__(self):
+        _check_shapes("rbf", prototypes=(self.prototypes, None))
+        h = self.prototypes.shape[0]
+        _check_shapes("rbf", w=(self.w, (h, N_CLASSIFIED)), b=(self.b, (N_CLASSIFIED,)))
+        if not (np.isfinite(self.width) and self.width > 0.0):
+            raise DataError(f"rbf width must be finite and positive, got {self.width}")
+
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "b": self.b}
+
+    def scores(self, x: np.ndarray) -> np.ndarray:
+        return rbf_forward(self, x)
 
 
 @dataclass

@@ -8,6 +8,7 @@ multisets into megadocuments; mlp and rbf never build them.
 Disabling MWEs removes the keyphrases from both weak labeling and fusion,
 which is the ablation arm. This is the one place that decides the lexicon a
 pipeline fuses with: the trained Pipeline carries it, and bundles store it.
+The Pipeline is built last, from the finished stages, and checks them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import Pipeline, calibrate, score_vectors
+from .classify import SCORER_TYPES, CosineModel, Pipeline, calibrate, score_vectors
 from .corpus import KeywordLexicon, Paragraph, build_megadocuments, weak_label
 from .domains import CLASSIFIED_DOMAINS, DOMAIN_INDEX
 from .errors import ConfigError, DataError, RiskDomainsError
@@ -57,8 +58,10 @@ class PipelineOptions:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.kind not in ("cosine", "mlp", "rbf"):
+        if self.kind not in SCORER_TYPES:
             raise ConfigError(f"unknown model kind {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.svd_k < 1:
             raise ConfigError(f"svd_k must be >= 1, got {self.svd_k}")
         alpha = self.effective_alpha()
@@ -119,26 +122,13 @@ def train_pipeline(
         svd = fit_svd(matrix, k=options.svd_k)
         vectors = project_all(svd, matrix)
 
-    pipeline = Pipeline(
-        kind=options.kind,
-        use_mwes=options.use_mwes,
-        lexicon=lexicon,
-        tfidf=tfidf,
-        svd=svd,
-    )
     history: list[float] = []
-
     if options.kind == "cosine":
         with _stage("megadocuments"):
             megadocs = build_megadocuments(corpus, term_docs)
         with _stage("megadocument_vectors"):
             megadoc_terms = [megadocs[d] for d in CLASSIFIED_DOMAINS]
-            megadoc_vectors = project_all(svd, vectorize_all(tfidf, megadoc_terms))
-            norms = np.linalg.norm(megadoc_vectors, axis=1)
-            if np.any(norms == 0.0):
-                dead = CLASSIFIED_DOMAINS[int(np.argmin(norms))]
-                raise DataError(f"megadocument vector for {dead} is zero")
-            pipeline.scorer = megadoc_vectors
+            scorer = CosineModel(project_all(svd, vectorize_all(tfidf, megadoc_terms)))
     else:
         labels = np.array([DOMAIN_INDEX[d] for _, d in corpus.entries])
         targets = one_hot(labels)
@@ -150,7 +140,7 @@ def train_pipeline(
         )
         if options.kind == "mlp":
             with _stage("train_mlp"):
-                pipeline.scorer, history = train_mlp(vectors, targets, config)
+                scorer, history = train_mlp(vectors, targets, config)
         else:
             with _stage("rbf_prototypes"):
                 by_domain = {
@@ -159,12 +149,15 @@ def train_pipeline(
                 prototypes = build_rbf_prototypes(by_domain, seed=options.seed)
                 width = compute_rbf_width(prototypes)
             with _stage("train_rbf"):
-                model, history = train_rbf(prototypes, width, vectors, targets, config)
-                pipeline.scorer = model
+                scorer, history = train_rbf(prototypes, width, vectors, targets, config)
 
     with _stage("calibrate"):
-        calibration_scores = score_vectors(pipeline, vectors)
-        pipeline.thresholds = calibrate(calibration_scores, options.effective_alpha())
+        scores = score_vectors(scorer, vectors)
+        thresholds = calibrate(scores, options.effective_alpha())
+    pipeline = Pipeline(
+        kind=options.kind, use_mwes=options.use_mwes, lexicon=lexicon, tfidf=tfidf,
+        svd=svd, thresholds=thresholds, scorer=scorer,
+    )
     return TrainedPipeline(
         pipeline=pipeline, weakly_labeled=len(corpus), loss_history=history
     )

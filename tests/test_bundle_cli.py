@@ -10,7 +10,7 @@ import pytest
 
 import riskdomains.bundle as bundle_module
 from riskdomains.bundle import load_bundle, save_bundle
-from riskdomains.classify import Pipeline, classify_batch
+from riskdomains.classify import classify_batch
 from riskdomains.cli import _ALLOWED_KEYS, build_parser, main
 from riskdomains.corpus import lexicon_to_json, load_gold
 from riskdomains.domains import Domain
@@ -193,11 +193,16 @@ class TestBundleErrors:
         load_bundle(saved)
         assert [p.name for p in saved.parent.iterdir()] == [saved.name]
 
-    def test_failed_save_removes_directory(self, tmp_path):
+    def test_failed_save_removes_directory(self, trained_mlp, tmp_path, monkeypatch):
+        def disk_full(directory, name, array, dtype):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(bundle_module, "_write_array", disk_full)
         target = tmp_path / "halfway"
-        with pytest.raises(DataError):
-            save_bundle(target, Pipeline(kind="mlp"))
+        with pytest.raises(OSError, match="disk full"):
+            save_bundle(target, trained_mlp.pipeline)
         assert not target.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 def run_cli(argv, capsys):

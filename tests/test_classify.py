@@ -1,10 +1,12 @@
 """Threshold calibration, open-world assignment, and end-to-end scoring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from riskdomains.classify import (
-    Pipeline,
+    CosineModel,
     ThresholdSet,
     assign,
     calibrate,
@@ -14,6 +16,7 @@ from riskdomains.classify import (
 )
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import ConfigError, DataError
+from riskdomains.networks import init_mlp
 from riskdomains.pipeline import DEFAULT_ALPHA
 
 
@@ -32,7 +35,7 @@ def assign_row(scores, thresholds: ThresholdSet):
 
 
 def cosine_scores(x, megadocs):
-    return score_vectors(Pipeline(kind="cosine", scorer=megadocs), x)
+    return score_vectors(CosineModel(np.asarray(megadocs, dtype=np.float64)), x)
 
 
 class TestCalibrate:
@@ -253,6 +256,16 @@ class TestCosineBaseline:
         with pytest.raises(DataError):
             cosine_scores(np.ones(4), np.ones((6, 4)))
 
+    def test_vectors_must_be_a_matrix(self):
+        with pytest.raises(DataError, match=r"shape \[7\]"):
+            CosineModel(np.ones(7))
+
+    def test_zero_row_names_its_domain(self):
+        vectors = np.eye(7)
+        vectors[3] = 0.0
+        with pytest.raises(DataError, match=str(CLASSIFIED_DOMAINS[3])):
+            CosineModel(vectors)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(DataError, match="zero vector"):
             cosine_scores(np.vstack([np.ones(7), np.zeros(7)]), np.eye(7))
@@ -316,48 +329,25 @@ class TestClassifyText:
 
 
 class TestUnfittedPipeline:
-    def test_missing_stage_is_named(self):
-        pipeline = Pipeline(kind="mlp")
-        with pytest.raises(ConfigError, match="tfidf"):
-            classify_batch(pipeline, ["some text"])
+    """A Pipeline is checked when it is built, so none is ever half fitted."""
 
     def test_unknown_kind(self, trained_mlp):
-        fitted = trained_mlp.pipeline
-        broken = Pipeline(
-            kind="forest",
-            lexicon=fitted.lexicon,
-            tfidf=fitted.tfidf,
-            svd=fitted.svd,
-            thresholds=fitted.thresholds,
-        )
         with pytest.raises(ConfigError, match="forest"):
-            classify_batch(broken, ["some text"])
+            dataclasses.replace(trained_mlp.pipeline, kind="forest")
 
     def test_missing_scorer_for_kind(self, trained_mlp):
-        fitted = trained_mlp.pipeline
-        broken = Pipeline(
-            kind="rbf",
-            lexicon=fitted.lexicon,
-            tfidf=fitted.tfidf,
-            svd=fitted.svd,
-            thresholds=fitted.thresholds,
-        )
         with pytest.raises(ConfigError, match="rbf"):
-            classify_batch(broken, ["some text"])
-
+            dataclasses.replace(trained_mlp.pipeline, kind="rbf", scorer=None)
 
     def test_scorer_of_wrong_type_for_kind(self, trained_mlp):
-        fitted = trained_mlp.pipeline
-        broken = Pipeline(
-            kind="rbf",
-            lexicon=fitted.lexicon,
-            tfidf=fitted.tfidf,
-            svd=fitted.svd,
-            thresholds=fitted.thresholds,
-            scorer=fitted.scorer,
-        )
         with pytest.raises(ConfigError, match="rbf"):
-            classify_batch(broken, ["some text"])
+            dataclasses.replace(trained_mlp.pipeline, kind="rbf")
+
+    def test_scorer_input_width_must_match_svd(self, trained_mlp):
+        k = trained_mlp.pipeline.svd.k
+        narrow = init_mlp(k - 1, np.random.default_rng(0))
+        with pytest.raises(DataError, match=f"input dimension {k} does not match"):
+            dataclasses.replace(trained_mlp.pipeline, scorer=narrow)
 
 
 class TestThresholdSetValidation:

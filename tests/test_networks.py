@@ -97,6 +97,28 @@ class TestMlpForward:
         with pytest.raises(DataError):
             mlp_forward(model, np.ones((1, 9)))
 
+    @pytest.mark.parametrize(
+        "name, shape",
+        [
+            ("w1", (10,)),
+            ("b1", (HIDDEN, 1)),
+            ("w2", (50, 200)),
+            ("b2", (HIDDEN, 1)),
+            ("w3", (HIDDEN, 6)),
+            ("b3", (7, 1)),
+        ],
+    )
+    def test_parameter_shapes_must_fit(self, name, shape):
+        params = self.zero_model().params()
+        params[name] = np.zeros(shape)
+        with pytest.raises(DataError, match=rf"\b{name}\b.*shape \[{shape[0]}"):
+            MlpModel(**params)
+
+    def test_scores_is_the_forward_pass(self):
+        model = init_mlp(10, np.random.default_rng(3))
+        x = np.random.default_rng(4).normal(size=(5, 10))
+        assert np.array_equal(model.scores(x), mlp_forward(model, x))
+
 
 class TestGradients:
     @pytest.mark.parametrize("loss", ["cce", "bce", "mse"])
@@ -291,6 +313,30 @@ class TestRbfPieces:
         model = RbfModel(prototypes=prototypes, width=1.0, w=np.zeros((2, 7)), b=np.zeros(7))
         with pytest.raises(DataError):
             rbf_forward(model, np.ones((1, 4)))
+
+    @pytest.mark.parametrize(
+        "change, pattern",
+        [
+            ({"prototypes": np.zeros(6)}, r"prototypes .*shape \[6\]"),
+            ({"w": np.zeros((3, 7))}, r"\bw\b.*shape \[3, 7\]"),
+            ({"b": np.zeros((7, 1))}, r"\bb\b.*shape \[7, 1\]"),
+            ({"width": 0.0}, "width"),
+            ({"width": -1.0}, "width"),
+            ({"width": float("nan")}, "width"),
+            ({"width": float("inf")}, "width"),
+        ],
+    )
+    def test_parameters_must_fit(self, change, pattern):
+        params = {"prototypes": np.zeros((2, 3)), "width": 1.0,
+                  "w": np.zeros((2, 7)), "b": np.zeros(7)}
+        with pytest.raises(DataError, match=pattern):
+            RbfModel(**{**params, **change})
+
+    def test_scores_is_the_forward_pass(self):
+        rng = np.random.default_rng(5)
+        model = init_rbf(rng.normal(size=(6, 4)), width=0.8, rng=rng)
+        x = rng.normal(size=(3, 4))
+        assert np.array_equal(model.scores(x), rbf_forward(model, x))
 
 
 class TestTraining:

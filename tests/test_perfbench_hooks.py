@@ -1,7 +1,8 @@
 """The names and shapes the benchmark harness relies on still hold.
 
 perfbench/tracing.py replaces module-level references to the functions it
-names; a rename in src/ would silently drop that span from the benchmark.
+names; a rename in src/ would silently drop that span from the benchmark,
+and so would a call that no longer goes through the module attribute.
 perfbench/worker.py and run.py unpack three values from load_bundle.
 """
 
@@ -9,6 +10,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from riskdomains import classify, networks
 from riskdomains.bundle import load_bundle, save_bundle
 from riskdomains.classify import Pipeline
 from riskdomains.corpus import KeywordLexicon
@@ -36,3 +40,30 @@ def test_load_bundle_returns_pipeline_lexicon_manifest(trained_mlp, tmp_path):
     assert isinstance(pipeline, Pipeline)
     assert isinstance(lexicon, KeywordLexicon)
     assert isinstance(manifest, dict)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "rbf"])
+def test_classify_batch_calls_patched_module_attributes(
+    kind, trained_mlp, trained_rbf, small_corpus, monkeypatch
+):
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [
+        (networks, "mlp_forward"),
+        (networks, "rbf_forward"),
+        (classify, "score_vectors"),
+    ]:
+        spy(module, name)
+    pipeline = {"mlp": trained_mlp, "rbf": trained_rbf}[kind].pipeline
+    paragraphs, _, _ = small_corpus
+    classify.classify_batch(pipeline, [p.text for p in paragraphs[:5]])
+    assert calls == ["score_vectors", f"{kind}_forward"]

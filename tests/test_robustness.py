@@ -61,6 +61,16 @@ def edit_manifest(mutate):
     return corrupt
 
 
+def reshape_array(name, reshape):
+    """Give one array a new shape of the same size in the manifest."""
+
+    def mutate(manifest):
+        spec = manifest["arrays"][name]
+        spec["shape"] = reshape(spec["shape"])
+
+    return edit_manifest(mutate)
+
+
 def nan_idf(bundle):
     path = bundle / "idf.bin"
     n = len(path.read_bytes()) // 8
@@ -227,12 +237,51 @@ CASES = {
         "Appearance",
     ),
     "bundle_array_file_in_parent": (corrupt_bundle("mlp", idf_outside), 2),
+    "bundle_idf_column": (
+        corrupt_bundle("mlp", reshape_array("idf", lambda s: [*s, 1])),
+        2,
+        r"idf/df arrays of shapes \[\d+, 1\]",
+    ),
+    "bundle_svd_singular_values_reshaped": (
+        corrupt_bundle(
+            "mlp", reshape_array("svd_singular_values", lambda s: [2, s[0] // 2])
+        ),
+        2,
+        "singular values",
+    ),
+    "bundle_mlp_w2_reshaped": (
+        corrupt_bundle("mlp", reshape_array("mlp_w2", lambda s: [s[0] // 2, s[1] * 2])),
+        2,
+        r"mlp parameter w2 has shape \[50, 200\]",
+    ),
+    "bundle_mlp_b2_column": (
+        corrupt_bundle("mlp", reshape_array("mlp_b2", lambda s: [*s, 1])),
+        2,
+        r"mlp parameter b2 has shape \[100, 1\]",
+    ),
+    "bundle_rbf_b_column": (
+        corrupt_bundle("rbf", reshape_array("rbf_b", lambda s: [*s, 1])),
+        2,
+        r"rbf parameter b has shape \[7, 1\]",
+    ),
+    "bundle_megadoc_vectors_reshaped": (
+        corrupt_bundle("cosine", reshape_array("megadoc_vectors", lambda s: s[::-1])),
+        2,
+        "megadocument vectors",
+    ),
     "classify_seed_flag": (classify_with_seed, 1),
     "train_rbf_too_few_paragraphs": (
         train_rbf_on_small_synth, 2, r"domain Appearance has \d+ weakly labeled"
     ),
     "corpus_text_not_string": (classify_corpus_lines('{"id": "a", "text": 5}'), 2),
     "corpus_record_not_object": (classify_corpus_lines('["a", "text"]'), 2),
+    "corpus_text_empty": (
+        classify_corpus_lines(
+            '{"id": "a", "text": "anxious depressed tearful"}', '{"id": "b", "text": ""}'
+        ),
+        2,
+        r"corpus\.jsonl:2",
+    ),
     "corpus_id_null": (
         classify_corpus_lines('{"id": null, "text": "anxious depressed tearful"}'),
         2,
@@ -305,6 +354,7 @@ CASES = {
     "config_svd_k_string": (train_with(config={"svd_k": "abc"}), 1, "svd_k"),
     "config_svd_k_fraction": (train_with(config={"svd_k": 7.9}), 1, "svd_k"),
     "config_epochs_list": (train_with(config={"epochs": [3]}), 1, "epochs"),
+    "train_seed_negative": (train_with(config={"seed": -1}), 1, "seed"),
     "config_synth_count_string": (
         synth_with({"paragraphs_per_domain": "x"}), 1, "paragraphs_per_domain"
     ),
