@@ -8,13 +8,16 @@ reproduces byte-identical files.
 
 A scorer is stored field by field under its kind's SCORER_PREFIXES entry: an
 array field f as <prefix>f.bin, a scalar as the manifest field <prefix>f.
-Loading walks the same fields; the scorer type checks the shapes.
+Loading walks the same fields. The loader only reads: the stage types
+(TfidfModel, SvdProjection, the scorer, ThresholdSet, Pipeline) check the
+shapes and values when they are built.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import shutil
 import tempfile
 import typing
@@ -23,7 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .classify import SCORER_TYPES, Pipeline, ThresholdSet
-from .corpus import KeywordLexicon, lexicon_from_json, lexicon_to_json
+from .corpus import (
+    KeywordLexicon, is_json_type, lexicon_from_json, lexicon_to_json, require_field,
+)
 from .domains import CLASSIFIED_DOMAINS
 from .errors import DataError
 from .vectorspace import SvdProjection, TfidfModel, Vocabulary
@@ -43,17 +48,6 @@ def _write_array(directory: Path, name: str, array: np.ndarray, dtype: str) -> d
     return {"file": path.name, "shape": list(array.shape), "dtype": dtype}
 
 
-def _instance(type_):
-    """A convert for _field that accepts only values of one JSON type."""
-
-    def check(value):
-        if not isinstance(value, type_):
-            raise TypeError(value)
-        return value
-
-    return check
-
-
 def _bundle_file(directory: Path, name: str) -> Path:
     """directory/name, for a plain file name that stays inside the bundle."""
     if name in ("", ".", "..") or "/" in name or "\\" in name:
@@ -62,20 +56,23 @@ def _bundle_file(directory: Path, name: str) -> Path:
 
 
 def _read_array(
-    directory: Path, spec: dict, name: str, order: str = "C"
+    directory: Path, arrays: dict, name: str, order: str = "C"
 ) -> np.ndarray:
-    try:
-        path = _bundle_file(directory, _instance(str)(spec["file"]))
-        shape = tuple(_instance(int)(d) for d in spec["shape"])
-        dtype = _DTYPES[spec["dtype"]]
-    except (KeyError, TypeError):
-        raise DataError(f"bundle manifest entry for array {name!r} is malformed")
-    if any(d < 0 for d in shape):
-        raise DataError(f"bundle array {name!r} has a negative dimension")
+    """The array arrays[name] indexes, in the given memory order."""
+    where = f"bundle array {name!r}"
+    spec = require_field(arrays, name, "bundle manifest arrays", dict)
+    path = _bundle_file(directory, require_field(spec, "file", where, str))
+    dtype = _DTYPES.get(require_field(spec, "dtype", where, str))
+    if dtype is None:
+        raise DataError(f"{where}: dtype must be one of {sorted(_DTYPES)}")
+    shape = tuple(require_field(spec, "shape", where, list))
+    if not all(is_json_type(d, int) and d >= 0 for d in shape):
+        raise DataError(f"{where}: shape must be a list of non-negative integers")
     if not path.is_file():
         raise DataError(f"bundle array file missing: {path}")
     raw = path.read_bytes()
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    # Python ints, so that no shape can overflow into a matching size.
+    expected = math.prod(shape) * dtype.itemsize
     if len(raw) != expected:
         raise DataError(
             f"bundle array {name!r} has {len(raw)} bytes, "
@@ -83,21 +80,11 @@ def _read_array(
         )
     # frombuffer views are read-only; copy into an owned native-order array
     # laid out in the requested memory order.
-    native = np.float64 if spec["dtype"] == "<f8" else np.int64
+    native = np.float64 if dtype.kind == "f" else np.int64
     array = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(native, order=order)
     if native is np.float64 and not np.isfinite(array).all():
         raise DataError(f"bundle array {name!r} holds non-finite values")
     return array
-
-
-def _field(manifest: dict, key: str, convert):
-    """A required manifest field, passed through convert (int, float, ...)."""
-    if key not in manifest:
-        raise DataError(f"bundle manifest lacks field {key!r}")
-    try:
-        return convert(manifest[key])
-    except (TypeError, ValueError):
-        raise DataError(f"bundle manifest field {key!r} is malformed")
 
 
 def save_bundle(
@@ -180,12 +167,13 @@ def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None
 
 
 def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
-    """Load a bundle; validates format version, fields, shapes and finiteness.
+    """Load a bundle: returns the pipeline, its lexicon and the manifest.
 
-    Returns the pipeline, its lexicon and the manifest. A bundle whose
-    manifest says use_mwes false fuses no keyphrases, whatever its stored
-    lexicon holds. Manifest fields the reader does not use, such as the
-    mlp_dropout and rbf_dropout that older bundles carry, are ignored.
+    Every manifest field is read by corpus.require_field, with its JSON
+    type; the stage types check shapes and values when they are built. A
+    bundle whose manifest says use_mwes false fuses no keyphrases, whatever
+    its stored lexicon holds. Manifest fields the reader does not use, such
+    as the mlp_dropout and rbf_dropout that older bundles carry, are ignored.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -197,91 +185,68 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         raise DataError(f"{manifest_path}: invalid JSON: {e}")
     if not isinstance(manifest, dict):
         raise DataError(f"{manifest_path}: manifest must be a JSON object")
-    version = manifest.get("format_version")
+    where = str(manifest_path)
+    version = require_field(manifest, "format_version", where, int)
     if version != FORMAT_VERSION:
         raise DataError(
             f"bundle format version {version!r} not supported "
             f"(reader expects {FORMAT_VERSION})"
         )
-    order = manifest.get("domain_order")
+    order = require_field(manifest, "domain_order", where)
     if order != [d.value for d in CLASSIFIED_DOMAINS]:
         raise DataError(
             "bundle domain order does not match this reader; refusing to "
             "misinterpret model outputs"
         )
-    arrays = _field(manifest, "arrays", _instance(dict))
+    arrays = require_field(manifest, "arrays", where, dict)
 
     def arr(name: str, order: str = "C") -> np.ndarray:
-        if name not in arrays:
-            raise DataError(f"bundle manifest lacks array {name!r}")
-        return _read_array(directory, arrays[name], name, order)
+        return _read_array(directory, arrays, name, order)
 
     vocab_file = _bundle_file(
-        directory, _field(manifest, "vocabulary_file", _instance(str))
+        directory, require_field(manifest, "vocabulary_file", where, str)
     )
     if not vocab_file.is_file():
         raise DataError(f"bundle vocabulary file missing: {vocab_file}")
     terms = tuple(vocab_file.read_text(encoding="utf-8").splitlines())
-    idf = arr("idf")
-    df = arr("df")
-    if idf.shape != (len(terms),) or df.shape != (len(terms),):
-        raise DataError(
-            f"vocabulary size {len(terms)} does not match idf/df arrays of "
-            f"shapes {list(idf.shape)}/{list(df.shape)}"
-        )
     vocabulary = Vocabulary(
-        terms=terms, index={t: i for i, t in enumerate(terms)}, df=df
+        terms=terms, index={t: i for i, t in enumerate(terms)}, df=arr("df")
     )
     tfidf = TfidfModel(
         vocabulary=vocabulary,
-        idf=idf,
-        corpus_size=_field(manifest, "corpus_size", int),
+        idf=arr("idf"),
+        corpus_size=require_field(manifest, "corpus_size", where, int),
     )
     # SvdProjection holds its components in Fortran order.
-    components = arr("svd_components", order="F")
-    singular_values = arr("svd_singular_values")
-    if (
-        components.shape[1:] != (len(terms),)
-        or singular_values.shape != components.shape[:1]
-    ):
-        raise DataError(
-            f"svd components of shape {list(components.shape)} and singular values "
-            f"of shape {list(singular_values.shape)} do not fit {len(terms)} terms"
-        )
-    svd = SvdProjection(components=components, singular_values=singular_values)
-    lexicon = lexicon_from_json(manifest.get("lexicon", {}), manifest_path)
-    use_mwes = _field(manifest, "use_mwes", _instance(bool))
+    svd = SvdProjection(
+        components=arr("svd_components", order="F"),
+        singular_values=arr("svd_singular_values"),
+    )
+    lexicon = lexicon_from_json(require_field(manifest, "lexicon", where), where)
+    use_mwes = require_field(manifest, "use_mwes", where, bool)
     if not use_mwes:
         lexicon = lexicon.without_keyphrases()
 
-    kind = _field(manifest, "kind", str)
+    kind = require_field(manifest, "kind", where, str)
     if kind not in SCORER_TYPES:
         raise DataError(f"bundle has unknown model kind {kind!r}")
     scorer_type, prefix = SCORER_TYPES[kind], SCORER_PREFIXES[kind]
     scorer = scorer_type(**{
         name: arr(prefix + name) if hint is np.ndarray
-        else _field(manifest, prefix + name, hint)
+        else require_field(manifest, prefix + name, where, hint)
         for name, hint in typing.get_type_hints(scorer_type).items()
     })
 
-    t = _field(manifest, "thresholds", dict)
-    try:
-        alpha = float(t["alpha"])
-        values = [
-            np.array([float(t[key][d.value]) for d in CLASSIFIED_DOMAINS])
-            for key in ("min", "mean", "sigma")
-        ]
-    except KeyError as e:
-        raise DataError(f"bundle thresholds are missing {e}")
-    except (TypeError, ValueError):
-        raise DataError("bundle thresholds are malformed")
-    if not (np.isfinite(alpha) and all(np.isfinite(v).all() for v in values)):
-        raise DataError("bundle thresholds hold non-finite values")
-    if np.any(values[2] < 0):
-        raise DataError("bundle thresholds hold a negative sigma")
-    thresholds = ThresholdSet(
-        alpha=alpha, thresholds=values[0], means=values[1], sigmas=values[2]
-    )
+    t = require_field(manifest, "thresholds", where, dict)
+    t_where = f"{where}: thresholds"
+    per_domain = []  # min, mean and sigma, the order of ThresholdSet's fields
+    for key in ("min", "mean", "sigma"):
+        table = require_field(t, key, t_where, dict)
+        per_domain.append(np.array([
+            require_field(table, d.value, f"{t_where}.{key}", float)
+            for d in CLASSIFIED_DOMAINS
+        ]))
+    thresholds = ThresholdSet(require_field(t, "alpha", t_where, float), *per_domain)
     pipeline = Pipeline(
         kind=kind, use_mwes=use_mwes, lexicon=lexicon, tfidf=tfidf, svd=svd,
         thresholds=thresholds, scorer=scorer,

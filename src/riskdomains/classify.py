@@ -70,8 +70,11 @@ class ThresholdSet:
                 raise ConfigError(
                     f"threshold arrays must have shape ({N_CLASSIFIED},)"
                 )
+        values = (self.alpha, self.thresholds, self.means, self.sigmas)
+        if not all(np.isfinite(v).all() for v in values):
+            raise DataError("thresholds hold non-finite values")
         if np.any(self.sigmas < 0):
-            raise ConfigError("negative sigma in threshold set")
+            raise DataError("thresholds hold a negative sigma")
 
 
 def calibrate(scores: np.ndarray, alpha: float) -> ThresholdSet:
@@ -129,8 +132,9 @@ class Pipeline:
 
     lexicon is the lexicon the pipeline fuses phrases with: its keyphrases
     are already dropped when use_mwes is false. scorer is of the type
-    SCORER_TYPES gives for kind (ConfigError otherwise) and scores the
-    svd.k-dimensional vectors the SVD gives (DataError otherwise).
+    SCORER_TYPES gives for kind (ConfigError otherwise); svd projects the
+    tfidf vocabulary, and scorer scores the svd.k-dimensional vectors the
+    SVD gives (DataError otherwise).
     """
 
     kind: str  # cosine | mlp | rbf
@@ -149,6 +153,12 @@ class Pipeline:
             raise ConfigError(
                 f"{self.kind} pipeline needs a {expected.__name__} scorer, "
                 f"got {type(self.scorer).__name__}"
+            )
+        terms = len(self.tfidf.vocabulary)
+        if self.svd.components.shape[1] != terms:
+            raise DataError(
+                f"svd components of shape {list(self.svd.components.shape)} "
+                f"do not fit {terms} terms"
             )
         # Each scorer checks the width of what it scores; probe it once.
         self.scorer.scores(np.eye(1, self.svd.k))

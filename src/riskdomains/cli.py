@@ -81,35 +81,22 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
-_TYPE_NAMES = {
-    str: "a string", int: "an integer", float: "a number", bool: "true or false"
-}
-
-
-def _is_json_type(value, expected: type) -> bool:
-    """A bool is no int, and an int is accepted where a float is expected."""
-    if isinstance(value, bool):
-        return expected is bool
-    if expected is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, expected)
-
-
 class _Options:
     """Flag > config > default resolution with key and type checks."""
 
     def __init__(self, args: argparse.Namespace, allowed: dict[str, type]):
         self._args = vars(args)
-        self._config = _load_config(self._args.get("config"))
-        unknown = set(self._config) - set(allowed)
+        path = self._args.get("config")
+        config = _load_config(path)
+        unknown = set(config) - set(allowed)
         if unknown:
             raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
-        for key, value in self._config.items():
-            if not _is_json_type(value, allowed[key]):
-                raise ConfigError(
-                    f"config key {key!r} must be {_TYPE_NAMES[allowed[key]]}, "
-                    f"got {value!r}"
-                )
+        try:
+            self._config = {
+                key: require_field(config, key, path, allowed[key]) for key in config
+            }
+        except DataError as e:
+            raise ConfigError(str(e)) from None
 
     def get(self, key: str, default=None):
         value = self._args.get(key)
@@ -181,10 +168,11 @@ def cmd_train(opts: _Options) -> int:
         "seed": options.seed,
     }
     if options.kind != "cosine":
+        config = options.train_config()
         training_info.update(
-            epochs=options.effective_epochs(),
-            batch_size=options.batch_size,
-            loss=options.effective_loss(),
+            epochs=config.epochs,
+            batch_size=config.batch_size,
+            loss=config.loss,
             final_loss=trained.loss_history[-1] if trained.loss_history else None,
         )
     path = save_bundle(out, trained.pipeline, training_info)

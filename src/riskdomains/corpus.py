@@ -66,17 +66,17 @@ class KeywordLexicon:
         self.keyphrases: dict[Domain, list[MwePhrase]] = {}
         for domain in CLASSIFIED_DOMAINS:
             kws, phrases = entries.get(domain, ([], []))
-            for w in kws:
-                if not w or w != w.lower():
-                    raise ConfigError(f"lexicon keyword not lowercase: {w!r}")
+            # A word that is not one word of tokenize's output can never match.
+            for w in [*kws, *(w for p in phrases for w in p.words)]:
+                if tokenize(w) != [w]:
+                    raise ConfigError(
+                        f"lexicon word {w!r} of {domain} is not a run of letters a-z"
+                    )
             if len(set(kws)) != len(kws):
                 raise ConfigError(f"duplicate keywords for {domain}")
             seqs = [p.words for p in phrases]
             if len(set(seqs)) != len(seqs):
                 raise ConfigError(f"duplicate keyphrases for {domain}")
-            for p in phrases:
-                if any(w != w.lower() for w in p.words):
-                    raise ConfigError(f"lexicon keyphrase not lowercase: {p.words}")
             self.keywords[domain] = list(kws)
             self.keyphrases[domain] = list(phrases)
 
@@ -471,9 +471,7 @@ def write_paragraphs(path: str | Path, paragraphs: list[Paragraph]) -> None:
 def load_paragraphs(path: str | Path) -> list[Paragraph]:
     paragraphs: list[Paragraph] = []
     for where, pid, obj in read_records(path):
-        text = require_field(obj, "text", where)
-        if not isinstance(text, str):
-            raise DataError(f"{where}: field 'text' must be a string")
+        text = require_field(obj, "text", where, str)
         if not text:
             raise DataError(f"{where}: field 'text' is empty")
         paragraphs.append(
@@ -568,10 +566,36 @@ def load_lexicon(path: str | Path) -> KeywordLexicon:
     return lexicon_from_json(obj, path)
 
 
-def require_field(obj: dict, key: str, where: str):
+_TYPE_NAMES = {
+    str: "a string", int: "an integer", float: "a number", bool: "true or false",
+    list: "a list", dict: "an object",
+}
+
+
+def is_json_type(value, expected: type) -> bool:
+    """A bool is no int, and an int is accepted where a float is expected."""
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
+def require_field(obj: dict, key: str, where: str, expected: type | None = None):
+    """obj[key], which must exist and, given expected, be of that JSON type.
+
+    Nothing is converted, except that an int read as a float is returned as
+    one. Errors are DataErrors prefixed by where and do not echo the value,
+    which may be clinical text.
+    """
     if key not in obj:
         raise DataError(f"{where}: missing field {key!r}")
-    return obj[key]
+    value = obj[key]
+    if expected is None:
+        return value
+    if not is_json_type(value, expected):
+        raise DataError(f"{where}: field {key!r} must be {_TYPE_NAMES[expected]}")
+    return float(value) if expected is float else value
 
 
 def read_records(path: str | Path):
@@ -598,7 +622,7 @@ def read_records(path: str | Path):
             if not isinstance(obj, dict):
                 raise DataError(f"{where}: record must be a JSON object")
             raw = require_field(obj, "id", where)
-            if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+            if not (is_json_type(raw, str) or is_json_type(raw, int)):
                 raise DataError(f"{where}: field 'id' must be a string or an integer")
             pid = str(raw)
             if pid in seen:

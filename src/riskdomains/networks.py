@@ -24,6 +24,10 @@ PROTOTYPES_PER_DOMAIN = 50
 # layers, and the RBF network's input.
 MLP_DROPOUT = (0.2, 0.5)
 RBF_DROPOUT = 0.2
+ADAM_LR = 0.001
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _check_shapes(model: str, **expected: tuple[np.ndarray, tuple | None]) -> None:
@@ -90,10 +94,6 @@ class RbfModel:
 
 @dataclass
 class AdamState:
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -256,13 +256,13 @@ def adam_step(
             state.v[name] = np.zeros_like(g)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        mhat = m / (1.0 - state.beta1**t)
-        vhat = v / (1.0 - state.beta2**t)
-        params[name] -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        mhat = m / (1.0 - ADAM_BETA1**t)
+        vhat = v / (1.0 - ADAM_BETA2**t)
+        params[name] -= ADAM_LR * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def _check_training_inputs(x: np.ndarray, y: np.ndarray) -> None:
@@ -422,14 +422,9 @@ def compute_rbf_width(prototypes: np.ndarray) -> float:
     between prototypes, so the divisor uses a count of one.
     """
     prototypes = np.asarray(prototypes, dtype=np.float64)
-    h = prototypes.shape[0]
-    if h < 2:
+    if prototypes.shape[0] < 2:
         raise DataError("need at least 2 prototypes to compute a width")
-    d_max = 0.0
-    # Chunked pairwise max distance keeps memory flat for large H.
-    for start in range(0, h, 256):
-        block = cdist(prototypes[start : start + 256], prototypes)
-        d_max = max(d_max, float(block.max()))
+    d_max = float(cdist(prototypes, prototypes).max())
     if d_max == 0.0:
         raise DataError("all prototypes coincide; RBF width would be zero")
     return d_max / np.sqrt(2.0)

@@ -67,19 +67,21 @@ class PipelineOptions:
         alpha = self.effective_alpha()
         if not np.isfinite(alpha):
             raise ConfigError(f"alpha must be finite, got {alpha}")
+        self.train_config().validate()
 
     def effective_alpha(self) -> float:
         return DEFAULT_ALPHA[self.kind] if self.alpha is None else float(self.alpha)
 
-    def effective_epochs(self) -> int:
-        if self.epochs is not None:
-            return self.epochs
-        return DEFAULT_EPOCHS.get(self.kind, 0)
+    def train_config(self) -> TrainConfig:
+        """Network training settings with the per-kind defaults filled in.
 
-    def effective_loss(self) -> str:
-        if self.loss is not None:
-            return self.loss
-        return DEFAULT_LOSS.get(self.kind, "cce")
+        cosine trains no network; validate checks its settings all the same.
+        """
+        epochs = DEFAULT_EPOCHS.get(self.kind, 1) if self.epochs is None else self.epochs
+        loss = DEFAULT_LOSS.get(self.kind, "cce") if self.loss is None else self.loss
+        return TrainConfig(
+            epochs=epochs, batch_size=self.batch_size, seed=self.seed, loss=loss
+        )
 
 
 @dataclass
@@ -132,12 +134,7 @@ def train_pipeline(
     else:
         labels = np.array([DOMAIN_INDEX[d] for _, d in corpus.entries])
         targets = one_hot(labels)
-        config = TrainConfig(
-            epochs=options.effective_epochs(),
-            batch_size=options.batch_size,
-            seed=options.seed,
-            loss=options.effective_loss(),
-        )
+        config = options.train_config()
         if options.kind == "mlp":
             with _stage("train_mlp"):
                 scorer, history = train_mlp(vectors, targets, config)

@@ -37,8 +37,16 @@ class Vocabulary:
 @dataclass(frozen=True)
 class TfidfModel:
     vocabulary: Vocabulary
-    idf: np.ndarray
+    idf: np.ndarray  # (V,), as is vocabulary.df
     corpus_size: int
+
+    def __post_init__(self):
+        n, idf, df = len(self.vocabulary), self.idf, self.vocabulary.df
+        if idf.shape != (n,) or df.shape != (n,):
+            raise DataError(
+                f"vocabulary size {n} does not match idf/df arrays of "
+                f"shapes {list(idf.shape)}/{list(df.shape)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,14 @@ class SvdProjection:
 
     components: np.ndarray       # (k, V), rows orthonormal
     singular_values: np.ndarray  # (k,), non-increasing
+
+    def __post_init__(self):
+        components, singular_values = self.components, self.singular_values
+        if components.ndim != 2 or singular_values.shape != components.shape[:1]:
+            raise DataError(
+                f"svd components of shape {list(components.shape)} and singular "
+                f"values of shape {list(singular_values.shape)} do not fit together"
+            )
 
     @property
     def k(self) -> int:

@@ -1,6 +1,7 @@
 """Bundle persistence and the command line interface."""
 
 import argparse
+import copy
 import dataclasses
 import json
 from pathlib import Path
@@ -203,6 +204,52 @@ class TestBundleErrors:
             save_bundle(target, trained_mlp.pipeline)
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
+
+
+def scalar_leaves(node, keys=()):
+    """(keys, value) for every scalar in a JSON value; keys lead to it."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from scalar_leaves(child, (*keys, key))
+    else:
+        yield keys, node
+
+
+# A value of another JSON type for each leaf type: true is no integer, "1" is
+# no number, and 1 is neither a string nor true or false.
+OTHER_TYPE = {bool: 1, int: True, float: "1", str: 1}
+
+
+@pytest.mark.parametrize("kind", ["mlp", "rbf"])
+def test_every_manifest_leaf_is_type_checked(kind, trained_mlp, trained_rbf, tmp_path):
+    """Each scalar leaf of the manifest outside training and lexicon, set to
+    null and then to a value of another JSON type, fails with DataError."""
+    pipeline = {"mlp": trained_mlp, "rbf": trained_rbf}[kind].pipeline
+    saved = save_bundle(tmp_path / "bundle", pipeline)
+    path = saved / "manifest.json"
+    manifest = json.loads(path.read_text())
+    leaves = [
+        (keys, value) for keys, value in scalar_leaves(manifest)
+        if keys[0] not in ("training", "lexicon")
+    ]
+    if kind == "rbf":
+        assert (("rbf_width",), pipeline.scorer.width) in leaves
+    loaded = []
+    for keys, value in leaves:
+        for bad in (None, OTHER_TYPE[type(value)]):
+            edited = copy.deepcopy(manifest)
+            node = edited
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = bad
+            path.write_text(json.dumps(edited))
+            try:
+                load_bundle(saved)
+            except DataError:
+                continue
+            loaded.append((keys, bad))
+    assert loaded == []
 
 
 def run_cli(argv, capsys):

@@ -18,6 +18,7 @@ from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import ConfigError, DataError
 from riskdomains.networks import init_mlp
 from riskdomains.pipeline import DEFAULT_ALPHA
+from riskdomains.vectorspace import SvdProjection
 
 
 def flat_thresholds(value: float) -> ThresholdSet:
@@ -349,6 +350,13 @@ class TestUnfittedPipeline:
         with pytest.raises(DataError, match=f"input dimension {k} does not match"):
             dataclasses.replace(trained_mlp.pipeline, scorer=narrow)
 
+    def test_svd_must_fit_vocabulary(self, trained_mlp):
+        svd = trained_mlp.pipeline.svd
+        terms = svd.components.shape[1]
+        narrow = SvdProjection(svd.components[:, 1:], svd.singular_values)
+        with pytest.raises(DataError, match=f"do not fit {terms} terms"):
+            dataclasses.replace(trained_mlp.pipeline, svd=narrow)
+
 
 class TestThresholdSetValidation:
     def test_wrong_shape(self):
@@ -361,13 +369,22 @@ class TestThresholdSetValidation:
             )
 
     def test_negative_sigma(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="negative sigma"):
             ThresholdSet(
                 alpha=1.0,
                 thresholds=np.zeros(7),
                 means=np.zeros(7),
                 sigmas=np.full(7, -0.1),
             )
+
+    @pytest.mark.parametrize("field", ["alpha", "thresholds", "means", "sigmas"])
+    def test_non_finite_value(self, field):
+        values = dict(
+            alpha=1.0, thresholds=np.zeros(7), means=np.zeros(7), sigmas=np.zeros(7)
+        )
+        values[field] = np.inf if field == "alpha" else np.full(7, np.nan)
+        with pytest.raises(DataError, match="non-finite"):
+            ThresholdSet(**values)
 
 
 def test_calibrated_pipelines_use_default_alphas(

@@ -15,6 +15,7 @@ from riskdomains.corpus import (
     load_gold,
     load_lexicon,
     load_paragraphs,
+    require_field,
     validate_labels,
     weak_label,
     write_gold,
@@ -254,6 +255,40 @@ class TestValidation:
         paragraph = Paragraph(id="p", text="text")
         with pytest.raises(DataError):
             AnnotatedParagraph(paragraph=paragraph, labels=(Domain.OTHER, Domain.MOOD))
+
+    @pytest.mark.parametrize("word", ["Anxious", "self-harm", "mood2", "", "a b"])
+    def test_keyword_must_be_a_word_tokenize_gives(self, word):
+        with pytest.raises(ConfigError, match="not a run of letters a-z"):
+            KeywordLexicon({Domain.MOOD: ([word], [])})
+
+    @pytest.mark.parametrize("word", ["Down", "self-harm", "mood2"])
+    def test_keyphrase_words_must_be_words_tokenize_gives(self, word):
+        phrase = MwePhrase(("low", word), "Mood")
+        with pytest.raises(ConfigError, match="not a run of letters a-z"):
+            KeywordLexicon({Domain.MOOD: ([], [phrase])})
+
+
+class TestRequireField:
+    def test_missing_field_is_named(self):
+        with pytest.raises(DataError, match="here: missing field 'k'"):
+            require_field({}, "k", "here")
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(True, int), (1, bool), ("1", float), (1.5, int), (None, str), ([], dict)],
+    )
+    def test_other_json_type_is_refused(self, value, expected):
+        with pytest.raises(DataError, match="here: field 'k' must be"):
+            require_field({"k": value}, "k", "here", expected)
+
+    def test_int_read_as_number_is_a_float(self):
+        value = require_field({"k": 2}, "k", "here", float)
+        assert value == 2.0 and type(value) is float
+
+    def test_value_is_returned_as_is(self):
+        table = {"a": 1}
+        assert require_field({"k": table}, "k", "here", dict) is table
+        assert require_field({"k": None}, "k", "here") is None
 
 
 class TestFileFormats:

@@ -170,6 +170,17 @@ def train_with(config=None, lexicon=None):
     return case
 
 
+def train_with_lexicon_edit(mutate):
+    """Train with the good lexicon after mutate has edited its JSON object."""
+
+    def case(tmp_path, corpus_files, bundles):
+        lexicon = json.loads((corpus_files / "lexicon.json").read_text())
+        mutate(lexicon)
+        return train_with(lexicon=lexicon)(tmp_path, corpus_files, bundles)
+
+    return case
+
+
 def synth_with(config):
     """Run synth with a config file."""
 
@@ -269,6 +280,70 @@ CASES = {
         2,
         "megadocument vectors",
     ),
+    "bundle_rbf_width_true": (
+        corrupt_bundle("rbf", edit_manifest(lambda m: m.update(rbf_width=True))),
+        2,
+        "rbf_width",
+    ),
+    "bundle_rbf_width_string": (
+        corrupt_bundle("rbf", edit_manifest(lambda m: m.update(rbf_width="0.9"))),
+        2,
+        "rbf_width",
+    ),
+    "bundle_corpus_size_string": (
+        corrupt_bundle("mlp", edit_manifest(lambda m: m.update(corpus_size="12"))),
+        2,
+        "corpus_size",
+    ),
+    "bundle_corpus_size_fraction": (
+        corrupt_bundle("mlp", edit_manifest(lambda m: m.update(corpus_size=7.9))),
+        2,
+        "corpus_size",
+    ),
+    "bundle_thresholds_alpha_string": (
+        corrupt_bundle(
+            "mlp", edit_manifest(lambda m: m["thresholds"].update(alpha="0.5"))
+        ),
+        2,
+        "alpha",
+    ),
+    "bundle_threshold_min_string": (
+        corrupt_bundle(
+            "mlp", edit_manifest(lambda m: m["thresholds"]["min"].update(Mood="0.01"))
+        ),
+        2,
+        "Mood",
+    ),
+    "bundle_threshold_min_true": (
+        corrupt_bundle(
+            "mlp", edit_manifest(lambda m: m["thresholds"]["min"].update(Mood=True))
+        ),
+        2,
+        "Mood",
+    ),
+    "bundle_thresholds_pairs": (
+        corrupt_bundle(
+            "mlp",
+            edit_manifest(
+                lambda m: m.update(thresholds=sorted(m["thresholds"].items()))
+            ),
+        ),
+        2,
+        "thresholds",
+    ),
+    "bundle_array_shape_bool": (
+        corrupt_bundle("mlp", reshape_array("mlp_b3", lambda s: [True, *s])),
+        2,
+        "mlp_b3",
+    ),
+    "bundle_array_shape_huge": (
+        corrupt_bundle("mlp", reshape_array("idf", lambda s: [2**64 + s[0]])),
+        2,
+        "idf",
+    ),
+    "bundle_no_lexicon": (
+        corrupt_bundle("mlp", edit_manifest(lambda m: m.pop("lexicon"))), 2, "lexicon"
+    ),
     "classify_seed_flag": (classify_with_seed, 1),
     "train_rbf_too_few_paragraphs": (
         train_rbf_on_small_synth, 2, r"domain Appearance has \d+ weakly labeled"
@@ -355,6 +430,29 @@ CASES = {
     "config_svd_k_fraction": (train_with(config={"svd_k": 7.9}), 1, "svd_k"),
     "config_epochs_list": (train_with(config={"epochs": [3]}), 1, "epochs"),
     "train_seed_negative": (train_with(config={"seed": -1}), 1, "seed"),
+    "train_cosine_epochs_zero": (
+        train_with(config={"kind": "cosine", "epochs": 0}), 1, "epochs"
+    ),
+    "train_cosine_loss_unknown": (
+        train_with(config={"kind": "cosine", "loss": "hinge"}), 1, "hinge"
+    ),
+    "train_batch_size_zero": (
+        train_with(config={"kind": "mlp", "batch_size": 0}), 1, "^error: batch_size"
+    ),
+    "lexicon_keyword_hyphen": (
+        train_with_lexicon_edit(
+            lambda lex: lex["Mood"]["keywords"].append("self-harm")
+        ),
+        1,
+        "self-harm",
+    ),
+    "lexicon_keyphrase_digit": (
+        train_with_lexicon_edit(
+            lambda lex: lex["Mood"]["keyphrases"].append("low mood2")
+        ),
+        1,
+        "mood2",
+    ),
     "config_synth_count_string": (
         synth_with({"paragraphs_per_domain": "x"}), 1, "paragraphs_per_domain"
     ),

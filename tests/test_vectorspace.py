@@ -13,6 +13,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import DataError, NumericalError
 from riskdomains.vectorspace import (
+    SvdProjection,
+    TfidfModel,
     fit_svd,
     fit_tfidf,
     lda_2d,
@@ -45,6 +47,12 @@ class TestTfidf:
         assert idf["patient"] == pytest.approx(1.0, abs=1e-12)
         assert idf["anxious"] == pytest.approx(math.log(1.5) + 1, abs=1e-12)
         assert idf["anxious"] == pytest.approx(1.405465, abs=1e-6)
+
+    def test_idf_and_df_must_fit_vocabulary(self):
+        model = fit_tfidf(TWO_DOCS)
+        column = model.idf[:, None]
+        with pytest.raises(DataError, match=r"size 3 .* shapes \[3, 1\]/\[3\]"):
+            TfidfModel(model.vocabulary, column, model.corpus_size)
 
     def test_single_document_idf_is_one(self):
         model = fit_tfidf([Counter(["a", "b", "c"])])
@@ -112,6 +120,14 @@ class TestTfidf:
 
 
 class TestSvd:
+    @pytest.mark.parametrize(
+        "components, singular_values",
+        [(np.ones(4), np.ones(1)), (np.ones((2, 4)), np.ones(3))],
+    )
+    def test_projection_shapes_must_fit(self, components, singular_values):
+        with pytest.raises(DataError, match="do not fit together"):
+            SvdProjection(components, singular_values)
+
     def test_identity_singular_values(self):
         projection = fit_svd(sp.identity(3, format="csr"), k=3)
         assert np.allclose(projection.singular_values, [1.0, 1.0, 1.0], atol=1e-12)
