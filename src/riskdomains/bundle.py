@@ -6,11 +6,15 @@ the manifest stays humanly diffable. Nothing in a bundle depends on wall
 time; retraining with the same inputs, seed and BLAS thread count
 reproduces byte-identical files.
 
+A bundle stores only what cannot be recomputed; the stage types derive the
+idf, the term index and the thresholds. Format 1 bundles, which also stored
+idf.bin and thresholds.min, load through the same code, which ignores both.
+
 A scorer is stored field by field under its kind's SCORER_PREFIXES entry: an
 array field f as <prefix>f.bin, a scalar as the manifest field <prefix>f.
 Loading walks the same fields. The loader only reads: the stage types
-(TfidfModel, SvdProjection, the scorer, ThresholdSet, Pipeline) check the
-shapes and values when they are built.
+(Vocabulary, TfidfModel, SvdProjection, the scorer, ThresholdSet, Pipeline)
+check the shapes and values when they are built.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ from .corpus import (
     KeywordLexicon, is_json_type, lexicon_from_json, lexicon_to_json, require_field,
 )
 from .domains import CLASSIFIED_DOMAINS
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .vectorspace import SvdProjection, TfidfModel, Vocabulary
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 VOCAB_NAME = "vocabulary.txt"
 
@@ -122,7 +126,6 @@ def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None
     tfidf = pipeline.tfidf
     svd = pipeline.svd
     arrays = {
-        "idf": _write_array(directory, "idf", tfidf.idf, "<f8"),
         "df": _write_array(directory, "df", tfidf.vocabulary.df, "<i8"),
         "svd_components": _write_array(
             directory, "svd_components", svd.components, "<f8"
@@ -156,7 +159,6 @@ def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None
     t = pipeline.thresholds
     manifest["thresholds"] = {
         "alpha": t.alpha,
-        "min": {d.value: t.thresholds[i] for i, d in enumerate(CLASSIFIED_DOMAINS)},
         "mean": {d.value: t.means[i] for i, d in enumerate(CLASSIFIED_DOMAINS)},
         "sigma": {d.value: t.sigmas[i] for i, d in enumerate(CLASSIFIED_DOMAINS)},
     }
@@ -173,7 +175,8 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
     type; the stage types check shapes and values when they are built. A
     bundle whose manifest says use_mwes false fuses no keyphrases, whatever
     its stored lexicon holds. Manifest fields the reader does not use, such
-    as the mlp_dropout and rbf_dropout that older bundles carry, are ignored.
+    as the arrays.idf, thresholds.min, mlp_dropout and rbf_dropout that older
+    bundles carry, are ignored.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -181,16 +184,16 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         raise DataError(f"not a model bundle (no {MANIFEST_NAME}): {directory}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{manifest_path}: invalid JSON: {e}")
     if not isinstance(manifest, dict):
         raise DataError(f"{manifest_path}: manifest must be a JSON object")
     where = str(manifest_path)
     version = require_field(manifest, "format_version", where, int)
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise DataError(
             f"bundle format version {version!r} not supported "
-            f"(reader expects {FORMAT_VERSION})"
+            f"(reader expects 1 or {FORMAT_VERSION})"
         )
     order = require_field(manifest, "domain_order", where)
     if order != [d.value for d in CLASSIFIED_DOMAINS]:
@@ -208,13 +211,12 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
     )
     if not vocab_file.is_file():
         raise DataError(f"bundle vocabulary file missing: {vocab_file}")
-    terms = tuple(vocab_file.read_text(encoding="utf-8").splitlines())
-    vocabulary = Vocabulary(
-        terms=terms, index={t: i for i, t in enumerate(terms)}, df=arr("df")
-    )
+    try:
+        terms = tuple(vocab_file.read_text(encoding="utf-8").splitlines())
+    except UnicodeDecodeError as e:
+        raise DataError(f"{vocab_file}: invalid UTF-8: {e}")
     tfidf = TfidfModel(
-        vocabulary=vocabulary,
-        idf=arr("idf"),
+        vocabulary=Vocabulary(terms=terms, df=arr("df")),
         corpus_size=require_field(manifest, "corpus_size", where, int),
     )
     # SvdProjection holds its components in Fortran order.
@@ -222,7 +224,10 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         components=arr("svd_components", order="F"),
         singular_values=arr("svd_singular_values"),
     )
-    lexicon = lexicon_from_json(require_field(manifest, "lexicon", where), where)
+    try:
+        lexicon = lexicon_from_json(require_field(manifest, "lexicon", where), where)
+    except ConfigError as e:
+        raise DataError(f"{where}: lexicon: {e}")
     use_mwes = require_field(manifest, "use_mwes", where, bool)
     if not use_mwes:
         lexicon = lexicon.without_keyphrases()
@@ -239,8 +244,8 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
 
     t = require_field(manifest, "thresholds", where, dict)
     t_where = f"{where}: thresholds"
-    per_domain = []  # min, mean and sigma, the order of ThresholdSet's fields
-    for key in ("min", "mean", "sigma"):
+    per_domain = []  # mean and sigma, the order of ThresholdSet's fields
+    for key in ("mean", "sigma"):
         table = require_field(t, key, t_where, dict)
         per_domain.append(np.array([
             require_field(table, d.value, f"{t_where}.{key}", float)

@@ -9,7 +9,7 @@ exists because some domains score systematically higher than others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -60,16 +60,19 @@ Scorer = CosineModel | MlpModel | RbfModel
 @dataclass(frozen=True)
 class ThresholdSet:
     alpha: float
-    thresholds: np.ndarray  # (7,) min_d
-    means: np.ndarray       # (7,) retained for audit
+    means: np.ndarray       # (7,)
     sigmas: np.ndarray      # (7,)
+    thresholds: np.ndarray = field(init=False)  # (7,) min_d
 
     def __post_init__(self):
-        for arr in (self.thresholds, self.means, self.sigmas):
+        for arr in (self.means, self.sigmas):
             if arr.shape != (N_CLASSIFIED,):
                 raise ConfigError(
                     f"threshold arrays must have shape ({N_CLASSIFIED},)"
                 )
+        with np.errstate(all="ignore"):  # a non-finite threshold is refused below
+            thresholds = self.means + self.alpha * self.sigmas
+        object.__setattr__(self, "thresholds", thresholds)
         values = (self.alpha, self.thresholds, self.means, self.sigmas)
         if not all(np.isfinite(v).all() for v in values):
             raise DataError("thresholds hold non-finite values")
@@ -95,12 +98,7 @@ def calibrate(scores: np.ndarray, alpha: float) -> ThresholdSet:
     columns = [scores[:, i] for i in range(N_CLASSIFIED)]
     means = np.array([float(np.mean(c)) for c in columns])
     sigmas = np.array([float(np.std(c)) for c in columns])
-    return ThresholdSet(
-        alpha=float(alpha),
-        thresholds=means + alpha * sigmas,
-        means=means,
-        sigmas=sigmas,
-    )
+    return ThresholdSet(alpha=float(alpha), means=means, sigmas=sigmas)
 
 
 def assign(

@@ -162,7 +162,7 @@ def cmd_train(opts: _Options) -> int:
     training_info = {
         "corpus": corpus_path.name,
         "paragraphs": len(paragraphs),
-        "weakly_labeled": trained.weakly_labeled,
+        "weakly_labeled": trained.pipeline.tfidf.corpus_size,
         "svd_k": options.svd_k,
         "alpha": options.effective_alpha(),
         "seed": options.seed,

@@ -87,7 +87,6 @@ class PipelineOptions:
 @dataclass
 class TrainedPipeline:
     pipeline: Pipeline
-    weakly_labeled: int
     loss_history: list[float] = field(default_factory=list)
 
 
@@ -155,6 +154,4 @@ def train_pipeline(
         kind=options.kind, use_mwes=options.use_mwes, lexicon=lexicon, tfidf=tfidf,
         svd=svd, thresholds=thresholds, scorer=scorer,
     )
-    return TrainedPipeline(
-        pipeline=pipeline, weakly_labeled=len(corpus), loss_history=history
-    )
+    return TrainedPipeline(pipeline=pipeline, loss_history=history)

@@ -5,15 +5,20 @@ the cosine baseline). The idf is the smoothed plus-one variant
 ln((1+N)/(1+df))+1 and document vectors are L2-normalized, so every idf is
 strictly positive and every non-empty known vector has unit norm.
 
+A fitted model holds only its sources, the sorted terms, their df and N:
+Vocabulary derives the term index and TfidfModel the idf, the same way for a
+trained and a loaded model.
+
 The truncated SVD is one ARPACK run on the sparse matrix; only k = min(N, V),
 which ARPACK cannot return, takes the exact dense SVD.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -26,9 +31,19 @@ from .errors import DataError, NumericalError
 
 @dataclass(frozen=True)
 class Vocabulary:
-    terms: tuple[str, ...]
-    index: dict[str, int]
-    df: np.ndarray
+    terms: tuple[str, ...]  # strictly increasing
+    df: np.ndarray  # (V,)
+    index: dict[str, int] = field(init=False)
+
+    def __post_init__(self):
+        n, df = len(self.terms), self.df
+        if df.shape != (n,):
+            raise DataError(
+                f"vocabulary size {n} does not match df array of shape {list(df.shape)}"
+            )
+        if any(map(operator.ge, self.terms, self.terms[1:])):
+            raise DataError("vocabulary terms are not in strictly increasing order")
+        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.terms)})
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -37,16 +52,17 @@ class Vocabulary:
 @dataclass(frozen=True)
 class TfidfModel:
     vocabulary: Vocabulary
-    idf: np.ndarray  # (V,), as is vocabulary.df
     corpus_size: int
+    idf: np.ndarray = field(init=False)  # (V,)
 
     def __post_init__(self):
-        n, idf, df = len(self.vocabulary), self.idf, self.vocabulary.df
-        if idf.shape != (n,) or df.shape != (n,):
+        n, df = self.corpus_size, self.vocabulary.df
+        if not n < 2**63 or np.any((df < 1) | (df > n)):
             raise DataError(
-                f"vocabulary size {n} does not match idf/df arrays of "
-                f"shapes {list(idf.shape)}/{list(df.shape)}"
+                f"document frequencies must lie in [1, corpus_size {n}] "
+                "and corpus_size below 2**63"
             )
+        object.__setattr__(self, "idf", np.log((1.0 + n) / (1.0 + df)) + 1.0)
 
 
 @dataclass(frozen=True)
@@ -74,7 +90,7 @@ class SvdProjection:
 
 
 def fit_tfidf(docs: Sequence[Mapping[str, int]]) -> TfidfModel:
-    """Fit vocabulary, document frequencies and idf over term multisets."""
+    """Fit the vocabulary and its document frequencies over term multisets."""
     if not docs:
         raise DataError("cannot fit TF-IDF on an empty corpus")
     df_counter: Counter = Counter()
@@ -83,15 +99,8 @@ def fit_tfidf(docs: Sequence[Mapping[str, int]]) -> TfidfModel:
     if not df_counter:
         raise DataError("cannot fit TF-IDF: no document has any term")
     terms = tuple(sorted(df_counter))
-    index = {t: i for i, t in enumerate(terms)}
     df = np.array([df_counter[t] for t in terms], dtype=np.int64)
-    n = len(docs)
-    idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
-    return TfidfModel(
-        vocabulary=Vocabulary(terms=terms, index=index, df=df),
-        idf=idf,
-        corpus_size=n,
-    )
+    return TfidfModel(vocabulary=Vocabulary(terms=terms, df=df), corpus_size=len(docs))
 
 
 def vectorize_all(

@@ -4,6 +4,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from riskdomains.bundle import load_bundle, save_bundle
 from riskdomains.classify import classify_batch
 from riskdomains.cli import _ALLOWED_KEYS, build_parser, main
 from riskdomains.corpus import lexicon_to_json, load_gold
-from riskdomains.domains import Domain
+from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import DataError
 from riskdomains.pipeline import PipelineOptions
 
@@ -28,18 +29,18 @@ def dir_bytes(directory) -> dict[str, bytes]:
     }
 
 
-class TestBundleRoundTrip:
-    @pytest.fixture(params=["cosine", "mlp", "rbf", "mlp_nomwe"])
-    def trained(
-        self, request, trained_cosine, trained_mlp, trained_rbf, trained_mlp_nomwe
-    ):
-        return {
-            "cosine": trained_cosine,
-            "mlp": trained_mlp,
-            "rbf": trained_rbf,
-            "mlp_nomwe": trained_mlp_nomwe,
-        }[request.param]
+@pytest.fixture(params=["cosine", "mlp", "rbf", "mlp_nomwe"])
+def trained(request, trained_cosine, trained_mlp, trained_rbf, trained_mlp_nomwe):
+    """Each kind's trained pipeline in turn, and mlp without MWEs."""
+    return {
+        "cosine": trained_cosine,
+        "mlp": trained_mlp,
+        "rbf": trained_rbf,
+        "mlp_nomwe": trained_mlp_nomwe,
+    }[request.param]
 
+
+class TestBundleRoundTrip:
     def test_loaded_bundle_classifies_identically(
         self, trained, small_corpus, tmp_path
     ):
@@ -66,6 +67,14 @@ class TestBundleRoundTrip:
         save_bundle(tmp_path / "b", trained.pipeline, info)
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
+    def test_bundle_holds_only_manifest_listed_files(self, trained, tmp_path):
+        saved = save_bundle(tmp_path / "bundle", trained.pipeline)
+        manifest = json.loads((saved / "manifest.json").read_text())
+        listed = {"manifest.json", manifest["vocabulary_file"]}
+        listed |= {spec["file"] for spec in manifest["arrays"].values()}
+        assert set(dir_bytes(saved)) == listed
+        assert len(listed) == 2 + len(manifest["arrays"])
+
     def test_thresholds_survive_round_trip(self, trained, tmp_path):
         save_bundle(tmp_path / "bundle", trained.pipeline)
         loaded, _, _ = load_bundle(tmp_path / "bundle")
@@ -76,7 +85,33 @@ class TestBundleRoundTrip:
 
 
 class TestOlderBundles:
-    """Bundles written before the manifest lost its dropout fields."""
+    """Bundles written before the manifest lost fields the reader can derive."""
+
+    def test_format_1_bundle_loads_like_format_2(self, trained, small_corpus, tmp_path):
+        """Format 1 also stored idf.bin and thresholds.min; both are ignored."""
+        paragraphs, _, _ = small_corpus
+        saved = save_bundle(tmp_path / "v2", trained.pipeline)
+        old = tmp_path / "v1"
+        shutil.copytree(saved, old)
+        idf, thresholds = trained.pipeline.tfidf.idf, trained.pipeline.thresholds
+        idf.astype("<f8").tofile(old / "idf.bin")
+        path = old / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["format_version"] == 2
+        assert "idf" not in manifest["arrays"] and "min" not in manifest["thresholds"]
+        manifest["format_version"] = 1
+        manifest["arrays"]["idf"] = {
+            "file": "idf.bin", "shape": [len(idf)], "dtype": "<f8"
+        }
+        manifest["thresholds"]["min"] = {
+            d.value: thresholds.thresholds[i] for i, d in enumerate(CLASSIFIED_DOMAINS)
+        }
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        texts = [p.text for p in paragraphs]
+        labels_a, scores_a = classify_batch(load_bundle(saved)[0], texts)
+        labels_b, scores_b = classify_batch(load_bundle(old)[0], texts)
+        assert labels_a == labels_b
+        assert np.array_equal(scores_a, scores_b)
 
     @pytest.mark.parametrize(
         "kind, extra",
@@ -153,8 +188,8 @@ class TestBundleErrors:
             load_bundle(saved)
 
     def test_missing_array_entry(self, saved):
-        self.edit_manifest(saved, lambda m: m["arrays"].pop("idf"))
-        with pytest.raises(DataError, match="idf"):
+        self.edit_manifest(saved, lambda m: m["arrays"].pop("df"))
+        with pytest.raises(DataError, match="df"):
             load_bundle(saved)
 
     def test_vocabulary_size_mismatch(self, saved):

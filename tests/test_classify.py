@@ -22,12 +22,7 @@ from riskdomains.vectorspace import SvdProjection
 
 
 def flat_thresholds(value: float) -> ThresholdSet:
-    return ThresholdSet(
-        alpha=0.0,
-        thresholds=np.full(7, value),
-        means=np.full(7, value),
-        sigmas=np.zeros(7),
-    )
+    return ThresholdSet(alpha=0.0, means=np.full(7, value), sigmas=np.zeros(7))
 
 
 def assign_row(scores, thresholds: ThresholdSet):
@@ -140,8 +135,7 @@ class TestAssign:
     def test_margin_not_raw_score_orders(self):
         thresholds = ThresholdSet(
             alpha=0.0,
-            thresholds=np.array([0.1, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]),
-            means=np.zeros(7),
+            means=np.array([0.1, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]),
             sigmas=np.zeros(7),
         )
         scores = np.array([0.6, 0.95, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -361,28 +355,20 @@ class TestUnfittedPipeline:
 class TestThresholdSetValidation:
     def test_wrong_shape(self):
         with pytest.raises(ConfigError):
-            ThresholdSet(
-                alpha=1.0,
-                thresholds=np.zeros(6),
-                means=np.zeros(6),
-                sigmas=np.zeros(6),
-            )
+            ThresholdSet(alpha=1.0, means=np.zeros(6), sigmas=np.zeros(6))
 
     def test_negative_sigma(self):
         with pytest.raises(DataError, match="negative sigma"):
-            ThresholdSet(
-                alpha=1.0,
-                thresholds=np.zeros(7),
-                means=np.zeros(7),
-                sigmas=np.full(7, -0.1),
-            )
+            ThresholdSet(alpha=1.0, means=np.zeros(7), sigmas=np.full(7, -0.1))
 
     @pytest.mark.parametrize("field", ["alpha", "thresholds", "means", "sigmas"])
     def test_non_finite_value(self, field):
-        values = dict(
-            alpha=1.0, thresholds=np.zeros(7), means=np.zeros(7), sigmas=np.zeros(7)
-        )
-        values[field] = np.inf if field == "alpha" else np.full(7, np.nan)
+        values = dict(alpha=1.0, means=np.zeros(7), sigmas=np.zeros(7))
+        if field == "thresholds":
+            # Finite means and sigmas whose derived thresholds overflow.
+            values.update(means=np.full(7, 1e308), sigmas=np.full(7, 1e308))
+        else:
+            values[field] = np.inf if field == "alpha" else np.full(7, np.nan)
         with pytest.raises(DataError, match="non-finite"):
             ThresholdSet(**values)
 

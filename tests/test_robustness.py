@@ -71,16 +71,58 @@ def reshape_array(name, reshape):
     return edit_manifest(mutate)
 
 
-def nan_idf(bundle):
-    path = bundle / "idf.bin"
+def nan_singular_values(bundle):
+    path = bundle / "svd_singular_values.bin"
     n = len(path.read_bytes()) // 8
     path.write_bytes(np.full(n, np.nan, dtype="<f8").tobytes())
 
 
-def negate_idf_shape(manifest):
+def negate_df_shape(manifest):
     """Two negative dimensions whose product still matches the file size."""
-    (n,) = manifest["arrays"]["idf"]["shape"]
-    manifest["arrays"]["idf"]["shape"] = [-1, -n]
+    (n,) = manifest["arrays"]["df"]["shape"]
+    manifest["arrays"]["df"]["shape"] = [-1, -n]
+
+
+def set_first_df(value):
+    def corrupt(bundle):
+        path = bundle / "df.bin"
+        df = np.fromfile(path, dtype="<i8")
+        df[0] = value
+        df.tofile(path)
+
+    return corrupt
+
+
+def edit_vocabulary(mutate):
+    """Edit the list of vocabulary lines in place; the count stays the same."""
+
+    def corrupt(bundle):
+        path = bundle / "vocabulary.txt"
+        lines = path.read_text().splitlines()
+        mutate(lines)
+        path.write_text("".join(line + "\n" for line in lines))
+
+    return corrupt
+
+
+def swap_first_terms(lines):
+    lines[0], lines[1] = lines[1], lines[0]
+
+
+def repeat_second_term(lines):
+    """The second term overwrites the third, so it appears twice."""
+    lines[2] = lines[1]
+
+
+def insert_invalid_utf8(name):
+    """Insert one 0xff byte, which is never valid UTF-8, into a bundle file."""
+
+    def corrupt(bundle):
+        path = bundle / name
+        raw = path.read_bytes()
+        path.write_bytes(raw[:10] + b"\xff" + raw[10:])
+
+    return corrupt
 
 
 def zero_megadoc_row(bundle):
@@ -98,10 +140,10 @@ def vocabulary_outside(bundle):
     edit_manifest(lambda m: m.update(vocabulary_file=str(outside)))(bundle)
 
 
-def idf_outside(bundle):
-    """Name a copy of idf.bin in the bundle's parent as ../idf.bin."""
-    shutil.copy(bundle / "idf.bin", bundle.parent / "idf.bin")
-    edit_manifest(lambda m: m["arrays"]["idf"].update(file="../idf.bin"))(bundle)
+def df_outside(bundle):
+    """Name a copy of df.bin in the bundle's parent as ../df.bin."""
+    shutil.copy(bundle / "df.bin", bundle.parent / "df.bin")
+    edit_manifest(lambda m: m["arrays"]["df"].update(file="../df.bin"))(bundle)
 
 
 def classify_with_seed(tmp_path, corpus_files, bundles):
@@ -193,7 +235,9 @@ def synth_with(config):
 
 
 CASES = {
-    "bundle_idf_all_nan": (corrupt_bundle("mlp", nan_idf), 2),
+    "bundle_singular_values_all_nan": (
+        corrupt_bundle("mlp", nan_singular_values), 2, "non-finite"
+    ),
     "bundle_no_kind": (
         corrupt_bundle("mlp", edit_manifest(lambda m: m.pop("kind"))), 2
     ),
@@ -233,12 +277,12 @@ CASES = {
     ),
     "bundle_array_shape_not_integers": (
         corrupt_bundle(
-            "mlp", edit_manifest(lambda m: m["arrays"]["idf"].update(shape=["x"]))
+            "mlp", edit_manifest(lambda m: m["arrays"]["df"].update(shape=["x"]))
         ),
         2,
     ),
     "bundle_array_shape_negative": (
-        corrupt_bundle("mlp", edit_manifest(negate_idf_shape)), 2
+        corrupt_bundle("mlp", edit_manifest(negate_df_shape)), 2
     ),
     "bundle_vocabulary_file_absolute": (corrupt_bundle("mlp", vocabulary_outside), 2),
     # No paragraph has a known term, so no cosine is ever computed.
@@ -247,11 +291,49 @@ CASES = {
         2,
         "Appearance",
     ),
-    "bundle_array_file_in_parent": (corrupt_bundle("mlp", idf_outside), 2),
-    "bundle_idf_column": (
-        corrupt_bundle("mlp", reshape_array("idf", lambda s: [*s, 1])),
+    "bundle_array_file_in_parent": (corrupt_bundle("mlp", df_outside), 2),
+    "bundle_df_column": (
+        corrupt_bundle("mlp", reshape_array("df", lambda s: [*s, 1])),
         2,
-        r"idf/df arrays of shapes \[\d+, 1\]",
+        r"df array of shape \[\d+, 1\]",
+    ),
+    "bundle_df_negative": (
+        corrupt_bundle("mlp", set_first_df(-5)), 2, "document frequencies"
+    ),
+    "bundle_df_above_corpus_size": (
+        corrupt_bundle("cosine", set_first_df(10**6)), 2, "corpus_size"
+    ),
+    "bundle_vocabulary_swapped_lines": (
+        corrupt_bundle("mlp", edit_vocabulary(swap_first_terms)), 2, "increasing"
+    ),
+    "bundle_vocabulary_duplicated_line": (
+        corrupt_bundle("mlp", edit_vocabulary(repeat_second_term)), 2, "increasing"
+    ),
+    "bundle_manifest_invalid_utf8": (
+        corrupt_bundle("mlp", insert_invalid_utf8("manifest.json")),
+        2,
+        r"manifest\.json: .*utf-8",
+    ),
+    "bundle_vocabulary_invalid_utf8": (
+        corrupt_bundle("mlp", insert_invalid_utf8("vocabulary.txt")),
+        2,
+        r"vocabulary\.txt: .*UTF-8",
+    ),
+    "bundle_lexicon_keyword_uppercase": (
+        corrupt_bundle(
+            "mlp",
+            edit_manifest(lambda m: m["lexicon"]["Mood"]["keywords"].append("Self")),
+        ),
+        2,
+        "Self",
+    ),
+    "bundle_lexicon_keyword_duplicate": (
+        corrupt_bundle(
+            "mlp",
+            edit_manifest(lambda m: m["lexicon"]["Mood"]["keywords"].append("anxious")),
+        ),
+        2,
+        "duplicate keywords",
     ),
     "bundle_svd_singular_values_reshaped": (
         corrupt_bundle(
@@ -300,6 +382,18 @@ CASES = {
         2,
         "corpus_size",
     ),
+    "bundle_thresholds_alpha_infinite": (
+        corrupt_bundle(
+            "mlp", edit_manifest(lambda m: m["thresholds"].update(alpha=float("inf")))
+        ),
+        2,
+        "non-finite",
+    ),
+    "bundle_corpus_size_huge": (
+        corrupt_bundle("mlp", edit_manifest(lambda m: m.update(corpus_size=10**400))),
+        2,
+        "corpus_size",
+    ),
     "bundle_thresholds_alpha_string": (
         corrupt_bundle(
             "mlp", edit_manifest(lambda m: m["thresholds"].update(alpha="0.5"))
@@ -307,16 +401,16 @@ CASES = {
         2,
         "alpha",
     ),
-    "bundle_threshold_min_string": (
+    "bundle_threshold_mean_string": (
         corrupt_bundle(
-            "mlp", edit_manifest(lambda m: m["thresholds"]["min"].update(Mood="0.01"))
+            "mlp", edit_manifest(lambda m: m["thresholds"]["mean"].update(Mood="0.01"))
         ),
         2,
         "Mood",
     ),
-    "bundle_threshold_min_true": (
+    "bundle_threshold_sigma_true": (
         corrupt_bundle(
-            "mlp", edit_manifest(lambda m: m["thresholds"]["min"].update(Mood=True))
+            "mlp", edit_manifest(lambda m: m["thresholds"]["sigma"].update(Mood=True))
         ),
         2,
         "Mood",
@@ -337,9 +431,9 @@ CASES = {
         "mlp_b3",
     ),
     "bundle_array_shape_huge": (
-        corrupt_bundle("mlp", reshape_array("idf", lambda s: [2**64 + s[0]])),
+        corrupt_bundle("mlp", reshape_array("df", lambda s: [2**64 + s[0]])),
         2,
-        "idf",
+        "df",
     ),
     "bundle_no_lexicon": (
         corrupt_bundle("mlp", edit_manifest(lambda m: m.pop("lexicon"))), 2, "lexicon"

@@ -15,6 +15,7 @@ from riskdomains.errors import DataError, NumericalError
 from riskdomains.vectorspace import (
     SvdProjection,
     TfidfModel,
+    Vocabulary,
     fit_svd,
     fit_tfidf,
     lda_2d,
@@ -49,10 +50,25 @@ class TestTfidf:
         assert idf["anxious"] == pytest.approx(1.405465, abs=1e-6)
 
     def test_idf_and_df_must_fit_vocabulary(self):
-        model = fit_tfidf(TWO_DOCS)
-        column = model.idf[:, None]
-        with pytest.raises(DataError, match=r"size 3 .* shapes \[3, 1\]/\[3\]"):
-            TfidfModel(model.vocabulary, column, model.corpus_size)
+        vocabulary = fit_tfidf(TWO_DOCS).vocabulary
+        column = vocabulary.df[:, None]
+        with pytest.raises(DataError, match=r"size 3 .* shape \[3, 1\]"):
+            Vocabulary(vocabulary.terms, column)
+
+    @pytest.mark.parametrize(
+        "terms", [("anxious", "patient", "calm"), ("anxious", "calm", "calm")]
+    )
+    def test_terms_must_be_strictly_increasing(self, terms):
+        with pytest.raises(DataError, match="strictly increasing"):
+            Vocabulary(terms, np.ones(3, dtype=np.int64))
+
+    @pytest.mark.parametrize("bad_df", [0, -5, 3])
+    def test_df_must_lie_in_one_to_corpus_size(self, bad_df):
+        vocabulary = fit_tfidf(TWO_DOCS).vocabulary
+        df = vocabulary.df.copy()
+        df[0] = bad_df
+        with pytest.raises(DataError, match=r"\[1, corpus_size 2\]"):
+            TfidfModel(Vocabulary(vocabulary.terms, df), corpus_size=2)
 
     def test_single_document_idf_is_one(self):
         model = fit_tfidf([Counter(["a", "b", "c"])])
