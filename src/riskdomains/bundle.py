@@ -1,10 +1,12 @@
 """Model bundle persistence: a directory of raw arrays plus manifest.json.
 
-Every array lives in its own file of raw little-endian 64-bit values with
-its shape and dtype recorded in the manifest, so bundles are portable and
-the manifest stays humanly diffable. Nothing in a bundle depends on wall
-time; retraining with the same inputs, seed and BLAS thread count
-reproduces byte-identical files.
+Every array lives in its own file of raw little-endian 64-bit values in C
+order, with its shape and dtype recorded in the manifest, so bundles are
+portable and the manifest stays humanly diffable. Loading reads each file
+block by block straight into an array of the memory order its stage type
+holds, checking each block, so no second copy of an array is ever made.
+Nothing in a bundle depends on wall time; retraining with the same inputs,
+seed and BLAS thread count reproduces byte-identical files.
 
 A bundle stores only what cannot be recomputed; the stage types derive the
 idf, the term index and the thresholds. Format 1 bundles, which also stored
@@ -43,6 +45,10 @@ VOCAB_NAME = "vocabulary.txt"
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 SCORER_PREFIXES = {"cosine": "megadoc_", "mlp": "mlp_", "rbf": "rbf_"}
+# Bytes _read_array reads at a time. 4 MiB holds a dozen rows of standard-size
+# SVD components, so each cache line of the Fortran-order array is written
+# whole; smaller blocks read the components about twice as slowly.
+_READ_BLOCK_BYTES = 1 << 22
 
 
 def _write_array(directory: Path, name: str, array: np.ndarray, dtype: str) -> dict:
@@ -74,20 +80,32 @@ def _read_array(
         raise DataError(f"{where}: shape must be a list of non-negative integers")
     if not path.is_file():
         raise DataError(f"bundle array file missing: {path}")
-    raw = path.read_bytes()
     # Python ints, so that no shape can overflow into a matching size.
     expected = math.prod(shape) * dtype.itemsize
-    if len(raw) != expected:
+    size = path.stat().st_size
+    if size != expected:
         raise DataError(
-            f"bundle array {name!r} has {len(raw)} bytes, "
+            f"bundle array {name!r} has {size} bytes, "
             f"expected {expected} for shape {list(shape)}"
         )
-    # frombuffer views are read-only; copy into an owned native-order array
-    # laid out in the requested memory order.
+    # The file holds C order; fill an owned native-order array in the
+    # requested order a block of leading-axis rows at a time, so no second
+    # copy of the whole array is ever held.
     native = np.float64 if dtype.kind == "f" else np.int64
-    array = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(native, order=order)
-    if native is np.float64 and not np.isfinite(array).all():
-        raise DataError(f"bundle array {name!r} holds non-finite values")
+    array = np.empty(shape, dtype=native, order=order)
+    rows = array.reshape(1) if not shape else array
+    row_bytes = math.prod(shape[1:]) * dtype.itemsize
+    step = max(1, _READ_BLOCK_BYTES // max(1, row_bytes))
+    with open(path, "rb") as f:
+        for start in range(0, len(rows) if array.size else 0, step):
+            block = rows[start : start + step]
+            raw = f.read(block.size * dtype.itemsize)
+            if len(raw) != block.size * dtype.itemsize:
+                raise DataError(f"bundle array {name!r} is shorter than its shape")
+            values = np.frombuffer(raw, dtype=dtype).reshape(block.shape)
+            if native is np.float64 and not np.isfinite(values).all():
+                raise DataError(f"bundle array {name!r} holds non-finite values")
+            block[...] = values
     return array
 
 

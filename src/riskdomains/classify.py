@@ -174,7 +174,7 @@ def embed(pipeline: Pipeline, texts: Sequence[str]) -> tuple[np.ndarray, np.ndar
     is all zero.
     """
     phrases = pipeline.lexicon.all_phrases()
-    terms = [text_to_terms(text, phrases) for text in texts]
+    terms = (text_to_terms(text, phrases) for text in texts)
     matrix = vectorize_all(pipeline.tfidf, terms)
     return project_all(pipeline.svd, matrix), np.diff(matrix.indptr) > 0
 

@@ -17,7 +17,10 @@ import argparse
 import csv
 import dataclasses
 import json
+import shutil
 import sys
+import tempfile
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -27,6 +30,7 @@ from .corpus import (
     Paragraph,
     default_synthetic_config,
     generate_synthetic_corpus,
+    iter_paragraphs,
     load_gold,
     load_lexicon,
     load_paragraphs,
@@ -53,6 +57,10 @@ from .vectorspace import lda_2d
 CORPUS_NAME = "corpus.jsonl"
 GOLD_NAME = "gold.jsonl"
 LEXICON_NAME = "lexicon.json"
+# Paragraphs classify reads, classifies and writes at a time. The scores of
+# a paragraph can depend on its batch in the last bit, so this is a
+# constant: the same corpus always gives the same bytes.
+CLASSIFY_CHUNK = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,33 +188,52 @@ def cmd_train(opts: _Options) -> int:
     return 0
 
 
+def _prediction_lines(pipeline, paragraphs: list[Paragraph]) -> str:
+    """One JSON line of labels and scores per paragraph, classified as a batch."""
+    labels, scores = classify_batch(pipeline, [p.text for p in paragraphs])
+    names = [d.value for d in CLASSIFIED_DOMAINS]
+    return "".join(
+        json.dumps(
+            {
+                "id": p.id,
+                "labels": [d.value for d in assigned],
+                "scores": dict(zip(names, row)),
+            }
+        )
+        + "\n"
+        for p, assigned, row in zip(paragraphs, labels, scores.tolist())
+    )
+
+
 def cmd_classify(opts: _Options) -> int:
     bundle_dir = opts.require("bundle")
     corpus_path = _existing_file(opts.require("corpus"), "corpus")
     pipeline, _, _ = load_bundle(bundle_dir)
-    paragraphs = load_paragraphs(corpus_path)
-    labels, scores = classify_batch(pipeline, [p.text for p in paragraphs])
-    lines = []
-    for p, assigned, row in zip(paragraphs, labels, scores):
-        lines.append(
-            json.dumps(
-                {
-                    "id": p.id,
-                    "labels": [d.value for d in assigned],
-                    "scores": {
-                        d.value: float(row[i])
-                        for i, d in enumerate(CLASSIFIED_DOMAINS)
-                    },
-                }
-            )
-        )
-    payload = "".join(line + "\n" for line in lines)
+    paragraphs = iter_paragraphs(corpus_path)
+    chunks = iter(lambda: list(islice(paragraphs, CLASSIFY_CHUNK)), [])
     out = opts.get("out")
     if out is None:
-        sys.stdout.write(payload)
-    else:
-        Path(out).write_text(payload, encoding="utf-8")
-        _log(f"wrote {len(lines)} predictions to {out}")
+        for chunk in chunks:
+            sys.stdout.write(_prediction_lines(pipeline, chunk))
+        return 0
+    out = Path(out)
+    # Written into a temporary sibling directory and renamed into place, as
+    # save_bundle does, so a failure leaves no partial predictions file.
+    try:
+        scratch = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    except OSError as e:
+        raise ConfigError(f"cannot write predictions to {out}: {e.strerror}")
+    try:
+        staged = scratch / out.name
+        written = 0
+        with open(staged, "w", encoding="utf-8") as f:
+            for chunk in chunks:
+                f.write(_prediction_lines(pipeline, chunk))
+                written += len(chunk)
+        staged.replace(out)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    _log(f"wrote {written} predictions to {out}")
     return 0
 
 

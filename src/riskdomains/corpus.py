@@ -108,30 +108,45 @@ class TrainingCorpus:
         return len(self.entries)
 
 
-def _count_phrase(words: list[str], phrase: tuple[str, ...]) -> int:
-    """Non-overlapping left-to-right occurrence count of a word sequence."""
-    n, m = len(words), len(phrase)
-    count = 0
-    i = 0
-    while i + m <= n:
-        if tuple(words[i : i + m]) == phrase:
-            count += 1
-            i += m
-        else:
-            i += 1
-    return count
+def _lexicon_table(lexicon: KeywordLexicon) -> dict[tuple[str, ...], list[Domain]]:
+    """Each keyword (as a 1-tuple) and keyphrase, with the domains listing it."""
+    table: dict[tuple[str, ...], list[Domain]] = {}
+    for domain in CLASSIFIED_DOMAINS:
+        for words in [(w,) for w in lexicon.keywords[domain]] + [
+            p.words for p in lexicon.keyphrases[domain]
+        ]:
+            table.setdefault(words, []).append(domain)
+    return table
+
+
+def _scan_hits(
+    words: list[str], table: dict[tuple[str, ...], list[Domain]]
+) -> dict[Domain, int]:
+    """Occurrences per domain of the table's entries, in one left-to-right scan.
+
+    Each entry counts its own non-overlapping occurrences: next_free holds
+    the first index where it may match again. Different entries may overlap.
+    """
+    lengths = sorted({len(t) for t in table})
+    hits = dict.fromkeys(CLASSIFIED_DOMAINS, 0)
+    next_free: dict[tuple[str, ...], int] = {}
+    n = len(words)
+    for i in range(n):
+        for m in lengths:
+            if i + m > n:
+                break
+            candidate = tuple(words[i : i + m])
+            domains = table.get(candidate)
+            if domains is not None and i >= next_free.get(candidate, 0):
+                next_free[candidate] = i + m
+                for domain in domains:
+                    hits[domain] += 1
+    return hits
 
 
 def lexicon_hits(words: list[str], lexicon: KeywordLexicon) -> dict[Domain, int]:
     """Keyword plus keyphrase occurrence counts per domain, pre-stemming."""
-    hits: dict[Domain, int] = {}
-    for domain in CLASSIFIED_DOMAINS:
-        kwset = set(lexicon.keywords[domain])
-        n = sum(1 for w in words if w in kwset)
-        for phrase in lexicon.keyphrases[domain]:
-            n += _count_phrase(words, phrase.words)
-        hits[domain] = n
-    return hits
+    return _scan_hits(words, _lexicon_table(lexicon))
 
 
 def weak_label(paragraphs: list[Paragraph], lexicon: KeywordLexicon) -> TrainingCorpus:
@@ -141,9 +156,10 @@ def weak_label(paragraphs: list[Paragraph], lexicon: KeywordLexicon) -> Training
     decision is per paragraph, so the result is order-invariant.
     """
     lexicon.require_nonempty()
+    table = _lexicon_table(lexicon)
     entries: list[tuple[Paragraph, Domain]] = []
     for paragraph in paragraphs:
-        hits = lexicon_hits(tokenize(paragraph.text), lexicon)
+        hits = _scan_hits(tokenize(paragraph.text), table)
         best = max(hits.values())
         if best == 0:
             continue
@@ -338,21 +354,6 @@ def default_synthetic_config(
     )
 
 
-def _find_foreign_phrase(
-    words: list[str],
-    config: SyntheticConfig,
-    allowed: set[Domain],
-) -> tuple[str, ...] | None:
-    """First accidental occurrence of another domain's phrase, if any."""
-    for domain in CLASSIFIED_DOMAINS:
-        if domain in allowed:
-            continue
-        for phrase in config.domain_phrases.get(domain, ()):
-            if _count_phrase(words, phrase) > 0:
-                return phrase
-    return None
-
-
 def _to_text(words: list[str], rng: random.Random) -> str:
     """Join words into sentence-like chunks; punctuation is cosmetic only."""
     sentences = []
@@ -373,13 +374,19 @@ def _assemble(
     allowed: set[Domain],
 ) -> list[str]:
     """Shuffle content units into noise filler, rejecting accidental phrases."""
+    foreign = {
+        tuple(phrase): [domain]
+        for domain in CLASSIFIED_DOMAINS
+        if domain not in allowed
+        for phrase in config.domain_phrases.get(domain, ())
+    }
     for _ in range(100):
         content_len = sum(len(u) for u in units)
         n_noise = max(0, total_words - content_len)
         parts = list(units) + [(rng.choice(config.noise_words),) for _ in range(n_noise)]
         rng.shuffle(parts)
         words = [w for unit in parts for w in unit]
-        if _find_foreign_phrase(words, config, allowed) is None:
+        if not any(_scan_hits(words, foreign).values()):
             return words
     raise ConfigError(
         "could not assemble a paragraph without accidental foreign phrases; "
@@ -468,16 +475,17 @@ def write_paragraphs(path: str | Path, paragraphs: list[Paragraph]) -> None:
             f.write(json.dumps({"id": p.id, "text": p.text, "source": p.source}) + "\n")
 
 
-def load_paragraphs(path: str | Path) -> list[Paragraph]:
-    paragraphs: list[Paragraph] = []
+def iter_paragraphs(path: str | Path):
+    """Yield the paragraphs of a paragraphs file, checking each as it is read."""
     for where, pid, obj in read_records(path):
         text = require_field(obj, "text", where, str)
         if not text:
             raise DataError(f"{where}: field 'text' is empty")
-        paragraphs.append(
-            Paragraph(id=pid, text=text, source=obj.get("source", "training"))
-        )
-    return paragraphs
+        yield Paragraph(id=pid, text=text, source=obj.get("source", "training"))
+
+
+def load_paragraphs(path: str | Path) -> list[Paragraph]:
+    return list(iter_paragraphs(path))
 
 
 def write_gold(path: str | Path, gold: list[AnnotatedParagraph]) -> None:
@@ -602,23 +610,30 @@ def read_records(path: str | Path):
     """Yield (where, id, record) for each record of a JSON-lines file.
 
     where is "path:line". Every record is a JSON object whose id is a JSON
-    string or integer, and no two records share an id.
+    string or integer, and no two records share an id. Each line is decoded
+    on its own, so a line that is not UTF-8 is a DataError naming it; the
+    records before it have been yielded by then.
     """
     try:
-        f = open(path, encoding="utf-8")
+        f = open(path, "rb")
     except FileNotFoundError:
         raise DataError(f"file not found: {path}")
     seen: set[str] = set()
     with f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+        for lineno, raw_line in enumerate(f, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw_line.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DataError(f"{where}: invalid UTF-8: {e}")
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{where}: invalid JSON: {e}")
+            except RecursionError:
+                raise DataError(f"{where}: JSON nested too deeply")
             if not isinstance(obj, dict):
                 raise DataError(f"{where}: record must be a JSON object")
             raw = require_field(obj, "id", where)

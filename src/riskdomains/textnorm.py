@@ -48,23 +48,23 @@ def fuse_mwes(words: list[str], phrases: list[MwePhrase]) -> list[str]:
 
     Matching is longest-match, left-to-right, non-overlapping, on the
     unstemmed lowercase words. Fused phrases join their words with "_" and
-    are not stemmed.
+    are not stemmed. Only a word that begins some phrase is tried as the
+    start of one.
     """
-    phrase_set = {p.words for p in phrases}
-    lengths = sorted({len(p) for p in phrase_set}, reverse=True)
+    # Phrases by their first word, longest first: the first match is longest.
+    by_first: dict[str, list[tuple[str, ...]]] = {}
+    for phrase in sorted({p.words for p in phrases}, key=len, reverse=True):
+        by_first.setdefault(phrase[0], []).append(phrase)
     stems: list[str] = []
     i = 0
     n = len(words)
     while i < n:
-        fused = False
-        for length in lengths:
-            candidate = tuple(words[i : i + length])
-            if len(candidate) == length and candidate in phrase_set:
+        for candidate in by_first.get(words[i], ()):
+            if tuple(words[i : i + len(candidate)]) == candidate:
                 stems.append(MWE_JOINER.join(candidate))
-                i += length
-                fused = True
+                i += len(candidate)
                 break
-        if not fused:
+        else:
             stems.append(porter_stem(words[i]))
             i += 1
     return stems
@@ -75,12 +75,9 @@ def extract_terms(stems: list[str]) -> Counter:
 
     Bigrams and trigrams are space-joined consecutive stems.
     """
-    terms: Counter = Counter(stems)
-    for i in range(len(stems) - 1):
-        terms[f"{stems[i]} {stems[i + 1]}"] += 1
-    for i in range(len(stems) - 2):
-        terms[f"{stems[i]} {stems[i + 1]} {stems[i + 2]}"] += 1
-    return terms
+    bigrams = [f"{a} {b}" for a, b in zip(stems, stems[1:])]
+    trigrams = [f"{a} {b} {c}" for a, b, c in zip(stems, stems[1:], stems[2:])]
+    return Counter(stems + bigrams + trigrams)
 
 
 def text_to_terms(text: str, phrases: list[MwePhrase]) -> Counter:

@@ -9,16 +9,23 @@ A fitted model holds only its sources, the sorted terms, their df and N:
 Vocabulary derives the term index and TfidfModel the idf, the same way for a
 trained and a loaded model.
 
+vectorize_all reads its documents once, collecting each term's column and
+count, and builds the CSR rows in bulk: one sort, counts times idf, and one
+dot product per row for its norm, which keeps every value bit-identical to
+a term-by-term loop.
+
 The truncated SVD is one ARPACK run on the sparse matrix; only k = min(N, V),
 which ARPACK cannot return, takes the exact dense SVD.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -110,48 +117,92 @@ def vectorize_all(
 
     Unknown terms are ignored; a document with no known terms yields an
     all-zero row. That is the all-unknown flag every caller checks before
-    scoring.
+    scoring. docs is read once, one document at a time, so a generator
+    serves without holding every document.
     """
     index = model.vocabulary.index
-    idf = model.idf
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
+    cols: list[int] = []  # vocabulary column of each term, -1 if unknown
+    counts: list[int] = []
+    lengths: list[int] = []
     for doc in docs:
-        cols = []
-        vals = []
-        for term, count in doc.items():
-            i = index.get(term)
-            if i is not None:
-                cols.append(i)
-                vals.append(count * idf[i])
-        if cols:
-            order = np.argsort(cols)
-            cols = np.asarray(cols, dtype=np.int64)[order]
-            vals = np.asarray(vals, dtype=np.float64)[order]
-            norm = float(np.sqrt(np.dot(vals, vals)))
-            if norm > 0.0:
-                vals = vals / norm
-            indices.extend(cols.tolist())
-            data.extend(vals.tolist())
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr)),
-        shape=(len(indptr) - 1, len(model.vocabulary)),
+        cols += map(index.get, doc, repeat(-1))
+        counts += doc.values()
+        lengths.append(len(doc))
+    n = len(lengths)
+    rows = np.repeat(np.arange(n), lengths)
+    cols, counts = np.array(cols, dtype=np.int64), np.array(counts, dtype=np.int64)
+    known = cols >= 0
+    rows, cols, counts = rows[known], cols[known], counts[known]
+    order = np.lexsort((cols, rows))
+    cols = cols[order]
+    data = counts[order] * model.idf[cols]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    # One dot per row, not a reduceat over all rows: that sums in another
+    # order and would move the last bit of some norms.
+    bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
+    norms = np.array([math.sqrt(np.dot(data[a:b], data[a:b])) for a, b in bounds])
+    data /= np.repeat(np.where(norms > 0.0, norms, 1.0), np.diff(indptr))
+    return sp.csr_matrix((data, cols, indptr), shape=(n, len(model.vocabulary)))
+
+
+def _fix_signs(components: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Rows components[order], each with its largest-magnitude entry made
+    positive (deterministic).
+
+    Copies one row at a time into a Fortran-ordered array, the layout
+    SvdProjection holds, so the rows are copied only once.
+    """
+    out = np.empty((len(order), components.shape[1]), order="F")
+    for row, j in zip(out, order):
+        row[...] = components[j]
+        if row[np.argmax(np.abs(row))] < 0:
+            # Not np.negative(row, out=row): numpy 2.4.6 gets that wrong for
+            # a strided row.
+            row[...] = -row
+    return out
+
+
+def _svds_operator(matrix: sp.csr_matrix):
+    """matrix as the LinearOperator svds factors, with Fortran-ordered products.
+
+    svds takes a dense SVD of the product of the matrix, or of its adjoint,
+    with the Lanczos eigenvectors: a (max(N, V), k) array that LAPACK would
+    first copy out of C order, at standard size one more 31 MiB array at
+    training's peak. Every product holds the values aslinearoperator(matrix)
+    computes, so the SVD is bit-identical.
+    """
+    from scipy.sparse.linalg import LinearOperator, aslinearoperator
+
+    forward, adjoint = aslinearoperator(matrix), aslinearoperator(matrix.T)
+    return LinearOperator(
+        matrix.shape,
+        matvec=forward.matvec,
+        rmatvec=adjoint.matvec,
+        matmat=lambda x: np.asfortranarray(forward.matmat(x)),
+        rmatmat=lambda x: np.asfortranarray(adjoint.matmat(x)),
+        dtype=matrix.dtype,
     )
 
 
-def _fix_signs(components: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each row positive (deterministic).
+def _release_free_heap() -> None:
+    """Hand the C heap's free memory back to the OS, where glibc allows it.
 
-    Returns a Fortran-ordered copy, the layout SvdProjection holds.
+    glibc raises its mmap threshold to the largest block a process frees, so
+    after one training run blocks of the SVD's size come from the heap, and
+    the heap keeps freed pages. A second training run in the same process
+    then reused that memory or mapped more, depending on whether its
+    vocabulary was the larger, and its peak moved by a whole SVD-sized
+    array. Trimming first makes the peak the live memory plus the SVD's own
+    workspace.
     """
-    out = np.array(components, order="F")
-    for i in range(out.shape[0]):
-        j = int(np.argmax(np.abs(out[i])))
-        if out[i, j] < 0:
-            out[i] = -out[i]
-    return out
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    trim(0)
 
 
 def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
@@ -159,7 +210,9 @@ def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
 
     One ARPACK run (scipy's svds) from a fixed start vector, deterministic at
     a fixed BLAS thread count; NumericalError if it does not converge. Rows
-    come by descending singular value, each signed by _fix_signs.
+    come by descending singular value, each signed by _fix_signs. The C
+    heap's free memory goes back to the OS first, so the SVD's workspace,
+    training's peak, lands on live memory only.
     """
     matrix = sp.csr_matrix(matrix, dtype=np.float64)
     n, v = matrix.shape
@@ -177,24 +230,25 @@ def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
         )
         k = limit
 
+    _release_free_heap()
     if k == limit:
         _, singular, components = scipy.linalg.svd(
             matrix.toarray(), full_matrices=False
         )
+        order = np.arange(k)
     else:
         # Imported here: loading ARPACK adds ~50 ms to every classify start-up.
         from scipy.sparse.linalg import ArpackError, svds
 
         v0 = np.full(limit, 1.0 / np.sqrt(limit))
         try:
-            _, singular, components = svds(matrix, k=k, v0=v0)
+            _, singular, components = svds(_svds_operator(matrix), k=k, v0=v0)
         except ArpackError as e:
             raise NumericalError(f"truncated SVD did not converge: {e}")
         order = np.argsort(-singular, kind="stable")
-        singular, components = singular[order], components[order]
 
     return SvdProjection(
-        components=_fix_signs(components), singular_values=singular
+        components=_fix_signs(components, order), singular_values=singular[order]
     )
 
 

@@ -4,6 +4,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 import riskdomains.bundle as bundle_module
+import riskdomains.cli as cli_module
 from riskdomains.bundle import load_bundle, save_bundle
 from riskdomains.classify import classify_batch
 from riskdomains.cli import _ALLOWED_KEYS, build_parser, main
-from riskdomains.corpus import lexicon_to_json, load_gold
+from riskdomains.corpus import lexicon_to_json, load_gold, load_paragraphs
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import DataError
 from riskdomains.pipeline import PipelineOptions
@@ -241,6 +243,52 @@ class TestBundleErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+def whole_file_read(directory, spec, order):
+    """The reference read: all bytes at once, then one converting copy."""
+    raw = (directory / spec["file"]).read_bytes()
+    array = np.frombuffer(raw, dtype=spec["dtype"]).reshape(spec["shape"])
+    native = np.float64 if spec["dtype"] == "<f8" else np.int64
+    return array.astype(native, order=order)
+
+
+class TestReadArray:
+    @pytest.mark.parametrize("block", [8, 100, bundle_module._READ_BLOCK_BYTES])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bundle_arrays_match_whole_file_read(
+        self, trained_mlp, tmp_path, monkeypatch, order, block
+    ):
+        saved = save_bundle(tmp_path / "bundle", trained_mlp.pipeline)
+        arrays = json.loads((saved / "manifest.json").read_text())["arrays"]
+        monkeypatch.setattr(bundle_module, "_READ_BLOCK_BYTES", block)
+        for name, spec in arrays.items():
+            got = bundle_module._read_array(saved, arrays, name, order)
+            want = whole_file_read(saved, spec, order)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags[f"{order}_CONTIGUOUS"]
+            assert got.tobytes(order="A") == want.tobytes(order="A"), name
+
+    @pytest.mark.parametrize("shape", [[], [0], [3, 0], [0, 4], [5, 7], [2, 3, 4]])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_any_shape_matches_whole_file_read(self, tmp_path, monkeypatch, shape, order):
+        values = np.arange(math.prod(shape), dtype="<f8").reshape(shape) * 0.1
+        values.tofile(tmp_path / "a.bin")
+        arrays = {"a": {"file": "a.bin", "shape": shape, "dtype": "<f8"}}
+        monkeypatch.setattr(bundle_module, "_READ_BLOCK_BYTES", 24)
+        got = bundle_module._read_array(tmp_path, arrays, "a", order)
+        want = whole_file_read(tmp_path, arrays["a"], order)
+        assert got.shape == want.shape and got.flags[f"{order}_CONTIGUOUS"]
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+
+    def test_non_finite_value_in_a_later_block(self, tmp_path, monkeypatch):
+        values = np.ones((6, 5))
+        values[5, 4] = np.inf
+        values.tofile(tmp_path / "a.bin")
+        arrays = {"a": {"file": "a.bin", "shape": [6, 5], "dtype": "<f8"}}
+        monkeypatch.setattr(bundle_module, "_READ_BLOCK_BYTES", 80)
+        with pytest.raises(DataError, match="non-finite"):
+            bundle_module._read_array(tmp_path, arrays, "a", "F")
+
+
 def scalar_leaves(node, keys=()):
     """(keys, value) for every scalar in a JSON value; keys lead to it."""
     if isinstance(node, (dict, list)):
@@ -425,6 +473,18 @@ class TestCliClassifyEvaluate:
         parsed = [json.loads(line) for line in out.splitlines()]
         assert all(p["labels"] for p in parsed)
 
+    def test_classify_out_in_missing_directory_exits_one(
+        self, cli_bundle, corpus_files, tmp_path, capsys
+    ):
+        out = tmp_path / "missing" / "predictions.jsonl"
+        code, _, err = run_cli([
+            "classify", "--bundle", str(cli_bundle),
+            "--corpus", str(corpus_files / "corpus.jsonl"), "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and str(out) in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_classify_empty_corpus(self, cli_bundle, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -458,6 +518,103 @@ class TestCliClassifyEvaluate:
         assert "12 ids do not align" in err
         offenders = err.split("first offenders: ")[1].strip()
         assert len(offenders.split(", ")) == 10
+
+
+class TestChunkedClassify:
+    """classify reads, classifies and writes CLASSIFY_CHUNK paragraphs at a time."""
+
+    CHUNK = 50
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli_module, "CLASSIFY_CHUNK", self.CHUNK)
+
+    @pytest.fixture
+    def bundle(self, trained_mlp, tmp_path):
+        return save_bundle(tmp_path / "bundle", trained_mlp.pipeline)
+
+    def test_output_equals_one_whole_corpus_batch(
+        self, trained, corpus_files, tmp_path, capsys, monkeypatch
+    ):
+        corpus = corpus_files / "corpus.jsonl"
+        bundle = save_bundle(tmp_path / "bundle", trained.pipeline)
+        sizes = []
+
+        def spy(pipeline, texts):
+            sizes.append(len(texts))
+            return classify_batch(pipeline, texts)
+
+        monkeypatch.setattr(cli_module, "classify_batch", spy)
+        out = tmp_path / "predictions.jsonl"
+        code, _, _ = run_cli(
+            ["classify", "--bundle", str(bundle), "--corpus", str(corpus),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        paragraphs = load_paragraphs(corpus)
+        assert len(sizes) > 2 and max(sizes) <= self.CHUNK
+        assert sum(sizes) == len(paragraphs)
+
+        labels, scores = classify_batch(trained.pipeline, [p.text for p in paragraphs])
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["id"] for r in records] == [p.id for p in paragraphs]
+        assert [r["labels"] for r in records] == [[d.value for d in ls] for ls in labels]
+        got = np.array([[r["scores"][d.value] for d in CLASSIFIED_DOMAINS] for r in records])
+        assert np.max(np.abs(got - scores)) <= 1e-12
+
+        code, stdout, _ = run_cli(
+            ["classify", "--bundle", str(bundle), "--corpus", str(corpus)], capsys
+        )
+        assert code == 0 and stdout == out.read_text()
+
+    @pytest.mark.parametrize("bad_line", [
+        b'{"id": "bad", "text": "anxious \xff"}',
+        b'{"id": "bad"}',
+        b'{"id": "syn-00000", "text": "anxious"}',  # the first record's id
+    ], ids=["invalid_utf8", "no_text", "duplicate_id"])
+    @pytest.mark.parametrize("existing", [None, "earlier predictions\n"])
+    def test_bad_record_past_first_chunk_leaves_no_output(
+        self, bundle, corpus_files, tmp_path, capsys, bad_line, existing
+    ):
+        lines = (corpus_files / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+        assert len(lines) > 2 * self.CHUNK
+        work = tmp_path / "work"
+        work.mkdir()
+        corpus = work / "corpus.jsonl"
+        corpus.write_bytes(b"".join([*lines[: self.CHUNK + 3], bad_line + b"\n",
+                                     *lines[self.CHUNK + 3 :]]))
+        out = work / "predictions.jsonl"
+        if existing is not None:
+            out.write_text(existing)
+        before = sorted(p.name for p in work.iterdir())
+        code, stdout, err = run_cli(
+            ["classify", "--bundle", str(bundle), "--corpus", str(corpus),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 2, err
+        assert f"corpus.jsonl:{self.CHUNK + 4}:" in err
+        assert stdout == ""
+        assert sorted(p.name for p in work.iterdir()) == before
+        if existing is not None:
+            assert out.read_text() == existing
+
+    def test_stdout_holds_the_chunks_finished_before_an_error(
+        self, bundle, corpus_files, tmp_path, capsys
+    ):
+        good = corpus_files / "corpus.jsonl"
+        lines = good.read_bytes().splitlines(keepends=True)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"".join([*lines[: self.CHUNK + 3], b'{"id": "bad"}\n']))
+        code, stdout, _ = run_cli(
+            ["classify", "--bundle", str(bundle), "--corpus", str(corpus)], capsys
+        )
+        assert code == 2
+        _, whole, _ = run_cli(
+            ["classify", "--bundle", str(bundle), "--corpus", str(good)], capsys
+        )
+        assert stdout.splitlines() == whole.splitlines()[: self.CHUNK]
 
 
 class TestCliAgreement:

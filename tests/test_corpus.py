@@ -102,6 +102,57 @@ class TestWeakLabel:
         assert hits[Domain.MOOD] == 0
 
 
+    def test_lexicon_hits_matches_per_entry_oracle(self, small_corpus):
+        paragraphs, _, lexicon = small_corpus
+        for lex in (lexicon, lexicon.without_keyphrases()):
+            for paragraph in paragraphs:
+                words = tokenize(paragraph.text)
+                assert lexicon_hits(words, lex) == oracle_hits(words, lex)
+
+    def test_phrase_counts_do_not_overlap_themselves(self):
+        # "feeling feeling" fits once in "feeling feeling feeling" without
+        # overlapping itself; "feeling down" and the keyword overlap it and
+        # still count.
+        lexicon = KeywordLexicon({
+            Domain.MOOD: (
+                [],
+                [
+                    MwePhrase(("feeling", "feeling"), "Mood"),
+                    MwePhrase(("feeling", "down"), "Mood"),
+                ],
+            ),
+            Domain.SUBSTANCE: (
+                ["feeling"], [MwePhrase(("feeling", "feeling"), "Substance")]
+            ),
+        })
+        words = tokenize("feeling feeling feeling down")
+        hits = lexicon_hits(words, lexicon)
+        assert hits[Domain.MOOD] == 2
+        assert hits[Domain.SUBSTANCE] == 4
+        assert hits == oracle_hits(words, lexicon)
+
+
+def oracle_hits(words, lexicon):
+    """Reference hit counts: every keyword occurrence, plus each phrase's own
+    non-overlapping left-to-right count, one pass per phrase."""
+
+    def count(phrase):
+        n = i = 0
+        while i + len(phrase) <= len(words):
+            if tuple(words[i : i + len(phrase)]) == phrase:
+                n += 1
+                i += len(phrase)
+            else:
+                i += 1
+        return n
+
+    return {
+        d: sum(w in lexicon.keywords[d] for w in words)
+        + sum(count(p.words) for p in lexicon.keyphrases[d])
+        for d in CLASSIFIED_DOMAINS
+    }
+
+
 class TestMegadocuments:
     def build_corpus(self, counts):
         texts = {

@@ -67,3 +67,20 @@ def test_classify_batch_calls_patched_module_attributes(
     paragraphs, _, _ = small_corpus
     classify.classify_batch(pipeline, [p.text for p in paragraphs[:5]])
     assert calls == ["score_vectors", f"{kind}_forward"]
+
+
+def test_classify_batch_calls_text_to_terms_once_per_paragraph(
+    trained_mlp, small_corpus, monkeypatch
+):
+    calls = []
+    real = classify.text_to_terms
+
+    def spy(text, phrases):
+        calls.append(text)
+        return real(text, phrases)
+
+    monkeypatch.setattr(classify, "text_to_terms", spy)
+    paragraphs, _, _ = small_corpus
+    texts = [p.text for p in paragraphs[:5]]
+    classify.classify_batch(trained_mlp.pipeline, texts)
+    assert calls == texts

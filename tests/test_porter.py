@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from riskdomains.porter import porter_stem
+from riskdomains.porter import STEM_CACHE_SIZE, porter_stem
 
 REFERENCE = Path(__file__).parent / "data" / "porter_reference.txt"
 
@@ -32,6 +32,12 @@ def test_reference_vocabulary_exact():
         if porter_stem(word) != expected
     ]
     assert mismatches == []
+
+
+def test_stem_cache_is_bounded_and_transparent():
+    assert porter_stem.cache_info().maxsize == STEM_CACHE_SIZE
+    for word, _ in load_reference():
+        assert porter_stem(word) == porter_stem.__wrapped__(word)
 
 
 @pytest.mark.parametrize(

@@ -176,6 +176,21 @@ def classify_corpus_lines(*lines):
     return case
 
 
+def classify_to_file_past_first_chunk(bad_line):
+    """Classify into --out a corpus whose line past the first chunk is bad_line."""
+
+    def case(tmp_path, corpus_files, bundles):
+        good = [b'{"id": "p%d", "text": "anxious and tearful"}' % i for i in range(1030)]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"\n".join([*good, bad_line, *good[:3]]) + b"\n")
+        return [
+            "classify", "--bundle", str(bundles["mlp"]), "--corpus", str(corpus),
+            "--out", str(tmp_path / "predictions.jsonl"),
+        ]
+
+    return case
+
+
 def run_on_lines(command, **files):
     """Run a subcommand whose --<flag> files hold the given raw lines."""
 
@@ -318,6 +333,14 @@ CASES = {
         corrupt_bundle("mlp", insert_invalid_utf8("vocabulary.txt")),
         2,
         r"vocabulary\.txt: .*UTF-8",
+    ),
+    "corpus_invalid_utf8_past_first_chunk": (
+        classify_to_file_past_first_chunk(b'{"id": "x", "text": "anxious \xff"}'),
+        2,
+        r"corpus\.jsonl:1031: invalid UTF-8",
+    ),
+    "corpus_deeply_nested_line": (
+        classify_corpus_lines("[" * 200_000), 2, r"corpus\.jsonl:1: .*nested"
     ),
     "bundle_lexicon_keyword_uppercase": (
         corrupt_bundle(

@@ -1,6 +1,7 @@
 """Tokenization, MWE fusion, and n-gram term extraction."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -61,6 +62,17 @@ class TestFuseMwes:
         stems = fuse_mwes(["panic", "attack", "today"], [phrase("panic", "attack")])
         assert stems == ["panic_attack", porter_stem("today")]
 
+    def test_phrases_sharing_a_first_word(self):
+        phrases = [phrase("panic", "attack"), phrase("panic", "disorder")]
+        stems = fuse_mwes(["panic", "disorder", "panic", "attack", "panic"], phrases)
+        assert stems == ["panic_disorder", "panic_attack", porter_stem("panic")]
+
+    def test_three_word_phrase_over_its_two_word_prefix(self):
+        phrases = [phrase("train", "of"), phrase("train", "of", "thought")]
+        words = ["train", "of", "thought", "train", "of", "time", "train", "of"]
+        stems = fuse_mwes(words, phrases)
+        assert stems == ["train_of_thought", "train_of", porter_stem("time"), "train_of"]
+
     def test_token_count_bound(self):
         rng = random.Random(3)
         vocabulary = ["alpha", "beta", "gamma", "delta", "panic", "attack"]
@@ -71,6 +83,16 @@ class TestFuseMwes:
             assert len(stems) <= len(words)
             fused = any("_" in s for s in stems)
             assert (len(stems) == len(words)) == (not fused)
+
+
+def loop_terms(stems):
+    """Reference n-gram multiset: one index loop per n-gram order."""
+    terms = Counter(stems)
+    for i in range(len(stems) - 1):
+        terms[f"{stems[i]} {stems[i + 1]}"] += 1
+    for i in range(len(stems) - 2):
+        terms[f"{stems[i]} {stems[i + 1]} {stems[i + 2]}"] += 1
+    return terms
 
 
 class TestExtractTerms:
@@ -96,6 +118,16 @@ class TestExtractTerms:
         assert terms["sad"] == 3
         assert terms["sad sad"] == 2
         assert terms["sad sad sad"] == 1
+
+    def test_matches_loop_oracle(self):
+        rng = random.Random(11)
+        vocabulary = ["calm", "sad", "panic_attack", "todai", "a"]
+        for _ in range(100):
+            stems = [rng.choice(vocabulary) for _ in range(rng.randint(0, 12))]
+            terms = extract_terms(stems)
+            expected = loop_terms(stems)
+            assert terms == expected
+            assert list(terms.items()) == list(expected.items())
 
     def test_size_property(self):
         rng = random.Random(7)

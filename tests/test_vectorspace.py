@@ -10,8 +10,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from riskdomains.corpus import build_megadocuments, weak_label
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import DataError, NumericalError
+from riskdomains.textnorm import text_to_terms
 from riskdomains.vectorspace import (
     SvdProjection,
     TfidfModel,
@@ -39,6 +41,39 @@ def brute_force_vectorize(docs, doc):
     if norm == 0.0:
         return np.zeros(len(terms))
     return np.array([w / norm for w in weights])
+
+
+def loop_vectorize(model, docs):
+    """Reference TF-IDF rows, one document and one term at a time."""
+    index, idf = model.vocabulary.index, model.idf
+    indptr, indices, data = [0], [], []
+    for doc in docs:
+        cols, vals = [], []
+        for term, count in doc.items():
+            i = index.get(term)
+            if i is not None:
+                cols.append(i)
+                vals.append(count * idf[i])
+        if cols:
+            order = np.argsort(cols)
+            cols = np.asarray(cols, dtype=np.int64)[order]
+            vals = np.asarray(vals, dtype=np.float64)[order]
+            norm = float(np.sqrt(np.dot(vals, vals)))
+            if norm > 0.0:
+                vals = vals / norm
+            indices.extend(cols.tolist())
+            data.extend(vals.tolist())
+        indptr.append(len(indices))
+    return np.asarray(indptr), np.asarray(indices, dtype=np.int64), np.asarray(data)
+
+
+def csr_bits(matrix):
+    """indptr, indices and the bits of data, for bit-exact comparison."""
+    return (
+        np.asarray(matrix.indptr, dtype=np.int64).tolist(),
+        np.asarray(matrix.indices, dtype=np.int64).tolist(),
+        np.asarray(matrix.data, dtype=np.float64).view(np.int64).tolist(),
+    )
 
 
 class TestTfidf:
@@ -135,6 +170,25 @@ class TestTfidf:
             assert np.allclose(matrix[i].toarray(), row.toarray())
 
 
+    def test_generator_list_and_loop_reference_agree_bit_for_bit(self, small_corpus):
+        paragraphs, _, lexicon = small_corpus
+        phrases = lexicon.all_phrases()
+        corpus = weak_label(paragraphs, lexicon)
+        term_docs = [text_to_terms(p.text, phrases) for p, _ in corpus.entries]
+        model = fit_tfidf(term_docs)
+        megadocs = build_megadocuments(corpus, term_docs)
+        # Paragraphs with unknown terms and none known, and the much longer
+        # cosine megadocument rows.
+        unseen = [text_to_terms(p.text + " zzyzx", phrases) for p in paragraphs]
+        for docs in (term_docs, unseen + [Counter(["zzyzx"])],
+                     [megadocs[d] for d in CLASSIFIED_DOMAINS]):
+            from_list = csr_bits(vectorize_all(model, docs))
+            from_generator = csr_bits(vectorize_all(model, (d for d in docs)))
+            indptr, indices, data = loop_vectorize(model, docs)
+            reference = (indptr.tolist(), indices.tolist(), data.view(np.int64).tolist())
+            assert from_list == from_generator == reference
+
+
 class TestSvd:
     @pytest.mark.parametrize(
         "components, singular_values",
@@ -225,6 +279,30 @@ class TestSvd:
         second = fit_svd(matrix, k=6)
         assert np.array_equal(first.components, second.components)
         assert np.array_equal(first.singular_values, second.singular_values)
+
+    @pytest.mark.parametrize("shape", [(12, 40), (40, 12)])
+    def test_same_bits_as_svds_on_the_matrix(self, shape):
+        # fit_svd hands svds an operator whose products are Fortran-ordered
+        # and copies the rows once; svds on the matrix itself, then the rows
+        # reordered and sign-fixed as separate copies, must give the same bits.
+        rng = np.random.default_rng(10)
+        matrix = sp.csr_matrix(rng.normal(size=shape) * (rng.random(shape) < 0.4))
+        k = 8
+        v0 = np.full(min(shape), 1.0 / np.sqrt(min(shape)))
+        _, singular, components = scipy.sparse.linalg.svds(matrix, k=k, v0=v0)
+        order = np.argsort(-singular, kind="stable")
+        expected = np.array(components[order], order="F")
+        flipped = 0
+        for i in range(k):
+            j = int(np.argmax(np.abs(expected[i])))
+            if expected[i, j] < 0:
+                expected[i] = -expected[i]
+                flipped += 1
+        assert 0 < flipped < k
+        projection = fit_svd(matrix, k=k)
+        assert projection.components.flags.f_contiguous
+        assert np.array_equal(projection.components, expected)
+        assert np.array_equal(projection.singular_values, singular[order])
 
 
 class TestProject:
