@@ -33,7 +33,8 @@ import numpy as np
 
 from .classify import SCORER_TYPES, Pipeline, ThresholdSet
 from .corpus import (
-    KeywordLexicon, is_json_type, lexicon_from_json, lexicon_to_json, require_field,
+    KeywordLexicon, is_json_type, lexicon_from_json, lexicon_to_json, parse_errors,
+    require_field,
 )
 from .domains import CLASSIFIED_DOMAINS
 from .errors import ConfigError, DataError
@@ -200,10 +201,8 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
         raise DataError(f"not a model bundle (no {MANIFEST_NAME}): {directory}")
-    try:
+    with parse_errors(manifest_path):
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"{manifest_path}: invalid JSON: {e}")
     if not isinstance(manifest, dict):
         raise DataError(f"{manifest_path}: manifest must be a JSON object")
     where = str(manifest_path)
@@ -229,10 +228,8 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
     )
     if not vocab_file.is_file():
         raise DataError(f"bundle vocabulary file missing: {vocab_file}")
-    try:
+    with parse_errors(vocab_file):
         terms = tuple(vocab_file.read_text(encoding="utf-8").splitlines())
-    except UnicodeDecodeError as e:
-        raise DataError(f"{vocab_file}: invalid UTF-8: {e}")
     tfidf = TfidfModel(
         vocabulary=Vocabulary(terms=terms, df=arr("df")),
         corpus_size=require_field(manifest, "corpus_size", where, int),

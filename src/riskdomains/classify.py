@@ -173,8 +173,7 @@ def embed(pipeline: Pipeline, texts: Sequence[str]) -> tuple[np.ndarray, np.ndar
     known[i] is False when text i has no term in the vocabulary; its vector
     is all zero.
     """
-    phrases = pipeline.lexicon.all_phrases()
-    terms = (text_to_terms(text, phrases) for text in texts)
+    terms = (text_to_terms(text, pipeline.lexicon.fusion) for text in texts)
     matrix = vectorize_all(pipeline.tfidf, terms)
     return project_all(pipeline.svd, matrix), np.diff(matrix.indptr) > 0
 

@@ -34,6 +34,7 @@ from .corpus import (
     load_gold,
     load_lexicon,
     load_paragraphs,
+    parse_errors,
     parse_labels,
     read_records,
     require_field,
@@ -80,10 +81,8 @@ def _load_config(path: str | None) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    try:
+    with parse_errors(p, ConfigError):
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{p}: invalid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
     return raw

@@ -10,21 +10,25 @@ shared by the CLI:
   paragraphs:  one object per line, fields id, text, source
   gold:        one object per line, fields id, labels (ordered domain names)
   lexicon:     a JSON object mapping domain name -> {keywords, keyphrases},
-               keyphrases as space-separated words
+               keyphrases as two or more space-separated words
+
+parse_errors gives every JSON file reader the same DataError for bytes that
+are not UTF-8, text that is not JSON and nesting too deep to parse.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import random
 
 from .domains import CLASSIFIED_DOMAINS, Domain, domain_from_name
-from .errors import ConfigError, DataError
-from .textnorm import MwePhrase, tokenize
+from .errors import ConfigError, DataError, RiskDomainsError
+from .textnorm import phrase_table, tokenize
 
 
 @dataclass(frozen=True)
@@ -59,37 +63,44 @@ def validate_labels(owner_id: str, labels: tuple[Domain, ...]) -> None:
 
 
 class KeywordLexicon:
-    """Per-domain keywords (single words) and keyphrases (MWEs)."""
+    """Per-domain keywords (single words) and keyphrases (tuples of 2+ words).
 
-    def __init__(self, entries: dict[Domain, tuple[list[str], list[MwePhrase]]]):
+    Both tables are built here, once: fusion is the phrase table fuse_mwes
+    reads, and hit_table maps each keyword (as a 1-tuple) and keyphrase to
+    the domains that list it. Nothing changes a lexicon once it is built.
+    """
+
+    def __init__(self, entries: dict[Domain, tuple[list[str], list[tuple[str, ...]]]]):
         self.keywords: dict[Domain, list[str]] = {}
-        self.keyphrases: dict[Domain, list[MwePhrase]] = {}
+        self.keyphrases: dict[Domain, list[tuple[str, ...]]] = {}
+        self.hit_table: dict[tuple[str, ...], list[Domain]] = {}
         for domain in CLASSIFIED_DOMAINS:
             kws, phrases = entries.get(domain, ([], []))
+            for p in phrases:
+                if len(p) < 2:
+                    raise ConfigError(
+                        f"keyphrase {' '.join(p)!r} of {domain} has fewer than 2 words"
+                    )
             # A word that is not one word of tokenize's output can never match.
-            for w in [*kws, *(w for p in phrases for w in p.words)]:
+            for w in [*kws, *(w for p in phrases for w in p)]:
                 if tokenize(w) != [w]:
                     raise ConfigError(
                         f"lexicon word {w!r} of {domain} is not a run of letters a-z"
                     )
             if len(set(kws)) != len(kws):
                 raise ConfigError(f"duplicate keywords for {domain}")
-            seqs = [p.words for p in phrases]
-            if len(set(seqs)) != len(seqs):
+            if len(set(phrases)) != len(phrases):
                 raise ConfigError(f"duplicate keyphrases for {domain}")
             self.keywords[domain] = list(kws)
             self.keyphrases[domain] = list(phrases)
+            for words in [(w,) for w in kws] + self.keyphrases[domain]:
+                self.hit_table.setdefault(words, []).append(domain)
+        self.fusion = phrase_table(p for ps in self.keyphrases.values() for p in ps)
 
     def require_nonempty(self) -> None:
         for domain in CLASSIFIED_DOMAINS:
             if not self.keywords[domain] and not self.keyphrases[domain]:
                 raise ConfigError(f"lexicon has no entries for domain {domain}")
-
-    def all_phrases(self) -> list[MwePhrase]:
-        out: list[MwePhrase] = []
-        for domain in CLASSIFIED_DOMAINS:
-            out.extend(self.keyphrases[domain])
-        return out
 
     def without_keyphrases(self) -> "KeywordLexicon":
         """Keyword-only copy, used by the MWE ablation arm."""
@@ -106,17 +117,6 @@ class TrainingCorpus:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def _lexicon_table(lexicon: KeywordLexicon) -> dict[tuple[str, ...], list[Domain]]:
-    """Each keyword (as a 1-tuple) and keyphrase, with the domains listing it."""
-    table: dict[tuple[str, ...], list[Domain]] = {}
-    for domain in CLASSIFIED_DOMAINS:
-        for words in [(w,) for w in lexicon.keywords[domain]] + [
-            p.words for p in lexicon.keyphrases[domain]
-        ]:
-            table.setdefault(words, []).append(domain)
-    return table
 
 
 def _scan_hits(
@@ -146,7 +146,7 @@ def _scan_hits(
 
 def lexicon_hits(words: list[str], lexicon: KeywordLexicon) -> dict[Domain, int]:
     """Keyword plus keyphrase occurrence counts per domain, pre-stemming."""
-    return _scan_hits(words, _lexicon_table(lexicon))
+    return _scan_hits(words, lexicon.hit_table)
 
 
 def weak_label(paragraphs: list[Paragraph], lexicon: KeywordLexicon) -> TrainingCorpus:
@@ -156,10 +156,9 @@ def weak_label(paragraphs: list[Paragraph], lexicon: KeywordLexicon) -> Training
     decision is per paragraph, so the result is order-invariant.
     """
     lexicon.require_nonempty()
-    table = _lexicon_table(lexicon)
     entries: list[tuple[Paragraph, Domain]] = []
     for paragraph in paragraphs:
-        hits = _scan_hits(tokenize(paragraph.text), table)
+        hits = _scan_hits(tokenize(paragraph.text), lexicon.hit_table)
         best = max(hits.values())
         if best == 0:
             continue
@@ -254,15 +253,10 @@ class SyntheticConfig:
         return self.domain_words[domain][N_KEYWORDS:]
 
     def lexicon(self) -> KeywordLexicon:
-        return KeywordLexicon(
-            {
-                d: (
-                    list(self.keywords(d)),
-                    [MwePhrase(words=p, domain=d.value) for p in self.domain_phrases[d]],
-                )
-                for d in CLASSIFIED_DOMAINS
-            }
-        )
+        return KeywordLexicon({
+            d: (list(self.keywords(d)), list(self.domain_phrases[d]))
+            for d in CLASSIFIED_DOMAINS
+        })
 
 
 _DEFAULT_POOLS: dict[Domain, tuple[str, ...]] = {
@@ -523,7 +517,7 @@ def lexicon_to_json(lexicon: KeywordLexicon) -> dict:
     return {
         d.value: {
             "keywords": lexicon.keywords[d],
-            "keyphrases": [" ".join(p.words) for p in lexicon.keyphrases[d]],
+            "keyphrases": [" ".join(p) for p in lexicon.keyphrases[d]],
         }
         for d in CLASSIFIED_DOMAINS
     }
@@ -533,7 +527,7 @@ def lexicon_from_json(obj, source: str | Path) -> KeywordLexicon:
     """Parse a lexicon JSON object; source names its origin in errors."""
     if not isinstance(obj, dict):
         raise DataError(f"{source}: lexicon must be a JSON object")
-    entries: dict[Domain, tuple[list[str], list[MwePhrase]]] = {}
+    entries: dict[Domain, tuple[list[str], list[tuple[str, ...]]]] = {}
     for name, spec in obj.items():
         try:
             domain = domain_from_name(name)
@@ -552,8 +546,7 @@ def lexicon_from_json(obj, source: str | Path) -> KeywordLexicon:
                 raise DataError(
                     f"{source}: keywords and keyphrases of {name} must be string lists"
                 )
-        phrases = [MwePhrase(words=tuple(s.split()), domain=name) for s in keyphrases]
-        entries[domain] = (keywords, phrases)
+        entries[domain] = (keywords, [tuple(s.split()) for s in keyphrases])
     return KeywordLexicon(entries)
 
 
@@ -565,12 +558,10 @@ def write_lexicon(path: str | Path, lexicon: KeywordLexicon) -> None:
 
 def load_lexicon(path: str | Path) -> KeywordLexicon:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8") as f, parse_errors(path):
             obj = json.load(f)
     except FileNotFoundError:
         raise DataError(f"lexicon file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: invalid JSON: {e}")
     return lexicon_from_json(obj, path)
 
 
@@ -606,6 +597,20 @@ def require_field(obj: dict, key: str, where: str, expected: type | None = None)
     return float(value) if expected is float else value
 
 
+@contextmanager
+def parse_errors(where, error: type[RiskDomainsError] = DataError):
+    """Raise error, naming where, for text in the block that is not UTF-8 or
+    not JSON, or JSON nested deeper than the parser goes."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise error(f"{where}: invalid UTF-8: {e}") from None
+    except json.JSONDecodeError as e:
+        raise error(f"{where}: invalid JSON: {e}") from None
+    except RecursionError:
+        raise error(f"{where}: JSON nested too deeply") from None
+
+
 def read_records(path: str | Path):
     """Yield (where, id, record) for each record of a JSON-lines file.
 
@@ -622,18 +627,11 @@ def read_records(path: str | Path):
     with f:
         for lineno, raw_line in enumerate(f, start=1):
             where = f"{path}:{lineno}"
-            try:
+            with parse_errors(where):
                 line = raw_line.decode("utf-8").strip()
-            except UnicodeDecodeError as e:
-                raise DataError(f"{where}: invalid UTF-8: {e}")
-            if not line:
-                continue
-            try:
+                if not line:
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{where}: invalid JSON: {e}")
-            except RecursionError:
-                raise DataError(f"{where}: JSON nested too deeply")
             if not isinstance(obj, dict):
                 raise DataError(f"{where}: record must be a JSON object")
             raw = require_field(obj, "id", where)

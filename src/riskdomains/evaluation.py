@@ -175,19 +175,25 @@ def _rating_table(items: Sequence[Sequence[Hashable]]) -> tuple[list, list[dict]
     return categories, counts
 
 
+def _observed_agreement(counts: list[dict], n_raters: int) -> float:
+    """Share of agreeing rater pairs per item, averaged over the items."""
+    p_obs = 0.0
+    for row in counts:
+        agree = sum(v * v for v in row.values()) - n_raters
+        p_obs += agree / (n_raters * (n_raters - 1))
+    return p_obs / len(counts)
+
+
 def fleiss_kappa(items: Sequence[Sequence[Hashable]]) -> float:
     """Fleiss's kappa with category proportions pooled over all ratings."""
     categories, counts = _rating_table(items)
     n_items = len(items)
     n_raters = len(items[0])
-    p_obs = 0.0
+    p_obs = _observed_agreement(counts, n_raters)
     totals = {c: 0 for c in categories}
     for row in counts:
-        agree = sum(v * v for v in row.values()) - n_raters
-        p_obs += agree / (n_raters * (n_raters - 1))
         for c, v in row.items():
             totals[c] += v
-    p_obs /= n_items
     p_exp = sum((v / (n_items * n_raters)) ** 2 for v in totals.values())
     if 1.0 - p_exp == 0.0:
         raise DataError(
@@ -206,12 +212,7 @@ def multi_kappa(items: Sequence[Sequence[Hashable]]) -> float:
     _, counts = _rating_table(items)
     n_items = len(items)
     n_raters = len(items[0])
-    p_obs = 0.0
-    for row in counts:
-        agree = sum(v * v for v in row.values()) - n_raters
-        p_obs += agree / (n_raters * (n_raters - 1))
-    p_obs /= n_items
-
+    p_obs = _observed_agreement(counts, n_raters)
     marginals: list[dict] = [{} for _ in range(n_raters)]
     for ratings in items:
         for a, r in enumerate(ratings):

@@ -107,7 +107,6 @@ def train_pipeline(
     options.validate()
     if not options.use_mwes:
         lexicon = lexicon.without_keyphrases()
-    phrases = lexicon.all_phrases()
 
     with _stage("weak_label"):
         corpus = weak_label(paragraphs, lexicon)
@@ -116,7 +115,7 @@ def train_pipeline(
             if domain not in labeled:
                 raise DataError(f"no training paragraphs for domain {domain}")
     with _stage("fit_tfidf"):
-        term_docs = [text_to_terms(p.text, phrases) for p, _ in corpus.entries]
+        term_docs = [text_to_terms(p.text, lexicon.fusion) for p, _ in corpus.entries]
         tfidf = fit_tfidf(term_docs)
         matrix = vectorize_all(tfidf, term_docs)
     with _stage("fit_svd"):

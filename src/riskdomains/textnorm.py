@@ -4,34 +4,24 @@ The normalization order matters: multiword expressions are matched on the
 unstemmed lowercase word sequence, then fused into single underscore-joined
 stems that bypass stemming, and only the remaining words are stemmed.
 Uni/bi/trigram term multisets are built over the post-fusion stem sequence.
+
+A phrase is a tuple of words. fuse_mwes reads its phrases from a table that
+phrase_table builds once per lexicon (corpus.KeywordLexicon.fusion).
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
 
-from .errors import DataError
 from .porter import porter_stem
 
 _WORD_RE = re.compile(r"[a-z]+")
 
 MWE_JOINER = "_"
 
-
-@dataclass(frozen=True)
-class MwePhrase:
-    """A multiword expression owned by one risk-factor domain."""
-
-    words: tuple[str, ...]
-    domain: str
-
-    def __post_init__(self):
-        if len(self.words) < 2:
-            raise DataError(f"MWE phrase needs at least 2 words: {self.words!r}")
-        if any(not w for w in self.words):
-            raise DataError(f"MWE phrase contains an empty word: {self.words!r}")
+PhraseTable = dict[str, list[tuple[str, ...]]]
 
 
 def tokenize(text: str) -> list[str]:
@@ -43,23 +33,31 @@ def tokenize(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
-def fuse_mwes(words: list[str], phrases: list[MwePhrase]) -> list[str]:
+def phrase_table(phrases: Iterable[tuple[str, ...]]) -> PhraseTable:
+    """Each distinct phrase under its first word, longest first.
+
+    fuse_mwes tries a word's phrases in this order, so the first that
+    matches is the longest.
+    """
+    table: PhraseTable = {}
+    for phrase in sorted(dict.fromkeys(phrases), key=len, reverse=True):
+        table.setdefault(phrase[0], []).append(phrase)
+    return table
+
+
+def fuse_mwes(words: list[str], table: PhraseTable) -> list[str]:
     """Fuse phrase occurrences into single stems and stem the rest.
 
     Matching is longest-match, left-to-right, non-overlapping, on the
     unstemmed lowercase words. Fused phrases join their words with "_" and
-    are not stemmed. Only a word that begins some phrase is tried as the
-    start of one.
+    are not stemmed. Only a word that begins some phrase of the table is
+    tried as the start of one.
     """
-    # Phrases by their first word, longest first: the first match is longest.
-    by_first: dict[str, list[tuple[str, ...]]] = {}
-    for phrase in sorted({p.words for p in phrases}, key=len, reverse=True):
-        by_first.setdefault(phrase[0], []).append(phrase)
     stems: list[str] = []
     i = 0
     n = len(words)
     while i < n:
-        for candidate in by_first.get(words[i], ()):
+        for candidate in table.get(words[i], ()):
             if tuple(words[i : i + len(candidate)]) == candidate:
                 stems.append(MWE_JOINER.join(candidate))
                 i += len(candidate)
@@ -80,6 +78,6 @@ def extract_terms(stems: list[str]) -> Counter:
     return Counter(stems + bigrams + trigrams)
 
 
-def text_to_terms(text: str, phrases: list[MwePhrase]) -> Counter:
+def text_to_terms(text: str, table: PhraseTable) -> Counter:
     """Full normalization: tokenize, fuse MWEs, stem, extract n-gram terms."""
-    return extract_terms(fuse_mwes(tokenize(text), phrases))
+    return extract_terms(fuse_mwes(tokenize(text), table))

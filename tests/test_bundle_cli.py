@@ -57,11 +57,12 @@ class TestBundleRoundTrip:
         assert manifest["kind"] == trained.pipeline.kind
         assert loaded_lexicon is loaded.lexicon
         assert loaded_lexicon.keywords == lexicon.keywords
-        assert loaded_lexicon.all_phrases() == trained.pipeline.lexicon.all_phrases()
+        assert loaded_lexicon.keyphrases == trained.pipeline.lexicon.keyphrases
+        assert loaded_lexicon.fusion == trained.pipeline.lexicon.fusion
         # The manifest stores the fused lexicon: no keyphrases without MWEs.
         stored = [p for e in manifest["lexicon"].values() for p in e["keyphrases"]]
-        fused = len(lexicon.all_phrases()) if trained.pipeline.use_mwes else 0
-        assert len(stored) == fused
+        fused = sum(len(p) for p in lexicon.keyphrases.values())
+        assert len(stored) == (fused if trained.pipeline.use_mwes else 0)
 
     def test_saves_are_byte_identical(self, trained, tmp_path):
         info = {"corpus": "corpus.jsonl", "seed": 42}
@@ -146,7 +147,7 @@ class TestOlderBundles:
         manifest["lexicon"] = lexicon_to_json(lexicon)
         path.write_text(json.dumps(manifest))
         loaded, loaded_lexicon, _ = load_bundle(saved)
-        assert loaded_lexicon.all_phrases() == []
+        assert loaded_lexicon.fusion == {}
         texts = [p.text for p in paragraphs]
         labels_a, scores_a = classify_batch(trained_mlp_nomwe.pipeline, texts)
         labels_b, scores_b = classify_batch(loaded, texts)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from riskdomains import corpus, textnorm
 from riskdomains.classify import (
     CosineModel,
     ThresholdSet,
@@ -17,7 +18,7 @@ from riskdomains.classify import (
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import ConfigError, DataError
 from riskdomains.networks import init_mlp
-from riskdomains.pipeline import DEFAULT_ALPHA
+from riskdomains.pipeline import DEFAULT_ALPHA, PipelineOptions, train_pipeline
 from riskdomains.vectorspace import SvdProjection
 
 
@@ -379,3 +380,22 @@ def test_calibrated_pipelines_use_default_alphas(
     assert trained_mlp.pipeline.thresholds.alpha == DEFAULT_ALPHA["mlp"]
     assert trained_rbf.pipeline.thresholds.alpha == DEFAULT_ALPHA["rbf"]
     assert trained_cosine.pipeline.thresholds.alpha == DEFAULT_ALPHA["cosine"]
+
+
+def test_training_and_classifying_build_no_phrase_table(
+    small_corpus, trained_mlp, monkeypatch
+):
+    """The lexicon builds its fusion table once; the text path only reads it."""
+    calls = []
+    real = textnorm.phrase_table
+
+    def spy(phrases):
+        calls.append(phrases)
+        return real(phrases)
+
+    for module in (textnorm, corpus):
+        monkeypatch.setattr(module, "phrase_table", spy)
+    paragraphs, _, lexicon = small_corpus
+    classify_batch(trained_mlp.pipeline, [p.text for p in paragraphs[:20]])
+    train_pipeline(paragraphs, lexicon, PipelineOptions(kind="cosine"))
+    assert calls == []

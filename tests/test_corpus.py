@@ -25,7 +25,8 @@ from riskdomains.corpus import (
 from riskdomains.corpus import build_megadocuments
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import ConfigError, DataError
-from riskdomains.textnorm import MwePhrase, text_to_terms, tokenize
+from riskdomains.porter import porter_stem
+from riskdomains.textnorm import extract_terms, text_to_terms, tokenize
 
 
 def tiny_lexicon():
@@ -33,12 +34,12 @@ def tiny_lexicon():
         Domain.APPEARANCE: (["disheveled"], []),
         Domain.THOUGHT_CONTENT: (["delusion"], []),
         Domain.INTERPERSONAL: (["roommate"], []),
-        Domain.MOOD: (["anxious"], [MwePhrase(("feeling", "down"), "Mood")]),
+        Domain.MOOD: (["anxious"], [("feeling", "down")]),
         Domain.OCCUPATION: (["job"], []),
         Domain.THOUGHT_PROCESS: (["tangential"], []),
         Domain.SUBSTANCE: (
             ["cocaine", "marijuana"],
-            [MwePhrase(("getting", "high"), "Substance")],
+            [("getting", "high")],
         ),
     }
     return KeywordLexicon(entries)
@@ -117,12 +118,12 @@ class TestWeakLabel:
             Domain.MOOD: (
                 [],
                 [
-                    MwePhrase(("feeling", "feeling"), "Mood"),
-                    MwePhrase(("feeling", "down"), "Mood"),
+                    ("feeling", "feeling"),
+                    ("feeling", "down"),
                 ],
             ),
             Domain.SUBSTANCE: (
-                ["feeling"], [MwePhrase(("feeling", "feeling"), "Substance")]
+                ["feeling"], [("feeling", "feeling")]
             ),
         })
         words = tokenize("feeling feeling feeling down")
@@ -148,9 +149,66 @@ def oracle_hits(words, lexicon):
 
     return {
         d: sum(w in lexicon.keywords[d] for w in words)
-        + sum(count(p.words) for p in lexicon.keyphrases[d])
+        + sum(count(p) for p in lexicon.keyphrases[d])
         for d in CLASSIFIED_DOMAINS
     }
+
+
+class TestLexiconTables:
+    def lexicon(self):
+        return KeywordLexicon({
+            Domain.MOOD: (["low"], [("train", "of"), ("panic", "attack")]),
+            Domain.THOUGHT_PROCESS: (["low"], [("train", "of", "thought")]),
+            Domain.SUBSTANCE: ([], [("panic", "disorder")]),
+        })
+
+    def test_fusion_is_longest_first_by_first_word(self):
+        assert self.lexicon().fusion == {
+            "train": [("train", "of", "thought"), ("train", "of")],
+            "panic": [("panic", "attack"), ("panic", "disorder")],
+        }
+
+    def test_hit_table_lists_each_entry_with_its_domains(self):
+        assert self.lexicon().hit_table == {
+            ("low",): [Domain.MOOD, Domain.THOUGHT_PROCESS],
+            ("train", "of"): [Domain.MOOD],
+            ("panic", "attack"): [Domain.MOOD],
+            ("train", "of", "thought"): [Domain.THOUGHT_PROCESS],
+            ("panic", "disorder"): [Domain.SUBSTANCE],
+        }
+
+    def test_keyword_only_copy_fuses_nothing(self):
+        keyword_only = self.lexicon().without_keyphrases()
+        assert keyword_only.fusion == {}
+        assert keyword_only.hit_table == {
+            ("low",): [Domain.MOOD, Domain.THOUGHT_PROCESS]
+        }
+
+    def test_text_to_terms_matches_per_paragraph_oracle(self, small_corpus):
+        paragraphs, _, lexicon = small_corpus
+        phrases = [p for d in CLASSIFIED_DOMAINS for p in lexicon.keyphrases[d]]
+        for paragraph in paragraphs:
+            assert text_to_terms(paragraph.text, lexicon.fusion) == oracle_terms(
+                paragraph.text, phrases
+            )
+
+
+def oracle_terms(text, phrases):
+    """Reference terms: at each word, the longest of all phrases that matches,
+    found by trying every phrase there."""
+    words = tokenize(text)
+    stems = []
+    i = 0
+    while i < len(words):
+        matches = [p for p in phrases if tuple(words[i : i + len(p)]) == p]
+        if matches:
+            longest = max(matches, key=len)
+            stems.append("_".join(longest))
+            i += len(longest)
+        else:
+            stems.append(porter_stem(words[i]))
+            i += 1
+    return extract_terms(stems)
 
 
 class TestMegadocuments:
@@ -173,7 +231,7 @@ class TestMegadocuments:
         return weak_label(paragraphs, tiny_lexicon())
 
     def megadocuments(self, corpus):
-        term_docs = [text_to_terms(p.text, []) for p, _ in corpus.entries]
+        term_docs = [text_to_terms(p.text, {}) for p, _ in corpus.entries]
         return build_megadocuments(corpus, term_docs)
 
     def test_counts_and_id_union(self):
@@ -185,14 +243,14 @@ class TestMegadocuments:
         assert megadocs[Domain.SUBSTANCE] == {"marijuana": 2}
         total = sum(megadocs.values(), Counter())
         assert total == sum(
-            (text_to_terms(p.text, []) for p, _ in corpus.entries), Counter()
+            (text_to_terms(p.text, {}) for p, _ in corpus.entries), Counter()
         )
 
     def test_one_paragraph_each(self):
         corpus = self.build_corpus({d: 1 for d in CLASSIFIED_DOMAINS})
         megadocs = self.megadocuments(corpus)
         for paragraph, domain in corpus.entries:
-            assert megadocs[domain] == text_to_terms(paragraph.text, [])
+            assert megadocs[domain] == text_to_terms(paragraph.text, {})
 
     def test_empty_domain_is_named(self):
         counts = {d: 1 for d in CLASSIFIED_DOMAINS}
@@ -312,10 +370,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="not a run of letters a-z"):
             KeywordLexicon({Domain.MOOD: ([word], [])})
 
-    @pytest.mark.parametrize("word", ["Down", "self-harm", "mood2"])
+    @pytest.mark.parametrize("word", ["Down", "self-harm", "mood2", ""])
     def test_keyphrase_words_must_be_words_tokenize_gives(self, word):
-        phrase = MwePhrase(("low", word), "Mood")
+        phrase = ("low", word)
         with pytest.raises(ConfigError, match="not a run of letters a-z"):
+            KeywordLexicon({Domain.MOOD: ([], [phrase])})
+
+    @pytest.mark.parametrize("phrase", [("solo",), ()], ids=["one_word", "no_word"])
+    def test_keyphrase_needs_two_words(self, phrase):
+        with pytest.raises(ConfigError, match="of Mood has fewer than 2 words"):
             KeywordLexicon({Domain.MOOD: ([], [phrase])})
 
 

@@ -75,9 +75,9 @@ def test_classify_batch_calls_text_to_terms_once_per_paragraph(
     calls = []
     real = classify.text_to_terms
 
-    def spy(text, phrases):
+    def spy(text, table):
         calls.append(text)
-        return real(text, phrases)
+        return real(text, table)
 
     monkeypatch.setattr(classify, "text_to_terms", spy)
     paragraphs, _, _ = small_corpus

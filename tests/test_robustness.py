@@ -238,6 +238,32 @@ def train_with_lexicon_edit(mutate):
     return case
 
 
+def train_with_bytes(config=None, lexicon=None):
+    """Train with a --config or --lexicon file that holds the given raw bytes."""
+
+    def case(tmp_path, corpus_files, bundles):
+        argv = [
+            "train", "--corpus", str(corpus_files / "corpus.jsonl"),
+            "--lexicon", str(corpus_files / "lexicon.json"),
+            "--out", str(tmp_path / "out"),
+        ]
+        for flag, raw in (("config", config), ("lexicon", lexicon)):
+            if raw is not None:
+                path = tmp_path / f"{flag}.json"
+                path.write_bytes(raw)
+                argv += [f"--{flag}", str(path)]
+        return argv
+
+    return case
+
+
+def write_manifest(raw):
+    def corrupt(bundle):
+        (bundle / "manifest.json").write_bytes(raw)
+
+    return corrupt
+
+
 def synth_with(config):
     """Run synth with a config file."""
 
@@ -569,6 +595,45 @@ CASES = {
         ),
         1,
         "mood2",
+    ),
+    "lexicon_keyphrase_one_word": (
+        train_with_lexicon_edit(lambda lex: lex["Mood"]["keyphrases"].append("low")),
+        1,
+        "keyphrase 'low' of Mood has fewer than 2 words",
+    ),
+    "lexicon_keyphrase_empty": (
+        train_with_lexicon_edit(lambda lex: lex["Mood"]["keyphrases"].append("")),
+        1,
+        "keyphrase '' of Mood has fewer than 2 words",
+    ),
+    "bundle_lexicon_keyphrase_one_word": (
+        corrupt_bundle(
+            "mlp",
+            edit_manifest(lambda m: m["lexicon"]["Mood"]["keyphrases"].append("low")),
+        ),
+        2,
+        r"manifest\.json: lexicon: keyphrase 'low' of Mood",
+    ),
+    "config_invalid_utf8": (
+        train_with_bytes(config=b'{"seed": 3, "kind": "ml\xffp"}'),
+        1,
+        r"config\.json: invalid UTF-8",
+    ),
+    "config_deeply_nested": (
+        train_with_bytes(config=b"[" * 200_000), 1, r"config\.json: .*nested"
+    ),
+    "lexicon_invalid_utf8": (
+        train_with_bytes(lexicon=b'{"Mood": {"keywords": ["sad\xff"]}}'),
+        2,
+        r"lexicon\.json: invalid UTF-8",
+    ),
+    "lexicon_deeply_nested": (
+        train_with_bytes(lexicon=b"[" * 200_000), 2, r"lexicon\.json: .*nested"
+    ),
+    "bundle_manifest_deeply_nested": (
+        corrupt_bundle("mlp", write_manifest(b"[" * 200_000)),
+        2,
+        r"manifest\.json: .*nested",
     ),
     "config_synth_count_string": (
         synth_with({"paragraphs_per_domain": "x"}), 1, "paragraphs_per_domain"

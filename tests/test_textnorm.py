@@ -3,21 +3,21 @@
 import random
 from collections import Counter
 
-import pytest
-
-from riskdomains.errors import DataError
 from riskdomains.porter import porter_stem
 from riskdomains.textnorm import (
-    MwePhrase,
     extract_terms,
     fuse_mwes,
+    phrase_table,
     text_to_terms,
     tokenize,
 )
 
 
 def phrase(*words):
-    return MwePhrase(words=tuple(words), domain="Mood")
+    return tuple(words)
+
+
+PANIC_ATTACK = phrase_table([phrase("panic", "attack")])
 
 
 class TestTokenize:
@@ -37,40 +37,61 @@ class TestTokenize:
         assert tokenize("ab12cd 3mg") == ["ab", "cd", "mg"]
 
 
+class TestPhraseTable:
+    def test_longest_first_under_the_first_word(self):
+        table = phrase_table([
+            phrase("train", "of"), phrase("panic", "attack"),
+            phrase("train", "of", "thought"), phrase("panic", "disorder"),
+        ])
+        assert table == {
+            "train": [phrase("train", "of", "thought"), phrase("train", "of")],
+            "panic": [phrase("panic", "attack"), phrase("panic", "disorder")],
+        }
+
+    def test_each_phrase_once(self):
+        table = phrase_table([phrase("panic", "attack")] * 2)
+        assert table == {"panic": [phrase("panic", "attack")]}
+
+    def test_empty(self):
+        assert phrase_table([]) == {}
+
+
 class TestFuseMwes:
     def test_single_phrase(self):
-        stems = fuse_mwes(["panic", "attack"], [phrase("panic", "attack")])
+        stems = fuse_mwes(["panic", "attack"], PANIC_ATTACK)
         assert stems == ["panic_attack"]
 
     def test_no_match_identity(self):
-        stems = fuse_mwes(["calm", "patient"], [phrase("panic", "attack")])
+        stems = fuse_mwes(["calm", "patient"], PANIC_ATTACK)
         assert stems == [porter_stem("calm"), porter_stem("patient")]
 
     def test_longest_match_wins(self):
         phrases = [phrase("attention", "span"), phrase("short", "attention", "span")]
-        stems = fuse_mwes(["short", "attention", "span"], phrases)
+        stems = fuse_mwes(["short", "attention", "span"], phrase_table(phrases))
         assert stems == ["short_attention_span"]
 
     def test_non_overlapping_left_to_right(self):
         # After "panic attack" is consumed, "attack dog" cannot match.
         phrases = [phrase("panic", "attack"), phrase("attack", "dog")]
-        stems = fuse_mwes(["panic", "attack", "dog"], phrases)
+        stems = fuse_mwes(["panic", "attack", "dog"], phrase_table(phrases))
         assert stems == ["panic_attack", porter_stem("dog")]
 
     def test_mwe_token_invariants(self):
         # A fused phrase keeps its joined surface unstemmed; other words stem.
-        stems = fuse_mwes(["panic", "attack", "today"], [phrase("panic", "attack")])
+        stems = fuse_mwes(["panic", "attack", "today"], PANIC_ATTACK)
         assert stems == ["panic_attack", porter_stem("today")]
 
     def test_phrases_sharing_a_first_word(self):
         phrases = [phrase("panic", "attack"), phrase("panic", "disorder")]
-        stems = fuse_mwes(["panic", "disorder", "panic", "attack", "panic"], phrases)
+        stems = fuse_mwes(
+            ["panic", "disorder", "panic", "attack", "panic"], phrase_table(phrases)
+        )
         assert stems == ["panic_disorder", "panic_attack", porter_stem("panic")]
 
     def test_three_word_phrase_over_its_two_word_prefix(self):
         phrases = [phrase("train", "of"), phrase("train", "of", "thought")]
         words = ["train", "of", "thought", "train", "of", "time", "train", "of"]
-        stems = fuse_mwes(words, phrases)
+        stems = fuse_mwes(words, phrase_table(phrases))
         assert stems == ["train_of_thought", "train_of", porter_stem("time"), "train_of"]
 
     def test_token_count_bound(self):
@@ -79,7 +100,7 @@ class TestFuseMwes:
         phrases = [phrase("panic", "attack"), phrase("alpha", "beta", "gamma")]
         for _ in range(50):
             words = [rng.choice(vocabulary) for _ in range(rng.randint(0, 20))]
-            stems = fuse_mwes(words, phrases)
+            stems = fuse_mwes(words, phrase_table(phrases))
             assert len(stems) <= len(words)
             fused = any("_" in s for s in stems)
             assert (len(stems) == len(words)) == (not fused)
@@ -97,15 +118,15 @@ def loop_terms(stems):
 
 class TestExtractTerms:
     def test_bigram_example(self):
-        terms = extract_terms(fuse_mwes(tokenize("linear thinking"), []))
+        terms = extract_terms(fuse_mwes(tokenize("linear thinking"), {}))
         assert dict(terms) == {"linear": 1, "think": 1, "linear think": 1}
 
     def test_single_token(self):
-        terms = extract_terms(fuse_mwes(["patient"], []))
+        terms = extract_terms(fuse_mwes(["patient"], {}))
         assert dict(terms) == {"patient": 1}
 
     def test_fused_terms(self):
-        stems = fuse_mwes(["panic", "attack", "today"], [phrase("panic", "attack")])
+        stems = fuse_mwes(["panic", "attack", "today"], PANIC_ATTACK)
         terms = extract_terms(stems)
         assert dict(terms) == {
             "panic_attack": 1,
@@ -114,7 +135,7 @@ class TestExtractTerms:
         }
 
     def test_multiset_counts_repeats(self):
-        terms = extract_terms(fuse_mwes(["sad", "sad", "sad"], []))
+        terms = extract_terms(fuse_mwes(["sad", "sad", "sad"], {}))
         assert terms["sad"] == 3
         assert terms["sad sad"] == 2
         assert terms["sad sad sad"] == 1
@@ -134,20 +155,13 @@ class TestExtractTerms:
         vocabulary = ["one", "two", "three", "four", "five"]
         for _ in range(50):
             words = [rng.choice(vocabulary) for _ in range(rng.randint(0, 15))]
-            stems = fuse_mwes(words, [])
+            stems = fuse_mwes(words, {})
             u = len(stems)
             expected = u + max(0, u - 1) + max(0, u - 2)
             assert sum(extract_terms(stems).values()) == expected
 
 
 def test_text_to_terms_composes():
-    phrases = [phrase("panic", "attack")]
-    terms = text_to_terms("Panic attack today!", phrases)
-    assert terms == extract_terms(fuse_mwes(tokenize("Panic attack today!"), phrases))
-
-
-def test_mwe_phrase_validation():
-    with pytest.raises(DataError):
-        MwePhrase(words=("solo",), domain="Mood")
-    with pytest.raises(DataError):
-        MwePhrase(words=("a", ""), domain="Mood")
+    text = "Panic attack today!"
+    terms = text_to_terms(text, PANIC_ATTACK)
+    assert terms == extract_terms(fuse_mwes(tokenize(text), PANIC_ATTACK))

@@ -172,14 +172,15 @@ class TestTfidf:
 
     def test_generator_list_and_loop_reference_agree_bit_for_bit(self, small_corpus):
         paragraphs, _, lexicon = small_corpus
-        phrases = lexicon.all_phrases()
         corpus = weak_label(paragraphs, lexicon)
-        term_docs = [text_to_terms(p.text, phrases) for p, _ in corpus.entries]
+        term_docs = [text_to_terms(p.text, lexicon.fusion) for p, _ in corpus.entries]
         model = fit_tfidf(term_docs)
         megadocs = build_megadocuments(corpus, term_docs)
         # Paragraphs with unknown terms and none known, and the much longer
         # cosine megadocument rows.
-        unseen = [text_to_terms(p.text + " zzyzx", phrases) for p in paragraphs]
+        unseen = [
+            text_to_terms(p.text + " zzyzx", lexicon.fusion) for p in paragraphs
+        ]
         for docs in (term_docs, unseen + [Counter(["zzyzx"])],
                      [megadocs[d] for d in CLASSIFIED_DOMAINS]):
             from_list = csr_bits(vectorize_all(model, docs))
