@@ -24,8 +24,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import shutil
-import tempfile
 import typing
 from pathlib import Path
 
@@ -34,7 +32,7 @@ import numpy as np
 from .classify import SCORER_TYPES, Pipeline, ThresholdSet
 from .corpus import (
     KeywordLexicon, is_json_type, lexicon_from_json, lexicon_to_json, parse_errors,
-    require_field,
+    replaced, require_field,
 )
 from .domains import CLASSIFIED_DOMAINS
 from .errors import ConfigError, DataError
@@ -116,8 +114,8 @@ def save_bundle(
     """Write a pipeline to a bundle directory, replacing an existing bundle.
 
     The manifest stores the pipeline's own lexicon, the one it fuses with.
-    The bundle is written into a temporary sibling directory and renamed into
-    place, so a failed save leaves an existing bundle as it was.
+    The bundle is written by corpus.replaced, so a failed save leaves an
+    existing bundle as it was.
     """
     directory = Path(directory)
     if directory.exists():
@@ -126,18 +124,9 @@ def save_bundle(
                 f"refusing to overwrite non-bundle directory: {directory}"
             )
     directory.parent.mkdir(parents=True, exist_ok=True)
-    # mkdtemp makes a private directory; the bundle itself is made inside it
-    # with mkdir, so it keeps the permissions of a normally created directory.
-    scratch = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
-    try:
-        staged = scratch / "new"
+    with replaced(directory) as staged:
         staged.mkdir()
         _save_into(staged, pipeline, training_info or {})
-        if directory.exists():
-            directory.rename(scratch / "old")
-        staged.rename(directory)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
     return directory
 
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
-import shutil
 import sys
-import tempfile
 from itertools import islice
 from pathlib import Path
 from typing import Sequence
@@ -35,8 +34,7 @@ from .corpus import (
     load_lexicon,
     load_paragraphs,
     parse_errors,
-    parse_labels,
-    read_records,
+    replaced,
     require_field,
     weak_label,
     write_gold,
@@ -132,11 +130,8 @@ def _existing_file(path, what: str) -> Path:
 def cmd_synth(opts: _Options) -> int:
     out = Path(opts.get("out", "."))
     seed = opts.get("seed", 0)
-    config = default_synthetic_config(
-        **opts.given(
-            ("paragraphs_per_domain", "multilabel_per_domain", "other_paragraphs")
-        )
-    )
+    counts = opts.given(inspect.signature(default_synthetic_config).parameters)
+    config = default_synthetic_config(**counts)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -215,38 +210,19 @@ def cmd_classify(opts: _Options) -> int:
         for chunk in chunks:
             sys.stdout.write(_prediction_lines(pipeline, chunk))
         return 0
-    out = Path(out)
-    # Written into a temporary sibling directory and renamed into place, as
-    # save_bundle does, so a failure leaves no partial predictions file.
-    try:
-        scratch = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
-    except OSError as e:
-        raise ConfigError(f"cannot write predictions to {out}: {e.strerror}")
-    try:
-        staged = scratch / out.name
-        written = 0
-        with open(staged, "w", encoding="utf-8") as f:
-            for chunk in chunks:
-                f.write(_prediction_lines(pipeline, chunk))
-                written += len(chunk)
-        staged.replace(out)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+    written = 0
+    with replaced(Path(out)) as staged, open(staged, "w", encoding="utf-8") as f:
+        for chunk in chunks:
+            f.write(_prediction_lines(pipeline, chunk))
+            written += len(chunk)
     _log(f"wrote {written} predictions to {out}")
     return 0
-
-
-def _load_predictions(path: Path) -> dict[str, list[Domain]]:
-    return {
-        pid: list(parse_labels(require_field(obj, "labels", where), where))
-        for where, pid, obj in read_records(path)
-    }
 
 
 def cmd_evaluate(opts: _Options) -> int:
     predictions_path = _existing_file(opts.require("predictions"), "predictions")
     gold_path = _existing_file(opts.require("gold"), "gold")
-    predictions = _load_predictions(predictions_path)
+    predictions = load_gold(predictions_path)
     gold = load_gold(gold_path)
     mismatched = sorted(set(predictions) ^ set(gold))
     if mismatched:
@@ -355,7 +331,8 @@ def cmd_project_lda(opts: _Options) -> int:
     return 0
 
 
-# Config keys of each subcommand and the type of their JSON values.
+# Each subcommand's options and JSON types, as config keys and as the flags
+# --key-with-dashes (--mwes/--no-mwes), checked alike where they are used.
 _ALLOWED_KEYS = {
     "synth": {
         "seed": int, "out": str, "paragraphs_per_domain": int,
@@ -372,13 +349,27 @@ _ALLOWED_KEYS = {
     "project-lda": {"out": str, "bundle": str, "corpus": str, "gold": str},
 }
 
+_HELP = {
+    "out": "output path (see subcommand help)",
+    "seed": "random seed",
+    "corpus": "paragraphs JSONL file",
+    "lexicon": "keyword/keyphrase lexicon JSON file",
+    "kind": "scorer: cosine, mlp or rbf",
+    "alpha": "threshold multiplier",
+    "loss": "training loss: cce, bce or mse",
+    "bundle": "bundle directory",
+    "predictions": "predictions JSONL file",
+    "gold": "gold labels JSONL file (project-lda: optional, else weak labels)",
+    "annotations": "annotations JSONL file (3 annotators)",
+}
+
 _COMMANDS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "classify": cmd_classify,
-    "evaluate": cmd_evaluate,
-    "agreement": cmd_agreement,
-    "project-lda": cmd_project_lda,
+    "synth": (cmd_synth, "generate a synthetic corpus, gold labels, and lexicon"),
+    "train": (cmd_train, "fit a pipeline and write a model bundle directory"),
+    "classify": (cmd_classify, "label paragraphs with a trained bundle (JSONL out)"),
+    "evaluate": (cmd_evaluate, "score predictions against gold labels"),
+    "agreement": (cmd_agreement, "inter-annotator agreement report"),
+    "project-lda": (cmd_project_lda, "export 2-d discriminant coordinates (CSV + SVG)"),
 }
 
 
@@ -388,49 +379,21 @@ def build_parser() -> _Parser:
         description="Risk factor domain extraction for psychiatric narrative text.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--out", help="output path (see subcommand help)")
-        return p
-
-    p = add("synth", "generate a synthetic corpus, gold labels, and lexicon")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--paragraphs-per-domain", type=int, dest="paragraphs_per_domain")
-    p.add_argument("--multilabel-per-domain", type=int, dest="multilabel_per_domain")
-    p.add_argument("--other-paragraphs", type=int, dest="other_paragraphs")
-
-    p = add("train", "fit a pipeline and write a model bundle directory")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--corpus", help="paragraphs JSONL file")
-    p.add_argument("--lexicon", help="keyword/keyphrase lexicon JSON file")
-    p.add_argument("--kind", choices=["cosine", "mlp", "rbf"])
-    p.add_argument("--svd-k", type=int, dest="svd_k")
-    p.add_argument("--alpha", type=float, help="threshold multiplier")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--loss", choices=["cce", "bce", "mse"])
-    p.add_argument("--mwes", dest="use_mwes", action="store_const", const=True)
-    p.add_argument("--no-mwes", dest="use_mwes", action="store_const", const=False)
-
-    p = add("classify", "label paragraphs with a trained bundle (JSONL out)")
-    p.add_argument("--bundle", help="bundle directory")
-    p.add_argument("--corpus", help="paragraphs JSONL file")
-
-    p = add("evaluate", "score predictions against gold labels")
-    p.add_argument("--predictions", help="predictions JSONL file")
-    p.add_argument("--gold", help="gold labels JSONL file")
-
-    p = add("agreement", "inter-annotator agreement report")
-    p.add_argument("--annotations", help="annotations JSONL file (3 annotators)")
-    p.add_argument("--gold", help="gold labels JSONL file")
-
-    p = add("project-lda", "export 2-d discriminant coordinates (CSV + SVG)")
-    p.add_argument("--bundle", help="bundle directory")
-    p.add_argument("--corpus", help="paragraphs JSONL file")
-    p.add_argument("--gold", help="optional gold labels; default is weak labels")
-
+        for key, json_type in _ALLOWED_KEYS[name].items():
+            if json_type is bool:
+                flag = key.removeprefix("use_")
+                for prefix, value in (("", True), ("no-", False)):
+                    p.add_argument(
+                        f"--{prefix}{flag}", dest=key, action="store_const", const=value
+                    )
+            else:
+                p.add_argument(
+                    "--" + key.replace("_", "-"), dest=key, type=json_type,
+                    help=_HELP.get(key),
+                )
     return parser
 
 
@@ -441,7 +404,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command is None:
             raise ConfigError("no subcommand given; see --help")
         opts = _Options(args, _ALLOWED_KEYS[args.command])
-        return _COMMANDS[args.command](opts)
+        return _COMMANDS[args.command][0](opts)
     except RiskDomainsError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -19,7 +19,10 @@ are not UTF-8, text that is not JSON and nesting too deep to parse.
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 from collections import Counter
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,21 +56,24 @@ class AnnotatedParagraph:
         validate_labels(self.paragraph.id, self.labels)
 
 
-def validate_labels(owner_id: str, labels: tuple[Domain, ...]) -> None:
+def validate_labels(where: str, labels: tuple[Domain, ...]) -> None:
+    """Check a label list; where (a file position or an id) prefixes errors."""
     if not labels:
-        raise DataError(f"{owner_id}: label list is empty")
+        raise DataError(f"{where}: label list is empty")
+    names = ", ".join(map(str, labels))
     if len(set(labels)) != len(labels):
-        raise DataError(f"{owner_id}: duplicate labels {labels}")
+        raise DataError(f"{where}: duplicate labels in [{names}]")
     if Domain.OTHER in labels and len(labels) > 1:
-        raise DataError(f"{owner_id}: Other must be the sole label, got {labels}")
+        raise DataError(f"{where}: Other must be the sole label, got [{names}]")
 
 
 class KeywordLexicon:
     """Per-domain keywords (single words) and keyphrases (tuples of 2+ words).
 
-    Both tables are built here, once: fusion is the phrase table fuse_mwes
-    reads, and hit_table maps each keyword (as a 1-tuple) and keyphrase to
-    the domains that list it. Nothing changes a lexicon once it is built.
+    Its tables are built here, once: fusion is the phrase table fuse_mwes
+    reads, hit_table maps each keyword (as a 1-tuple) and keyphrase to the
+    domains that list it, and hit_lengths holds the sorted entry lengths.
+    Nothing changes a lexicon once it is built.
     """
 
     def __init__(self, entries: dict[Domain, tuple[list[str], list[tuple[str, ...]]]]):
@@ -95,6 +101,7 @@ class KeywordLexicon:
             self.keyphrases[domain] = list(phrases)
             for words in [(w,) for w in kws] + self.keyphrases[domain]:
                 self.hit_table.setdefault(words, []).append(domain)
+        self.hit_lengths = sorted({len(t) for t in self.hit_table})
         self.fusion = phrase_table(p for ps in self.keyphrases.values() for p in ps)
 
     def require_nonempty(self) -> None:
@@ -120,14 +127,14 @@ class TrainingCorpus:
 
 
 def _scan_hits(
-    words: list[str], table: dict[tuple[str, ...], list[Domain]]
+    words: list[str], table: dict[tuple[str, ...], list[Domain]], lengths: list[int]
 ) -> dict[Domain, int]:
     """Occurrences per domain of the table's entries, in one left-to-right scan.
 
-    Each entry counts its own non-overlapping occurrences: next_free holds
-    the first index where it may match again. Different entries may overlap.
+    lengths is the sorted set of entry lengths. Each entry counts its own
+    non-overlapping occurrences: next_free holds the first index where it
+    may match again. Different entries may overlap.
     """
-    lengths = sorted({len(t) for t in table})
     hits = dict.fromkeys(CLASSIFIED_DOMAINS, 0)
     next_free: dict[tuple[str, ...], int] = {}
     n = len(words)
@@ -146,7 +153,7 @@ def _scan_hits(
 
 def lexicon_hits(words: list[str], lexicon: KeywordLexicon) -> dict[Domain, int]:
     """Keyword plus keyphrase occurrence counts per domain, pre-stemming."""
-    return _scan_hits(words, lexicon.hit_table)
+    return _scan_hits(words, lexicon.hit_table, lexicon.hit_lengths)
 
 
 def weak_label(paragraphs: list[Paragraph], lexicon: KeywordLexicon) -> TrainingCorpus:
@@ -158,7 +165,7 @@ def weak_label(paragraphs: list[Paragraph], lexicon: KeywordLexicon) -> Training
     lexicon.require_nonempty()
     entries: list[tuple[Paragraph, Domain]] = []
     for paragraph in paragraphs:
-        hits = _scan_hits(tokenize(paragraph.text), lexicon.hit_table)
+        hits = lexicon_hits(tokenize(paragraph.text), lexicon)
         best = max(hits.values())
         if best == 0:
             continue
@@ -374,13 +381,14 @@ def _assemble(
         if domain not in allowed
         for phrase in config.domain_phrases.get(domain, ())
     }
+    lengths = sorted({len(t) for t in foreign})
     for _ in range(100):
         content_len = sum(len(u) for u in units)
         n_noise = max(0, total_words - content_len)
         parts = list(units) + [(rng.choice(config.noise_words),) for _ in range(n_noise)]
         rng.shuffle(parts)
         words = [w for unit in parts for w in unit]
-        if not any(_scan_hits(words, foreign).values()):
+        if not any(_scan_hits(words, foreign, lengths).values()):
             return words
     raise ConfigError(
         "could not assemble a paragraph without accidental foreign phrases; "
@@ -463,10 +471,15 @@ def generate_synthetic_corpus(
 # File formats
 # ---------------------------------------------------------------------------
 
-def write_paragraphs(path: str | Path, paragraphs: list[Paragraph]) -> None:
+def write_records(path: str | Path, records: Iterable[dict]) -> None:
+    """Write a JSON-lines file: each record, a JSON object, on its own line."""
     with open(path, "w", encoding="utf-8") as f:
-        for p in paragraphs:
-            f.write(json.dumps({"id": p.id, "text": p.text, "source": p.source}) + "\n")
+        f.writelines(json.dumps(record) + "\n" for record in records)
+
+
+def write_paragraphs(path: str | Path, paragraphs: list[Paragraph]) -> None:
+    records = ({"id": p.id, "text": p.text, "source": p.source} for p in paragraphs)
+    write_records(path, records)
 
 
 def iter_paragraphs(path: str | Path):
@@ -483,14 +496,9 @@ def load_paragraphs(path: str | Path) -> list[Paragraph]:
 
 
 def write_gold(path: str | Path, gold: list[AnnotatedParagraph]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for g in gold:
-            f.write(
-                json.dumps(
-                    {"id": g.paragraph.id, "labels": [d.value for d in g.labels]}
-                )
-                + "\n"
-            )
+    write_records(path, (
+        {"id": g.paragraph.id, "labels": [d.value for d in g.labels]} for g in gold
+    ))
 
 
 def parse_labels(raw, where: str) -> tuple[Domain, ...]:
@@ -504,11 +512,11 @@ def parse_labels(raw, where: str) -> tuple[Domain, ...]:
 
 
 def load_gold(path: str | Path) -> dict[str, list[Domain]]:
-    """Ordered gold labels keyed by paragraph id."""
+    """Ordered labels by id, from any {id, labels} file: gold or predictions."""
     gold: dict[str, list[Domain]] = {}
     for where, pid, obj in read_records(path):
         labels = parse_labels(require_field(obj, "labels", where), where)
-        validate_labels(pid, labels)
+        validate_labels(where, labels)
         gold[pid] = list(labels)
     return gold
 
@@ -642,3 +650,26 @@ def read_records(path: str | Path):
                 raise DataError(f"{where}: duplicate id {pid!r}")
             seen.add(pid)
             yield where, pid, obj
+
+
+@contextmanager
+def replaced(path: Path):
+    """Yield a path in a new sibling directory; rename it to path on success.
+
+    The caller makes the file or directory there itself, so it gets normal
+    permissions, not mkdtemp's private ones. A failure leaves path as it was
+    and nothing beside it. A staged directory moves an existing one aside; a
+    staged file replaces a file, never a directory.
+    """
+    try:
+        scratch = Path(tempfile.mkdtemp(prefix=f".{path.name}.", dir=path.parent))
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from None
+    try:
+        staged = scratch / "new"
+        yield staged
+        if staged.is_dir() and path.is_dir():
+            path.rename(scratch / "old")
+        staged.replace(path)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)

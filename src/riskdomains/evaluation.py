@@ -9,12 +9,15 @@ agreement counts, and per-annotator accuracy in two variants.
 
 from __future__ import annotations
 
-import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Hashable, Sequence
 
-from .corpus import parse_labels, read_records, require_field, validate_labels
+from .corpus import (
+    parse_labels, read_records, require_field, validate_labels, write_records,
+)
 from .domains import ALL_DOMAINS, Domain
 from .errors import DataError
 
@@ -151,31 +154,22 @@ def build_report(records: Sequence[PredictionRecord]) -> MetricsReport:
 # Inter-annotator agreement
 # ---------------------------------------------------------------------------
 
-def _rating_table(items: Sequence[Sequence[Hashable]]) -> tuple[list, list[dict]]:
+def _rating_table(items: Sequence[Sequence[Hashable]]) -> list[Counter]:
+    """One Counter of its ratings per item, each item rated by the same 2+ raters."""
     if len(items) < 2:
         raise DataError("kappa needs at least 2 rated items")
     n_raters = len(items[0])
     if n_raters < 2:
         raise DataError("kappa needs at least 2 raters")
-    counts = []
-    categories: list = []
-    seen: set = set()
     for i, ratings in enumerate(items):
         if len(ratings) != n_raters:
             raise DataError(
                 f"item {i} has {len(ratings)} ratings, expected {n_raters}"
             )
-        row: dict = {}
-        for r in ratings:
-            row[r] = row.get(r, 0) + 1
-            if r not in seen:
-                seen.add(r)
-                categories.append(r)
-        counts.append(row)
-    return categories, counts
+    return [Counter(ratings) for ratings in items]
 
 
-def _observed_agreement(counts: list[dict], n_raters: int) -> float:
+def _observed_agreement(counts: list[Counter], n_raters: int) -> float:
     """Share of agreeing rater pairs per item, averaged over the items."""
     p_obs = 0.0
     for row in counts:
@@ -184,22 +178,19 @@ def _observed_agreement(counts: list[dict], n_raters: int) -> float:
     return p_obs / len(counts)
 
 
+def _kappa(p_obs: float, p_exp: float, name: str) -> float:
+    if 1.0 - p_exp == 0.0:
+        raise DataError(f"{name} undefined: every rating uses a single category")
+    return (p_obs - p_exp) / (1.0 - p_exp)
+
+
 def fleiss_kappa(items: Sequence[Sequence[Hashable]]) -> float:
     """Fleiss's kappa with category proportions pooled over all ratings."""
-    categories, counts = _rating_table(items)
-    n_items = len(items)
-    n_raters = len(items[0])
-    p_obs = _observed_agreement(counts, n_raters)
-    totals = {c: 0 for c in categories}
-    for row in counts:
-        for c, v in row.items():
-            totals[c] += v
-    p_exp = sum((v / (n_items * n_raters)) ** 2 for v in totals.values())
-    if 1.0 - p_exp == 0.0:
-        raise DataError(
-            "Fleiss kappa undefined: every rating uses a single category"
-        )
-    return (p_obs - p_exp) / (1.0 - p_exp)
+    counts = _rating_table(items)
+    n_ratings = len(items) * len(items[0])
+    totals = sum(counts, Counter())  # categories in first-seen order
+    p_exp = sum((v / n_ratings) ** 2 for v in totals.values())
+    return _kappa(_observed_agreement(counts, len(items[0])), p_exp, "Fleiss kappa")
 
 
 def multi_kappa(items: Sequence[Sequence[Hashable]]) -> float:
@@ -209,30 +200,15 @@ def multi_kappa(items: Sequence[Sequence[Hashable]]) -> float:
     rater pairs, the product of the two raters' own marginal distributions.
     Rater order must therefore be consistent across items.
     """
-    _, counts = _rating_table(items)
-    n_items = len(items)
-    n_raters = len(items[0])
-    p_obs = _observed_agreement(counts, n_raters)
-    marginals: list[dict] = [{} for _ in range(n_raters)]
-    for ratings in items:
-        for a, r in enumerate(ratings):
-            marginals[a][r] = marginals[a].get(r, 0) + 1
-    p_exp = 0.0
-    n_pairs = 0
-    for a in range(n_raters):
-        for b in range(a + 1, n_raters):
-            pair = 0.0
-            for c, va in marginals[a].items():
-                vb = marginals[b].get(c, 0)
-                pair += (va / n_items) * (vb / n_items)
-            p_exp += pair
-            n_pairs += 1
-    p_exp /= n_pairs
-    if 1.0 - p_exp == 0.0:
-        raise DataError(
-            "multi-rater kappa undefined: every rating uses a single category"
-        )
-    return (p_obs - p_exp) / (1.0 - p_exp)
+    counts = _rating_table(items)
+    n_items, n_raters = len(items), len(items[0])
+    marginals = [Counter(ratings[a] for ratings in items) for a in range(n_raters)]
+    pairs = list(combinations(marginals, 2))
+    p_exp = sum(
+        sum((va / n_items) * (b[c] / n_items) for c, va in a.items())
+        for a, b in pairs
+    ) / len(pairs)
+    return _kappa(_observed_agreement(counts, n_raters), p_exp, "multi-rater kappa")
 
 
 def kappa_band(kappa: float) -> str:
@@ -388,7 +364,7 @@ def load_annotations(path: str | Path) -> dict[str, list[list[Domain]]]:
         lists = []
         for labels in raw:
             domains = parse_labels(labels, where)
-            validate_labels(pid, domains)
+            validate_labels(where, domains)
             lists.append(list(domains))
         annotations[pid] = lists
     if not annotations:
@@ -399,11 +375,7 @@ def load_annotations(path: str | Path) -> dict[str, list[list[Domain]]]:
 def write_annotations(
     path: str | Path, annotations: dict[str, list[list[Domain]]]
 ) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for pid, lists in annotations.items():
-            f.write(
-                json.dumps(
-                    {"id": pid, "annotators": [[d.value for d in l] for l in lists]}
-                )
-                + "\n"
-            )
+    write_records(path, (
+        {"id": pid, "annotators": [[d.value for d in l] for l in lists]}
+        for pid, lists in annotations.items()
+    ))

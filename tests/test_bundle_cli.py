@@ -486,6 +486,21 @@ class TestCliClassifyEvaluate:
         assert err.startswith("error: ") and str(out) in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_classify_out_onto_a_directory_keeps_it(
+        self, cli_bundle, corpus_files, tmp_path, capsys
+    ):
+        out = tmp_path / "predictions"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        code, _, err = run_cli([
+            "classify", "--bundle", str(cli_bundle),
+            "--corpus", str(corpus_files / "corpus.jsonl"), "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and str(out) in err
+        assert (out / "notes.txt").read_text() == "kept"
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_classify_empty_corpus(self, cli_bundle, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -25,6 +25,7 @@ from riskdomains.corpus import (
 from riskdomains.corpus import build_megadocuments
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import ConfigError, DataError
+from riskdomains.evaluation import write_annotations
 from riskdomains.porter import porter_stem
 from riskdomains.textnorm import extract_terms, text_to_terms, tokenize
 
@@ -421,6 +422,24 @@ class TestFileFormats:
         path.write_text(line + "\n" + line + "\n")
         with pytest.raises(DataError):
             load_paragraphs(path)
+
+    def test_json_lines_writers_bytes(self, tmp_path):
+        paragraph = Paragraph(id="a", text="caf\u00e9 \"x\"", source="synthetic")
+        write_paragraphs(tmp_path / "corpus.jsonl", [paragraph])
+        gold = [AnnotatedParagraph(paragraph, (Domain.MOOD, Domain.SUBSTANCE))]
+        write_gold(tmp_path / "gold.jsonl", gold)
+        write_annotations(
+            tmp_path / "annotations.jsonl", {"a": [[Domain.MOOD], [Domain.OTHER]]}
+        )
+        assert (tmp_path / "corpus.jsonl").read_bytes() == (
+            b'{"id": "a", "text": "caf\\u00e9 \\"x\\"", "source": "synthetic"}\n'
+        )
+        assert (tmp_path / "gold.jsonl").read_bytes() == (
+            b'{"id": "a", "labels": ["Mood", "Substance"]}\n'
+        )
+        assert (tmp_path / "annotations.jsonl").read_bytes() == (
+            b'{"id": "a", "annotators": [["Mood"], ["Other"]]}\n'
+        )
 
     def test_gold_round_trip(self, tmp_path):
         paragraphs = [Paragraph(id="a", text="t"), Paragraph(id="b", text="t")]

@@ -257,6 +257,15 @@ def train_with_bytes(config=None, lexicon=None):
     return case
 
 
+def train_with_flags(*flags):
+    """Train on the good corpus and lexicon with the given extra flags."""
+
+    def case(tmp_path, corpus_files, bundles):
+        return train_with_bytes()(tmp_path, corpus_files, bundles) + list(flags)
+
+    return case
+
+
 def write_manifest(raw):
     def corrupt(bundle):
         (bundle / "manifest.json").write_bytes(raw)
@@ -566,6 +575,46 @@ CASES = {
             gold=[MOOD_RECORD],
         ),
         2,
+    ),
+    "gold_labels_empty": (
+        run_on_lines(
+            "evaluate", predictions=[MOOD_RECORD], gold=['{"id": "a", "labels": []}']
+        ),
+        2,
+        r"gold\.jsonl:1: label list is empty",
+    ),
+    "gold_labels_duplicate": (
+        run_on_lines(
+            "evaluate",
+            predictions=[MOOD_RECORD],
+            gold=['{"id": "a", "labels": ["Mood", "Mood"]}'],
+        ),
+        2,
+        r"gold\.jsonl:1: duplicate labels in \[Mood, Mood\]$",
+    ),
+    "predictions_labels_other_not_sole": (
+        run_on_lines(
+            "evaluate",
+            predictions=['{"id": "a", "labels": ["Other", "Mood"]}'],
+            gold=[MOOD_RECORD],
+        ),
+        2,
+        r"predictions\.jsonl:1: Other must be the sole label, got \[Other, Mood\]$",
+    ),
+    "annotations_labels_duplicate": (
+        run_on_lines(
+            "agreement",
+            annotations=['{"id": "a", "annotators": [["Mood"], ["Mood", "Mood"], []]}'],
+            gold=[MOOD_RECORD],
+        ),
+        2,
+        r"annotations\.jsonl:1: duplicate labels in \[Mood, Mood\]$",
+    ),
+    "train_kind_flag_unknown": (
+        train_with_flags("--kind", "forest"), 1, "^error: unknown model kind 'forest'$"
+    ),
+    "train_loss_flag_unknown": (
+        train_with_flags("--loss", "hinge"), 1, "^error: unknown loss kind 'hinge'$"
     ),
     "lexicon_keywords_not_list": (train_with(lexicon={"Mood": {"keywords": 5}}), 2),
     "config_use_mwes_string": (train_with(config={"use_mwes": "false"}), 1),
