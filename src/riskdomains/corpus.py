@@ -488,7 +488,10 @@ def iter_paragraphs(path: str | Path):
         text = require_field(obj, "text", where, str)
         if not text:
             raise DataError(f"{where}: field 'text' is empty")
-        yield Paragraph(id=pid, text=text, source=obj.get("source", "training"))
+        source = (
+            require_field(obj, "source", where, str) if "source" in obj else "training"
+        )
+        yield Paragraph(id=pid, text=text, source=source)
 
 
 def load_paragraphs(path: str | Path) -> list[Paragraph]:

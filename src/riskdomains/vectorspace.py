@@ -14,8 +14,10 @@ count, and builds the CSR rows in bulk: one sort, counts times idf, and one
 dot product per row for its norm, which keeps every value bit-identical to
 a term-by-term loop.
 
-The truncated SVD is one ARPACK run on the sparse matrix; only k = min(N, V),
-which ARPACK cannot return, takes the exact dense SVD.
+The truncated SVD is one Lanczos run (ARPACK) on the smaller Gram matrix of
+the sparse matrix, plus one sparse-dense product that turns its eigenvectors
+into the components; only k = min(N, V), which ARPACK cannot return, takes
+the exact dense SVD.
 """
 
 from __future__ import annotations
@@ -146,43 +148,18 @@ def vectorize_all(
     return sp.csr_matrix((data, cols, indptr), shape=(n, len(model.vocabulary)))
 
 
-def _fix_signs(components: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Rows components[order], each with its largest-magnitude entry made
-    positive (deterministic).
+def _fix_signs(components: np.ndarray) -> np.ndarray:
+    """Make each row's largest-magnitude entry positive, in place.
 
-    Copies one row at a time into a Fortran-ordered array, the layout
-    SvdProjection holds, so the rows are copied only once.
+    Each row is multiplied by an exact +1 or -1, so only signs change and
+    the (k, V) array is not copied. The peaks are found a row at a time:
+    np.abs(components).argmax(axis=1) would hold two more (k, V) arrays, the
+    absolute values and the C-ordered copy argmax makes of a Fortran array.
     """
-    out = np.empty((len(order), components.shape[1]), order="F")
-    for row, j in zip(out, order):
-        row[...] = components[j]
-        if row[np.argmax(np.abs(row))] < 0:
-            # Not np.negative(row, out=row): numpy 2.4.6 gets that wrong for
-            # a strided row.
-            row[...] = -row
-    return out
-
-
-def _svds_operator(matrix: sp.csr_matrix):
-    """matrix as the LinearOperator svds factors, with Fortran-ordered products.
-
-    svds takes a dense SVD of the product of the matrix, or of its adjoint,
-    with the Lanczos eigenvectors: a (max(N, V), k) array that LAPACK would
-    first copy out of C order, at standard size one more 31 MiB array at
-    training's peak. Every product holds the values aslinearoperator(matrix)
-    computes, so the SVD is bit-identical.
-    """
-    from scipy.sparse.linalg import LinearOperator, aslinearoperator
-
-    forward, adjoint = aslinearoperator(matrix), aslinearoperator(matrix.T)
-    return LinearOperator(
-        matrix.shape,
-        matvec=forward.matvec,
-        rmatvec=adjoint.matvec,
-        matmat=lambda x: np.asfortranarray(forward.matmat(x)),
-        rmatmat=lambda x: np.asfortranarray(adjoint.matmat(x)),
-        dtype=matrix.dtype,
-    )
+    peaks = [np.abs(row).argmax() for row in components]
+    negative = components[np.arange(len(peaks)), peaks] < 0
+    components *= np.where(negative, -1.0, 1.0)[:, None]
+    return components
 
 
 def _release_free_heap() -> None:
@@ -208,11 +185,16 @@ def _release_free_heap() -> None:
 def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
     """Top-k right singular vectors and singular values of a sparse matrix.
 
-    One ARPACK run (scipy's svds) from a fixed start vector, deterministic at
-    a fixed BLAS thread count; NumericalError if it does not converge. Rows
-    come by descending singular value, each signed by _fix_signs. The C
-    heap's free memory goes back to the OS first, so the SVD's workspace,
-    training's peak, lands on live memory only.
+    One Lanczos run (ARPACK's eigsh, from a fixed start vector) finds the
+    top-k eigenvectors of the smaller Gram matrix, XX^T or X^TX, as scipy's
+    svds would; NumericalError if it does not converge. When N < V, one
+    product X^T Q then gives the components and their norms the singular
+    values; a singular value at the numerical-rank floor has no direction to
+    divide out, so a QR of that product completes the basis instead. When
+    V <= N the eigenvectors are the components. Deterministic at a fixed
+    BLAS thread count. Rows come by descending singular value, each signed
+    by _fix_signs. The C heap's free memory goes back to the OS first, so
+    the SVD's workspace, training's peak, lands on live memory only.
     """
     matrix = sp.csr_matrix(matrix, dtype=np.float64)
     n, v = matrix.shape
@@ -235,21 +217,41 @@ def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
         _, singular, components = scipy.linalg.svd(
             matrix.toarray(), full_matrices=False
         )
-        order = np.arange(k)
     else:
         # Imported here: loading ARPACK adds ~50 ms to every classify start-up.
-        from scipy.sparse.linalg import ArpackError, svds
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+        # The CSC view matrix.T multiplies without a transposed copy.
+        wide = n < v
+        left, right = (matrix, matrix.T) if wide else (matrix.T, matrix)
+        gram = LinearOperator(
+            (limit, limit), matvec=lambda x: left @ (right @ x), dtype=np.float64
+        )
         v0 = np.full(limit, 1.0 / np.sqrt(limit))
         try:
-            _, singular, components = svds(_svds_operator(matrix), k=k, v0=v0)
+            _, eigenvectors = eigsh(gram, k=k, tol=0, which="LM", v0=v0)
         except ArpackError as e:
             raise NumericalError(f"truncated SVD did not converge: {e}")
+        # ARPACK's vectors are not exactly orthonormal; eigsh returns them by
+        # ascending eigenvalue.
+        q = np.linalg.qr(eigenvectors)[0][:, ::-1]
+        if wide:
+            components = (matrix.T @ q).T  # Fortran-ordered (k, V)
+            # einsum sums the squares without a (k, V) temporary.
+            singular = np.sqrt(np.einsum("ij,ij->i", components, components))
+            if singular.min() > singular.max() * max(n, v) * np.finfo(float).eps:
+                components /= singular[:, None]
+            else:
+                basis, r = np.linalg.qr(components.T)
+                components, singular = basis.T, np.abs(np.diag(r))
+        else:
+            components, singular = q.T, np.linalg.norm(matrix @ q, axis=0)
         order = np.argsort(-singular, kind="stable")
+        if np.any(order != np.arange(k)):
+            components, singular = components[order], singular[order]
 
-    return SvdProjection(
-        components=_fix_signs(components, order), singular_values=singular[order]
-    )
+    components = _fix_signs(np.asfortranarray(components))
+    return SvdProjection(components=components, singular_values=singular)
 
 
 def project_all(projection: SvdProjection, matrix: sp.spmatrix) -> np.ndarray:

@@ -509,6 +509,16 @@ CASES = {
         2,
         r"corpus\.jsonl:2",
     ),
+    "corpus_source_list": (
+        classify_corpus_lines('{"id": "a", "text": "anxious tearful", "source": []}'),
+        2,
+        r"corpus\.jsonl:1: field 'source' must be a string$",
+    ),
+    "corpus_source_nan": (
+        classify_corpus_lines('{"id": "a", "text": "anxious tearful", "source": NaN}'),
+        2,
+        r"corpus\.jsonl:1: field 'source' must be a string$",
+    ),
     "corpus_id_null": (
         classify_corpus_lines('{"id": null, "text": "anxious depressed tearful"}'),
         2,

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -13,11 +14,13 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from riskdomains.corpus import build_megadocuments, weak_label
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import DataError, NumericalError
+from riskdomains.pipeline import PipelineOptions, train_pipeline
 from riskdomains.textnorm import text_to_terms
 from riskdomains.vectorspace import (
     SvdProjection,
     TfidfModel,
     Vocabulary,
+    _fix_signs,
     fit_svd,
     fit_tfidf,
     lda_2d,
@@ -258,7 +261,7 @@ class TestSvd:
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         matrix = sp.csr_matrix(np.random.default_rng(9).normal(size=(15, 12)))
         with pytest.raises(NumericalError):
             fit_svd(matrix, k=6)
@@ -282,28 +285,77 @@ class TestSvd:
         assert np.array_equal(first.singular_values, second.singular_values)
 
     @pytest.mark.parametrize("shape", [(12, 40), (40, 12)])
-    def test_same_bits_as_svds_on_the_matrix(self, shape):
-        # fit_svd hands svds an operator whose products are Fortran-ordered
-        # and copies the rows once; svds on the matrix itself, then the rows
-        # reordered and sign-fixed as separate copies, must give the same bits.
+    def test_matches_svds_and_dense_svd(self, shape):
+        # fit_svd runs the Lanczos step of svds but none of its dense SVD;
+        # both references, their rows ordered and sign-fixed, agree with it
+        # to rounding.
         rng = np.random.default_rng(10)
-        matrix = sp.csr_matrix(rng.normal(size=shape) * (rng.random(shape) < 0.4))
+        dense = rng.normal(size=shape) * (rng.random(shape) < 0.4)
+        matrix = sp.csr_matrix(dense)
         k = 8
         v0 = np.full(min(shape), 1.0 / np.sqrt(min(shape)))
         _, singular, components = scipy.sparse.linalg.svds(matrix, k=k, v0=v0)
         order = np.argsort(-singular, kind="stable")
-        expected = np.array(components[order], order="F")
-        flipped = 0
-        for i in range(k):
-            j = int(np.argmax(np.abs(expected[i])))
-            if expected[i, j] < 0:
-                expected[i] = -expected[i]
-                flipped += 1
-        assert 0 < flipped < k
+        _, dense_singular, dense_components = scipy.linalg.svd(dense)
         projection = fit_svd(matrix, k=k)
-        assert projection.components.flags.f_contiguous
-        assert np.array_equal(projection.components, expected)
-        assert np.array_equal(projection.singular_values, singular[order])
+        rows = projection.components
+        assert rows.flags.f_contiguous
+        assert np.all(rows[np.arange(k), np.abs(rows).argmax(axis=1)] > 0)
+        for expected_sigma, expected_rows in [
+            (singular[order], components[order]),
+            (dense_singular[:k], dense_components[:k]),
+        ]:
+            sigma = projection.singular_values
+            assert np.max(np.abs(sigma - expected_sigma) / expected_sigma) < 1e-12
+            peaks = np.abs(expected_rows).argmax(axis=1)
+            signs = np.sign(expected_rows[np.arange(k), peaks])
+            cosines = np.sum(rows * expected_rows, axis=1) * signs
+            assert np.min(cosines) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("shape", [(12, 50), (50, 12)])
+    def test_rank_deficient_below_full_k(self, shape):
+        # Rank 3, k 6 < min(N, V): three singular values are zero, and the
+        # rows for them still complete an orthonormal basis.
+        rng = np.random.default_rng(11)
+        dense = rng.normal(size=(shape[0], 3)) @ rng.normal(size=(3, shape[1]))
+        matrix = sp.csr_matrix(dense)
+        projection = fit_svd(matrix, k=6)
+        rows = projection.components
+        assert rows.flags.f_contiguous
+        assert np.max(np.abs(rows @ rows.T - np.eye(6))) < 1e-8
+        assert np.all(projection.singular_values[3:] <= 1e-8)
+        approx = project_all(projection, matrix) @ rows
+        assert np.linalg.norm(approx - dense) / np.linalg.norm(dense) < 1e-8
+
+    def test_fix_signs_matches_row_loop(self):
+        rng = np.random.default_rng(12)
+        components = np.asfortranarray(rng.normal(size=(9, 30)))
+        expected = components.copy()
+        for row in expected:
+            if row[np.argmax(np.abs(row))] < 0:
+                row[...] = -row
+        assert _fix_signs(components) is components
+        assert components.flags.f_contiguous
+        assert np.array_equal(components, expected)
+
+
+def test_training_runs_no_dense_svd(small_corpus, monkeypatch):
+    """k < min(N, V) takes one Lanczos run: neither svds nor a dense SVD."""
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in [(scipy.linalg, "svd"), (scipy.sparse.linalg, "svds")]:
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    paragraphs, _, lexicon = small_corpus
+    trained = train_pipeline(paragraphs, lexicon, PipelineOptions(kind="cosine"))
+    assert trained.pipeline.svd.k == PipelineOptions().svd_k
+    assert calls == []
 
 
 class TestProject:
