@@ -44,16 +44,29 @@ VOCAB_NAME = "vocabulary.txt"
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 SCORER_PREFIXES = {"cosine": "megadoc_", "mlp": "mlp_", "rbf": "rbf_"}
-# Bytes _read_array reads at a time. 4 MiB holds a dozen rows of standard-size
-# SVD components, so each cache line of the Fortran-order array is written
-# whole; smaller blocks read the components about twice as slowly.
+# Bytes _read_array reads and _write_array writes at a time. 4 MiB holds a
+# dozen rows of standard-size SVD components, so each cache line of the
+# Fortran-order array is touched whole; smaller blocks read the components
+# about twice as slowly.
 _READ_BLOCK_BYTES = 1 << 22
+
+
+def _row_step(shape: tuple[int, ...], itemsize: int) -> int:
+    """Leading-axis rows in one block of at most _READ_BLOCK_BYTES (at least 1)."""
+    return max(1, _READ_BLOCK_BYTES // max(1, math.prod(shape[1:]) * itemsize))
 
 
 def _write_array(directory: Path, name: str, array: np.ndarray, dtype: str) -> dict:
     path = directory / f"{name}.bin"
-    # tofile writes C order whatever the memory layout, without a full copy.
-    np.asarray(array, dtype=_DTYPES[dtype]).tofile(path)
+    # The file holds C order. tofile writes a Fortran-order array one element
+    # at a time, so write C-ordered copies of one block of rows at a time,
+    # which holds no copy of the whole array.
+    array = np.asarray(array, dtype=_DTYPES[dtype])
+    rows = array.reshape(1) if not array.shape else array
+    step = _row_step(array.shape, array.itemsize)
+    with open(path, "wb") as f:
+        for start in range(0, len(rows), step):
+            np.ascontiguousarray(rows[start : start + step]).tofile(f)
     return {"file": path.name, "shape": list(array.shape), "dtype": dtype}
 
 
@@ -93,8 +106,7 @@ def _read_array(
     native = np.float64 if dtype.kind == "f" else np.int64
     array = np.empty(shape, dtype=native, order=order)
     rows = array.reshape(1) if not shape else array
-    row_bytes = math.prod(shape[1:]) * dtype.itemsize
-    step = max(1, _READ_BLOCK_BYTES // max(1, row_bytes))
+    step = _row_step(shape, dtype.itemsize)
     with open(path, "rb") as f:
         for start in range(0, len(rows) if array.size else 0, step):
             block = rows[start : start + step]

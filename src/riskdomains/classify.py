@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import KeywordLexicon
 from .domains import CLASSIFIED_DOMAINS, Domain, N_CLASSIFIED
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .networks import MlpModel, RbfModel
 from .textnorm import text_to_terms
 from .vectorspace import SvdProjection, TfidfModel, project_all, vectorize_all
@@ -158,8 +158,10 @@ class Pipeline:
                 f"svd components of shape {list(self.svd.components.shape)} "
                 f"do not fit {terms} terms"
             )
-        # Each scorer checks the width of what it scores; probe it once.
-        self.scorer.scores(np.eye(1, self.svd.k))
+        # Each scorer checks the width of what it scores; probe it once. Only
+        # the width is checked here: classify_batch refuses non-finite scores.
+        with np.errstate(all="ignore"):
+            self.scorer.scores(np.eye(1, self.svd.k))
 
 
 def score_vectors(scorer: Scorer, x: np.ndarray) -> np.ndarray:
@@ -171,9 +173,10 @@ def embed(pipeline: Pipeline, texts: Sequence[str]) -> tuple[np.ndarray, np.ndar
     """Normalize, vectorize and project texts: (N, k) vectors and (N,) known.
 
     known[i] is False when text i has no term in the vocabulary; its vector
-    is all zero.
+    is all zero. Only the n-grams the vocabulary could hold are built.
     """
-    terms = (text_to_terms(text, pipeline.lexicon.fusion) for text in texts)
+    table, vocabulary = pipeline.lexicon.fusion, pipeline.tfidf.vocabulary
+    terms = (text_to_terms(text, table, vocabulary) for text in texts)
     matrix = vectorize_all(pipeline.tfidf, terms)
     return project_all(pipeline.svd, matrix), np.diff(matrix.indptr) > 0
 
@@ -194,8 +197,15 @@ def classify_paragraph(
 def classify_batch(
     pipeline: Pipeline, texts: Sequence[str]
 ) -> tuple[list[list[Domain]], np.ndarray]:
-    """Classify texts in order; output order equals input order."""
+    """Classify texts in order; output order equals input order.
+
+    NumericalError if the scorer gives a non-finite score, which a bundle
+    whose weights are finite but huge can do.
+    """
     vectors, known = embed(pipeline, texts)
     scores = np.zeros((len(texts), N_CLASSIFIED))
-    scores[known] = score_vectors(pipeline.scorer, vectors[known])
+    with np.errstate(all="ignore"):  # a non-finite score is refused below
+        scores[known] = score_vectors(pipeline.scorer, vectors[known])
+    if not np.isfinite(scores).all():
+        raise NumericalError("the scorer gave non-finite scores")
     return assign(scores, pipeline.thresholds, known), scores

@@ -20,6 +20,7 @@ import inspect
 import json
 import sys
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -60,6 +61,16 @@ LEXICON_NAME = "lexicon.json"
 # a paragraph can depend on its batch in the last bit, so this is a
 # constant: the same corpus always gives the same bytes.
 CLASSIFY_CHUNK = 1024
+# A prediction line, byte for byte what json.dumps gives for its object: the
+# id is escaped as json.dumps escapes a string, domain names are letters that
+# need no escaping, the labels are never empty (assign gives at least
+# [Other]), and each score is formatted by float.__repr__ as json formats a
+# finite float (classify_batch refuses any other).
+_PREDICTION_LINE = (
+    '{"id": %s, "labels": ["%s"], "scores": {'
+    + ", ".join(f'"{d.value}": %r' for d in CLASSIFIED_DOMAINS)
+    + "}}\n"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,16 +196,13 @@ def cmd_train(opts: _Options) -> int:
 def _prediction_lines(pipeline, paragraphs: list[Paragraph]) -> str:
     """One JSON line of labels and scores per paragraph, classified as a batch."""
     labels, scores = classify_batch(pipeline, [p.text for p in paragraphs])
-    names = [d.value for d in CLASSIFIED_DOMAINS]
     return "".join(
-        json.dumps(
-            {
-                "id": p.id,
-                "labels": [d.value for d in assigned],
-                "scores": dict(zip(names, row)),
-            }
+        _PREDICTION_LINE
+        % (
+            encode_basestring_ascii(p.id),
+            '", "'.join([d.value for d in assigned]),
+            *row,
         )
-        + "\n"
         for p, assigned, row in zip(paragraphs, labels, scores.tolist())
     )
 

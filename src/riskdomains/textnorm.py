@@ -5,6 +5,12 @@ unstemmed lowercase word sequence, then fused into single underscore-joined
 stems that bypass stemming, and only the remaining words are stemmed.
 Uni/bi/trigram term multisets are built over the post-fusion stem sequence.
 
+Given a vocabulary, extract_terms builds no n-gram that holds a stem outside
+every vocabulary term (Vocabulary.words), since no such n-gram can be a
+term; the counts of the terms the vocabulary holds are unchanged. A stem
+sequence whose every stem is itself a term is extracted in full, without
+reading words.
+
 A phrase is a tuple of words. fuse_mwes reads its phrases from a table that
 phrase_table builds once per lexicon (corpus.KeywordLexicon.fusion).
 """
@@ -14,8 +20,12 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 from .porter import porter_stem
+
+if TYPE_CHECKING:
+    from .vectorspace import Vocabulary
 
 _WORD_RE = re.compile(r"[a-z]+")
 
@@ -68,16 +78,35 @@ def fuse_mwes(words: list[str], table: PhraseTable) -> list[str]:
     return stems
 
 
-def extract_terms(stems: list[str]) -> Counter:
+def extract_terms(stems: list[str], vocabulary: Vocabulary | None = None) -> Counter:
     """Uni/bi/trigram multiset over a post-fusion stem sequence.
 
-    Bigrams and trigrams are space-joined consecutive stems.
+    Bigrams and trigrams are space-joined consecutive stems. Given a
+    vocabulary, an n-gram through a stem outside vocabulary.words is left
+    out: the counts of vocabulary terms are the same, and fewer strings are
+    built for a text whose words the vocabulary never saw.
     """
+    if vocabulary is not None and not all(map(vocabulary.index.__contains__, stems)):
+        words = vocabulary.words
+        # None marks a stem that no vocabulary term contains; stems are
+        # never empty, so truth tests tell the two apart.
+        kept = [s if s in words else None for s in stems]
+        terms = list(filter(None, kept))
+        terms += [f"{a} {b}" for a, b in zip(kept, kept[1:]) if a and b]
+        terms += [
+            f"{a} {b} {c}" for a, b, c in zip(kept, kept[1:], kept[2:]) if a and b and c
+        ]
+        return Counter(terms)
     bigrams = [f"{a} {b}" for a, b in zip(stems, stems[1:])]
     trigrams = [f"{a} {b} {c}" for a, b, c in zip(stems, stems[1:], stems[2:])]
     return Counter(stems + bigrams + trigrams)
 
 
-def text_to_terms(text: str, table: PhraseTable) -> Counter:
-    """Full normalization: tokenize, fuse MWEs, stem, extract n-gram terms."""
-    return extract_terms(fuse_mwes(tokenize(text), table))
+def text_to_terms(
+    text: str, table: PhraseTable, vocabulary: Vocabulary | None = None
+) -> Counter:
+    """Full normalization: tokenize, fuse MWEs, stem, extract n-gram terms.
+
+    With a vocabulary, only n-grams it could hold are built (extract_terms).
+    """
+    return extract_terms(fuse_mwes(tokenize(text), table), vocabulary)

@@ -7,7 +7,8 @@ strictly positive and every non-empty known vector has unit norm.
 
 A fitted model holds only its sources, the sorted terms, their df and N:
 Vocabulary derives the term index and TfidfModel the idf, the same way for a
-trained and a loaded model.
+trained and a loaded model. Vocabulary.words, the words its terms are made
+of, is built on first use only: classify reads it, training never does.
 
 vectorize_all reads its documents once, collecting each term's column and
 count, and builds the CSR rows in bulk: one sort, counts times idf, and one
@@ -27,7 +28,8 @@ import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,6 +58,13 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    # cached_property writes the instance __dict__, which a frozen dataclass
+    # leaves open.
+    @cached_property
+    def words(self) -> frozenset[str]:
+        """Every word some term contains: a term's stems, split on spaces."""
+        return frozenset(chain.from_iterable(map(str.split, self.terms)))
 
 
 @dataclass(frozen=True)

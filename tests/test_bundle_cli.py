@@ -16,7 +16,12 @@ import riskdomains.cli as cli_module
 from riskdomains.bundle import load_bundle, save_bundle
 from riskdomains.classify import classify_batch
 from riskdomains.cli import _ALLOWED_KEYS, build_parser, main
-from riskdomains.corpus import lexicon_to_json, load_gold, load_paragraphs
+from riskdomains.corpus import (
+    Paragraph,
+    lexicon_to_json,
+    load_gold,
+    load_paragraphs,
+)
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import DataError
 from riskdomains.pipeline import PipelineOptions
@@ -434,6 +439,30 @@ def test_flags_config_keys_and_options_agree():
             if action.dest in dests:
                 flag_type = bool if action.const is not None else action.type or str
                 assert _ALLOWED_KEYS[name][action.dest] is flag_type, action.dest
+
+
+def test_prediction_lines_equal_json_dumps(monkeypatch):
+    ids = ['a"b', "back\\slash", "ctl\x01", "caf\u00e9", "line\u2028sep"]
+    labels = [
+        [Domain.OTHER], [Domain.MOOD], [Domain.SUBSTANCE, Domain.MOOD],
+        [Domain.OTHER], [Domain.APPEARANCE],
+    ]
+    values = [0.0, -0.0, 5e-324, 0.1, 1.0, 0.999999999999, 1e-17]
+    scores = np.array([np.roll(values, i) for i in range(len(ids))])
+    monkeypatch.setattr(
+        cli_module, "classify_batch", lambda pipeline, texts: (labels, scores)
+    )
+    paragraphs = [Paragraph(id=pid, text="calm", source="training") for pid in ids]
+    names = [d.value for d in CLASSIFIED_DOMAINS]
+    expected = "".join(
+        json.dumps({
+            "id": pid,
+            "labels": [d.value for d in assigned],
+            "scores": dict(zip(names, row)),
+        }) + "\n"
+        for pid, assigned, row in zip(ids, labels, scores.tolist())
+    )
+    assert cli_module._prediction_lines(None, paragraphs) == expected
 
 
 class TestCliClassifyEvaluate:

@@ -1,6 +1,7 @@
 """Threshold calibration, open-world assignment, and end-to-end scoring."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from riskdomains.classify import (
     score_vectors,
 )
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
-from riskdomains.errors import ConfigError, DataError
+from riskdomains.errors import ConfigError, DataError, NumericalError
 from riskdomains.networks import init_mlp
 from riskdomains.pipeline import DEFAULT_ALPHA, PipelineOptions, train_pipeline
 from riskdomains.vectorspace import SvdProjection
@@ -322,6 +323,20 @@ class TestClassifyText:
         labels, scores = classify_batch(trained.pipeline, texts)
         assert len(labels) == 9
         assert scores.shape == (9, 7)
+
+
+def test_non_finite_scores_raise_without_warnings(trained_mlp, small_corpus):
+    """Finite weights whose products overflow: no NaN score is returned."""
+    pipeline = trained_mlp.pipeline
+    paragraphs, _, _ = small_corpus
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = dataclasses.replace(
+            pipeline.scorer, w1=np.full_like(pipeline.scorer.w1, 1e308)
+        )
+        overflowing = dataclasses.replace(pipeline, scorer=huge)
+        with pytest.raises(NumericalError, match="non-finite scores"):
+            classify_batch(overflowing, [p.text for p in paragraphs[:20]])
 
 
 class TestUnfittedPipeline:

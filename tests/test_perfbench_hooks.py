@@ -75,9 +75,9 @@ def test_classify_batch_calls_text_to_terms_once_per_paragraph(
     calls = []
     real = classify.text_to_terms
 
-    def spy(text, table):
+    def spy(text, table, *rest):
         calls.append(text)
-        return real(text, table)
+        return real(text, table, *rest)
 
     monkeypatch.setattr(classify, "text_to_terms", spy)
     paragraphs, _, _ = small_corpus

@@ -77,6 +77,17 @@ def nan_singular_values(bundle):
     path.write_bytes(np.full(n, np.nan, dtype="<f8").tobytes())
 
 
+def fill_array(name, value):
+    """Overwrite every entry of one float array with a finite value."""
+
+    def corrupt(bundle):
+        path = bundle / f"{name}.bin"
+        n = len(path.read_bytes()) // 8
+        path.write_bytes(np.full(n, value, dtype="<f8").tobytes())
+
+    return corrupt
+
+
 def negate_df_shape(manifest):
     """Two negative dimensions whose product still matches the file size."""
     (n,) = manifest["arrays"]["df"]["shape"]
@@ -287,6 +298,10 @@ def synth_with(config):
 CASES = {
     "bundle_singular_values_all_nan": (
         corrupt_bundle("mlp", nan_singular_values), 2, "non-finite"
+    ),
+    # Finite weights, so the bundle loads, whose products overflow to NaN.
+    "bundle_mlp_w1_huge": (
+        corrupt_bundle("mlp", fill_array("mlp_w1", 1e308)), 3, "non-finite scores"
     ),
     "bundle_no_kind": (
         corrupt_bundle("mlp", edit_manifest(lambda m: m.pop("kind"))), 2

@@ -3,6 +3,8 @@
 import random
 from collections import Counter
 
+import numpy as np
+
 from riskdomains.porter import porter_stem
 from riskdomains.textnorm import (
     extract_terms,
@@ -11,6 +13,7 @@ from riskdomains.textnorm import (
     text_to_terms,
     tokenize,
 )
+from riskdomains.vectorspace import Vocabulary
 
 
 def phrase(*words):
@@ -165,3 +168,38 @@ def test_text_to_terms_composes():
     text = "Panic attack today!"
     terms = text_to_terms(text, PANIC_ATTACK)
     assert terms == extract_terms(fuse_mwes(tokenize(text), PANIC_ATTACK))
+
+
+def in_vocabulary(terms, vocabulary):
+    return {t: n for t, n in terms.items() if t in vocabulary.index}
+
+
+class TestVocabularyPruning:
+    # "a b c" is a term, but none of its words and neither of its bigrams is.
+    VOCABULARY = Vocabulary(terms=("a b c", "d"), df=np.ones(2, dtype=np.int64))
+
+    def test_words_are_the_words_of_the_terms(self):
+        assert self.VOCABULARY.words == {"a", "b", "c", "d"}
+
+    def test_trigram_of_non_terms_is_counted(self):
+        terms = extract_terms(["x", "a", "b", "c", "d", "a", "b", "c"], self.VOCABULARY)
+        assert in_vocabulary(terms, self.VOCABULARY) == {"a b c": 2, "d": 1}
+
+    def test_no_ngram_through_an_unknown_word(self):
+        terms = extract_terms(["a", "b", "x", "c", "d"], self.VOCABULARY)
+        assert terms == Counter(["a", "b", "c", "d", "a b", "c d"])
+
+    def test_matches_unpruned_on_vocabulary_terms(self):
+        rng = random.Random(5)
+        words = ["a", "b", "c", "d", "x", "y"]
+        for _ in range(200):
+            stems = [rng.choice(words) for _ in range(rng.randint(0, 12))]
+            assert in_vocabulary(
+                extract_terms(stems, self.VOCABULARY), self.VOCABULARY
+            ) == in_vocabulary(extract_terms(stems), self.VOCABULARY)
+
+    def test_words_unread_when_every_stem_is_a_term(self):
+        vocabulary = Vocabulary(terms=("d", "d d"), df=np.ones(2, dtype=np.int64))
+        terms = extract_terms(["d", "d", "d"], vocabulary)
+        assert terms == extract_terms(["d", "d", "d"])
+        assert "words" not in vars(vocabulary)

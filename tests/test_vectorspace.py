@@ -193,6 +193,29 @@ class TestTfidf:
             assert from_list == from_generator == reference
 
 
+@pytest.mark.parametrize("kind", ["mlp", "mlp_nomwe", "rbf", "cosine"])
+def test_vocabulary_pruned_terms_vectorize_to_the_same_bits(
+    kind, small_corpus, trained_mlp, trained_mlp_nomwe, trained_rbf, trained_cosine
+):
+    pipeline = {
+        "mlp": trained_mlp, "mlp_nomwe": trained_mlp_nomwe,
+        "rbf": trained_rbf, "cosine": trained_cosine,
+    }[kind].pipeline
+    paragraphs, _, _ = small_corpus
+    # Every third paragraph holds a word no term contains.
+    texts = [p.text + " zzyzx" * (i % 3 == 0) for i, p in enumerate(paragraphs)]
+    table, vocabulary = pipeline.lexicon.fusion, pipeline.tfidf.vocabulary
+    assert "zzyzx" not in vocabulary.words
+    bits = []
+    for given in (None, vocabulary):
+        matrix = vectorize_all(
+            pipeline.tfidf, (text_to_terms(t, table, given) for t in texts)
+        )
+        bits.append((matrix.indptr.tolist(), matrix.indices.tolist(),
+                     matrix.data.tobytes()))
+    assert bits[0] == bits[1]
+
+
 class TestSvd:
     @pytest.mark.parametrize(
         "components, singular_values",
