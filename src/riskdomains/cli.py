@@ -7,8 +7,9 @@ agreement analyzes a three-annotator table, and project-lda exports a 2-d
 discriminant scatter as CSV + SVG.
 
 Every subcommand accepts --config (a JSON object); explicit flags override
-config keys. Logs go to stderr, data to files or stdout. Exit codes:
-0 success, 1 config/usage error, 2 data error, 3 numerical failure.
+config keys. Logs go to stderr, each warning as one "warning:" line, data
+to files or stdout. Exit codes: 0 success, 1 config/usage error, 2 data
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import dataclasses
 import inspect
 import json
 import sys
+import warnings
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -176,7 +178,7 @@ def cmd_train(opts: _Options) -> int:
         "corpus": corpus_path.name,
         "paragraphs": len(paragraphs),
         "weakly_labeled": trained.pipeline.tfidf.corpus_size,
-        "svd_k": options.svd_k,
+        "svd_k": trained.pipeline.svd.k,  # clamped to min(N, V)
         "alpha": options.effective_alpha(),
         "seed": options.seed,
     }
@@ -412,7 +414,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command is None:
             raise ConfigError("no subcommand given; see --help")
         opts = _Options(args, _ALLOWED_KEYS[args.command])
-        return _COMMANDS[args.command][0](opts)
+        # Whatever filter the caller set, a warning is shown, never raised,
+        # as one line without the file name and source line.
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = lambda message, *_: _log(f"warning: {message}")
+            return _COMMANDS[args.command][0](opts)
     except RiskDomainsError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

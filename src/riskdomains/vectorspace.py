@@ -15,10 +15,10 @@ count, and builds the CSR rows in bulk: one sort, counts times idf, and one
 dot product per row for its norm, which keeps every value bit-identical to
 a term-by-term loop.
 
-The truncated SVD is one Lanczos run (ARPACK) on the smaller Gram matrix of
-the sparse matrix, plus one sparse-dense product that turns its eigenvectors
-into the components; only k = min(N, V), which ARPACK cannot return, takes
-the exact dense SVD.
+The truncated SVD is one Lanczos run (ARPACK) on the N x N Gram matrix XX^T
+of the sparse matrix, plus one sparse-dense product that turns its
+eigenvectors into the components; only k = min(N, V), which ARPACK cannot
+return, takes the exact dense SVD.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class SvdProjection:
     """
 
     components: np.ndarray       # (k, V), rows orthonormal
-    singular_values: np.ndarray  # (k,), non-increasing
+    singular_values: np.ndarray  # (k,), non-negative, non-increasing
 
     def __post_init__(self):
         components, singular_values = self.components, self.singular_values
@@ -100,6 +100,10 @@ class SvdProjection:
             raise DataError(
                 f"svd components of shape {list(components.shape)} and singular "
                 f"values of shape {list(singular_values.shape)} do not fit together"
+            )
+        if np.any(singular_values < 0) or np.any(np.diff(singular_values) > 0):
+            raise DataError(
+                "svd_singular_values must be non-negative and non-increasing"
             )
 
     @property
@@ -111,9 +115,8 @@ def fit_tfidf(docs: Sequence[Mapping[str, int]]) -> TfidfModel:
     """Fit the vocabulary and its document frequencies over term multisets."""
     if not docs:
         raise DataError("cannot fit TF-IDF on an empty corpus")
-    df_counter: Counter = Counter()
-    for doc in docs:
-        df_counter.update(set(doc))
+    # A document yields each of its terms once, so counting them counts df.
+    df_counter = Counter(chain.from_iterable(docs))
     if not df_counter:
         raise DataError("cannot fit TF-IDF: no document has any term")
     terms = tuple(sorted(df_counter))
@@ -171,39 +174,17 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return components
 
 
-def _release_free_heap() -> None:
-    """Hand the C heap's free memory back to the OS, where glibc allows it.
-
-    glibc raises its mmap threshold to the largest block a process frees, so
-    after one training run blocks of the SVD's size come from the heap, and
-    the heap keeps freed pages. A second training run in the same process
-    then reused that memory or mapped more, depending on whether its
-    vocabulary was the larger, and its peak moved by a whole SVD-sized
-    array. Trimming first makes the peak the live memory plus the SVD's own
-    workspace.
-    """
-    import ctypes
-
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):  # not glibc
-        return
-    trim(0)
-
-
 def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
     """Top-k right singular vectors and singular values of a sparse matrix.
 
     One Lanczos run (ARPACK's eigsh, from a fixed start vector) finds the
-    top-k eigenvectors of the smaller Gram matrix, XX^T or X^TX, as scipy's
-    svds would; NumericalError if it does not converge. When N < V, one
-    product X^T Q then gives the components and their norms the singular
-    values; a singular value at the numerical-rank floor has no direction to
-    divide out, so a QR of that product completes the basis instead. When
-    V <= N the eigenvectors are the components. Deterministic at a fixed
-    BLAS thread count. Rows come by descending singular value, each signed
-    by _fix_signs. The C heap's free memory goes back to the OS first, so
-    the SVD's workspace, training's peak, lands on live memory only.
+    top-k eigenvectors Q of the N x N Gram matrix XX^T; NumericalError if it
+    does not converge. One product X^T Q then gives the components, and
+    their norms the singular values; a singular value at the numerical-rank
+    floor has no direction to divide out, so a QR of that product completes
+    the basis instead. k = min(N, V), which ARPACK cannot return, takes the
+    exact dense SVD. Deterministic at a fixed BLAS thread count. Rows come
+    by descending singular value, each signed by _fix_signs.
     """
     matrix = sp.csr_matrix(matrix, dtype=np.float64)
     n, v = matrix.shape
@@ -221,22 +202,19 @@ def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
         )
         k = limit
 
-    _release_free_heap()
     if k == limit:
         _, singular, components = scipy.linalg.svd(
             matrix.toarray(), full_matrices=False
         )
     else:
-        # Imported here: loading ARPACK adds ~50 ms to every classify start-up.
+        # Imported here: classify never fits an SVD and need not load ARPACK.
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
         # The CSC view matrix.T multiplies without a transposed copy.
-        wide = n < v
-        left, right = (matrix, matrix.T) if wide else (matrix.T, matrix)
         gram = LinearOperator(
-            (limit, limit), matvec=lambda x: left @ (right @ x), dtype=np.float64
+            (n, n), matvec=lambda x: matrix @ (matrix.T @ x), dtype=np.float64
         )
-        v0 = np.full(limit, 1.0 / np.sqrt(limit))
+        v0 = np.full(n, 1.0 / np.sqrt(n))
         try:
             _, eigenvectors = eigsh(gram, k=k, tol=0, which="LM", v0=v0)
         except ArpackError as e:
@@ -244,21 +222,17 @@ def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
         # ARPACK's vectors are not exactly orthonormal; eigsh returns them by
         # ascending eigenvalue.
         q = np.linalg.qr(eigenvectors)[0][:, ::-1]
-        if wide:
-            components = (matrix.T @ q).T  # Fortran-ordered (k, V)
-            # einsum sums the squares without a (k, V) temporary.
-            singular = np.sqrt(np.einsum("ij,ij->i", components, components))
-            if singular.min() > singular.max() * max(n, v) * np.finfo(float).eps:
-                components /= singular[:, None]
-            else:
-                basis, r = np.linalg.qr(components.T)
-                components, singular = basis.T, np.abs(np.diag(r))
+        components = (matrix.T @ q).T  # Fortran-ordered (k, V)
+        # einsum sums the squares without a (k, V) temporary.
+        singular = np.sqrt(np.einsum("ij,ij->i", components, components))
+        if singular.min() > singular.max() * max(n, v) * np.finfo(float).eps:
+            components /= singular[:, None]
         else:
-            components, singular = q.T, np.linalg.norm(matrix @ q, axis=0)
-        order = np.argsort(-singular, kind="stable")
-        if np.any(order != np.arange(k)):
-            components, singular = components[order], singular[order]
-
+            basis, r = np.linalg.qr(components.T)
+            components, singular = basis.T, np.abs(np.diag(r))
+    order = np.argsort(-singular, kind="stable")
+    if np.any(order != np.arange(k)):
+        components, singular = components[order], singular[order]
     components = _fix_signs(np.asfortranarray(components))
     return SvdProjection(components=components, singular_values=singular)
 

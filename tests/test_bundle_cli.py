@@ -405,6 +405,32 @@ class TestCliTrain:
         manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
         assert manifest["kind"] == "cosine"
 
+    def test_clamped_svd_k_is_recorded_and_warned_once(
+        self, corpus_files, tmp_path, capsys
+    ):
+        # Three paragraphs per domain, each its first three keywords: N = 21
+        # and V = 42, so the default svd_k 100 is clamped to 21.
+        lexicon = json.loads((corpus_files / "lexicon.json").read_text())
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"{domain}-{i}", "text": " ".join(entry["keywords"][:3])})
+            + "\n"
+            for domain, entry in lexicon.items()
+            for i in range(3)
+        ))
+        code, _, err = run_cli([
+            "train", "--kind", "cosine", "--corpus", str(corpus),
+            "--lexicon", str(corpus_files / "lexicon.json"),
+            "--out", str(tmp_path / "bundle"),
+        ], capsys)
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
+        k = manifest["arrays"]["svd_components"]["shape"][0]
+        assert manifest["training"]["svd_k"] == k < 100
+        assert [line for line in err.splitlines() if "warning" in line.lower()] == [
+            f"warning: svd k=100 exceeds min(N,V)={k}; clamping to {k}"
+        ]
+
     def test_unknown_config_key_exits_one(self, corpus_files, tmp_path, capsys):
         config = tmp_path / "train.json"
         config.write_text(json.dumps({"lexiconn": "typo.json"}))

@@ -71,10 +71,14 @@ def reshape_array(name, reshape):
     return edit_manifest(mutate)
 
 
-def nan_singular_values(bundle):
-    path = bundle / "svd_singular_values.bin"
-    n = len(path.read_bytes()) // 8
-    path.write_bytes(np.full(n, np.nan, dtype="<f8").tobytes())
+def map_singular_values(transform):
+    """Rewrite svd_singular_values.bin as a function of its values."""
+
+    def corrupt(bundle):
+        path = bundle / "svd_singular_values.bin"
+        transform(np.fromfile(path, dtype="<f8")).astype("<f8").tofile(path)
+
+    return corrupt
 
 
 def fill_array(name, value):
@@ -297,7 +301,19 @@ def synth_with(config):
 
 CASES = {
     "bundle_singular_values_all_nan": (
-        corrupt_bundle("mlp", nan_singular_values), 2, "non-finite"
+        corrupt_bundle("mlp", map_singular_values(lambda s: s * np.nan)),
+        2,
+        "non-finite",
+    ),
+    "bundle_singular_values_negated": (
+        corrupt_bundle("mlp", map_singular_values(np.negative)),
+        2,
+        "svd_singular_values",
+    ),
+    "bundle_singular_values_increasing": (
+        corrupt_bundle("mlp", map_singular_values(lambda s: s[::-1])),
+        2,
+        "svd_singular_values",
     ),
     # Finite weights, so the bundle loads, whose products overflow to NaN.
     "bundle_mlp_w1_huge": (
