@@ -1,16 +1,18 @@
 """Model bundle persistence: a directory of raw arrays plus manifest.json.
 
-Every array lives in its own file of raw little-endian 64-bit values in C
-order, with its shape and dtype recorded in the manifest, so bundles are
-portable and the manifest stays humanly diffable. Loading reads each file
+Array a lives in a.bin as raw little-endian 64-bit values in C order, int
+for df and float otherwise; the manifest records only its shape, so bundles
+are portable and the manifest humanly diffable. Loading reads each file
 block by block straight into an array of the memory order its stage type
 holds, checking each block, so no second copy of an array is ever made.
 Nothing in a bundle depends on wall time; retraining with the same inputs,
 seed and BLAS thread count reproduces byte-identical files.
 
 A bundle stores only what cannot be recomputed; the stage types derive the
-idf, the term index and the thresholds. Format 1 bundles, which also stored
-idf.bin and thresholds.min, load through the same code, which ignores both.
+idf, the term index and the thresholds. Format 1 and 2 bundles load through
+the same code, which ignores what they also stored (format 1's idf.bin and
+thresholds.min, each array's file and dtype, vocabulary_file), so no string
+from a manifest ever becomes a path.
 
 A scorer is stored field by field under its kind's SCORER_PREFIXES entry: an
 array field f as <prefix>f.bin, a scalar as the manifest field <prefix>f.
@@ -38,11 +40,10 @@ from .domains import CLASSIFIED_DOMAINS
 from .errors import ConfigError, DataError
 from .vectorspace import SvdProjection, TfidfModel, Vocabulary
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 VOCAB_NAME = "vocabulary.txt"
 
-_DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 SCORER_PREFIXES = {"cosine": "megadoc_", "mlp": "mlp_", "rbf": "rbf_"}
 # Bytes _read_array reads and _write_array writes at a time. 4 MiB holds a
 # dozen rows of standard-size SVD components, so each cache line of the
@@ -56,40 +57,35 @@ def _row_step(shape: tuple[int, ...], itemsize: int) -> int:
     return max(1, _READ_BLOCK_BYTES // max(1, math.prod(shape[1:]) * itemsize))
 
 
-def _write_array(directory: Path, name: str, array: np.ndarray, dtype: str) -> dict:
-    path = directory / f"{name}.bin"
+def _array_file(directory: Path, name: str) -> tuple[Path, np.dtype]:
+    """The file and on-disk dtype of the array called name."""
+    return directory / f"{name}.bin", np.dtype("<i8" if name == "df" else "<f8")
+
+
+def _write_array(directory: Path, name: str, array: np.ndarray) -> dict:
+    path, dtype = _array_file(directory, name)
     # The file holds C order. tofile writes a Fortran-order array one element
     # at a time, so write C-ordered copies of one block of rows at a time,
     # which holds no copy of the whole array.
-    array = np.asarray(array, dtype=_DTYPES[dtype])
-    rows = array.reshape(1) if not array.shape else array
+    array = np.asarray(array, dtype=dtype)
     step = _row_step(array.shape, array.itemsize)
     with open(path, "wb") as f:
-        for start in range(0, len(rows), step):
-            np.ascontiguousarray(rows[start : start + step]).tofile(f)
-    return {"file": path.name, "shape": list(array.shape), "dtype": dtype}
-
-
-def _bundle_file(directory: Path, name: str) -> Path:
-    """directory/name, for a plain file name that stays inside the bundle."""
-    if name in ("", ".", "..") or "/" in name or "\\" in name:
-        raise DataError(f"bundle file name {name!r} is not a file inside the bundle")
-    return directory / name
+        for start in range(0, len(array), step):
+            np.ascontiguousarray(array[start : start + step]).tofile(f)
+    return {"shape": list(array.shape)}
 
 
 def _read_array(
     directory: Path, arrays: dict, name: str, order: str = "C"
 ) -> np.ndarray:
-    """The array arrays[name] indexes, in the given memory order."""
+    """Array name, of the shape arrays[name] records, in the given memory order."""
     where = f"bundle array {name!r}"
     spec = require_field(arrays, name, "bundle manifest arrays", dict)
-    path = _bundle_file(directory, require_field(spec, "file", where, str))
-    dtype = _DTYPES.get(require_field(spec, "dtype", where, str))
-    if dtype is None:
-        raise DataError(f"{where}: dtype must be one of {sorted(_DTYPES)}")
     shape = tuple(require_field(spec, "shape", where, list))
-    if not all(is_json_type(d, int) and d >= 0 for d in shape):
-        raise DataError(f"{where}: shape must be a list of non-negative integers")
+    # No fit stores an empty array; one would label every paragraph Other.
+    if not shape or not all(is_json_type(d, int) and d > 0 for d in shape):
+        raise DataError(f"{where}: shape must be a non-empty list of positive integers")
+    path, dtype = _array_file(directory, name)
     if not path.is_file():
         raise DataError(f"bundle array file missing: {path}")
     # Python ints, so that no shape can overflow into a matching size.
@@ -103,18 +99,16 @@ def _read_array(
     # The file holds C order; fill an owned native-order array in the
     # requested order a block of leading-axis rows at a time, so no second
     # copy of the whole array is ever held.
-    native = np.float64 if dtype.kind == "f" else np.int64
-    array = np.empty(shape, dtype=native, order=order)
-    rows = array.reshape(1) if not shape else array
+    array = np.empty(shape, dtype=dtype.type, order=order)
     step = _row_step(shape, dtype.itemsize)
     with open(path, "rb") as f:
-        for start in range(0, len(rows) if array.size else 0, step):
-            block = rows[start : start + step]
+        for start in range(0, len(array), step):
+            block = array[start : start + step]
             raw = f.read(block.size * dtype.itemsize)
             if len(raw) != block.size * dtype.itemsize:
                 raise DataError(f"bundle array {name!r} is shorter than its shape")
             values = np.frombuffer(raw, dtype=dtype).reshape(block.shape)
-            if native is np.float64 and not np.isfinite(values).all():
+            if dtype.kind == "f" and not np.isfinite(values).all():
                 raise DataError(f"bundle array {name!r} holds non-finite values")
             block[...] = values
     return array
@@ -146,12 +140,10 @@ def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None
     tfidf = pipeline.tfidf
     svd = pipeline.svd
     arrays = {
-        "df": _write_array(directory, "df", tfidf.vocabulary.df, "<i8"),
-        "svd_components": _write_array(
-            directory, "svd_components", svd.components, "<f8"
-        ),
+        "df": _write_array(directory, "df", tfidf.vocabulary.df),
+        "svd_components": _write_array(directory, "svd_components", svd.components),
         "svd_singular_values": _write_array(
-            directory, "svd_singular_values", svd.singular_values, "<f8"
+            directory, "svd_singular_values", svd.singular_values
         ),
     }
     (directory / VOCAB_NAME).write_text(
@@ -164,7 +156,6 @@ def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None
         "use_mwes": pipeline.use_mwes,
         "domain_order": [d.value for d in CLASSIFIED_DOMAINS],
         "corpus_size": tfidf.corpus_size,
-        "vocabulary_file": VOCAB_NAME,
         "lexicon": lexicon_to_json(pipeline.lexicon),
         "training": training_info,
     }
@@ -172,7 +163,7 @@ def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None
     for f in dataclasses.fields(pipeline.scorer):
         name, value = prefix + f.name, getattr(pipeline.scorer, f.name)
         if isinstance(value, np.ndarray):
-            arrays[name] = _write_array(directory, name, value, "<f8")
+            arrays[name] = _write_array(directory, name, value)
         else:
             manifest[name] = value
 
@@ -195,8 +186,7 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
     type; the stage types check shapes and values when they are built. A
     bundle whose manifest says use_mwes false fuses no keyphrases, whatever
     its stored lexicon holds. Manifest fields the reader does not use, such
-    as the arrays.idf, thresholds.min, mlp_dropout and rbf_dropout that older
-    bundles carry, are ignored.
+    as mlp_dropout, rbf_dropout and those older formats stored, are ignored.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -208,10 +198,10 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         raise DataError(f"{manifest_path}: manifest must be a JSON object")
     where = str(manifest_path)
     version = require_field(manifest, "format_version", where, int)
-    if version not in (1, FORMAT_VERSION):
+    if version not in range(1, FORMAT_VERSION + 1):
         raise DataError(
             f"bundle format version {version!r} not supported "
-            f"(reader expects 1 or {FORMAT_VERSION})"
+            f"(reader expects 1 to {FORMAT_VERSION})"
         )
     order = require_field(manifest, "domain_order", where)
     if order != [d.value for d in CLASSIFIED_DOMAINS]:
@@ -224,9 +214,7 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
     def arr(name: str, order: str = "C") -> np.ndarray:
         return _read_array(directory, arrays, name, order)
 
-    vocab_file = _bundle_file(
-        directory, require_field(manifest, "vocabulary_file", where, str)
-    )
+    vocab_file = directory / VOCAB_NAME
     if not vocab_file.is_file():
         raise DataError(f"bundle vocabulary file missing: {vocab_file}")
     with parse_errors(vocab_file):

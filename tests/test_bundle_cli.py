@@ -5,12 +5,16 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riskdomains
 import riskdomains.bundle as bundle_module
 import riskdomains.cli as cli_module
 from riskdomains.bundle import load_bundle, save_bundle
@@ -78,8 +82,8 @@ class TestBundleRoundTrip:
     def test_bundle_holds_only_manifest_listed_files(self, trained, tmp_path):
         saved = save_bundle(tmp_path / "bundle", trained.pipeline)
         manifest = json.loads((saved / "manifest.json").read_text())
-        listed = {"manifest.json", manifest["vocabulary_file"]}
-        listed |= {spec["file"] for spec in manifest["arrays"].values()}
+        listed = {"manifest.json", "vocabulary.txt"}
+        listed |= {f"{name}.bin" for name in manifest["arrays"]}
         assert set(dir_bytes(saved)) == listed
         assert len(listed) == 2 + len(manifest["arrays"])
 
@@ -105,7 +109,7 @@ class TestOlderBundles:
         idf.astype("<f8").tofile(old / "idf.bin")
         path = old / "manifest.json"
         manifest = json.loads(path.read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert "idf" not in manifest["arrays"] and "min" not in manifest["thresholds"]
         manifest["format_version"] = 1
         manifest["arrays"]["idf"] = {
@@ -120,6 +124,48 @@ class TestOlderBundles:
         labels_b, scores_b = classify_batch(load_bundle(old)[0], texts)
         assert labels_a == labels_b
         assert np.array_equal(scores_a, scores_b)
+
+    def test_format_2_bundle_classifies_like_format_3(
+        self, trained, corpus_files, tmp_path, capsys
+    ):
+        """Format 2 also named each array's file and dtype and the vocabulary."""
+        saved = save_bundle(tmp_path / "v3", trained.pipeline)
+        old = tmp_path / "v2"
+        shutil.copytree(saved, old)
+        path = old / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["format_version"] == 3 and "vocabulary_file" not in manifest
+        assert all(list(spec) == ["shape"] for spec in manifest["arrays"].values())
+        manifest["format_version"] = 2
+        manifest["vocabulary_file"] = "vocabulary.txt"
+        for name, spec in manifest["arrays"].items():
+            spec.update(file=f"{name}.bin", dtype="<i8" if name == "df" else "<f8")
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        assert classify_out(saved, corpus_files, capsys) == classify_out(
+            old, corpus_files, capsys
+        )
+
+    @pytest.mark.parametrize(
+        "edit", ["array_file_in_parent", "vocabulary_file_not_string"]
+    )
+    def test_old_manifest_names_are_not_followed(
+        self, edit, trained_mlp, corpus_files, tmp_path, capsys
+    ):
+        """The file, dtype and vocabulary_file fields older formats wrote are
+        ignored, so no string from a manifest ever becomes a path."""
+        saved = save_bundle(tmp_path / "bundle", trained_mlp.pipeline)
+        before = classify_out(saved, corpus_files, capsys)
+        path = saved / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if edit == "array_file_in_parent":
+            # Reversed, df still loads but would move every score.
+            df = np.fromfile(saved / "df.bin", dtype="<i8")
+            df[::-1].tofile(tmp_path / "df.bin")
+            manifest["arrays"]["df"]["file"] = "../df.bin"
+        else:
+            manifest["vocabulary_file"] = 5
+        path.write_text(json.dumps(manifest))
+        assert classify_out(saved, corpus_files, capsys) == before
 
     @pytest.mark.parametrize(
         "kind, extra",
@@ -158,6 +204,31 @@ class TestOlderBundles:
         labels_b, scores_b = classify_batch(loaded, texts)
         assert labels_a == labels_b
         assert np.array_equal(scores_a, scores_b)
+
+
+# Loads a bundle and classifies as the classify subcommand does, then lists
+# any ARPACK module the process imported.
+CLASSIFY_IMPORTS = """
+import sys
+import riskdomains.cli
+from riskdomains.bundle import load_bundle
+from riskdomains.classify import classify_batch
+classify_batch(load_bundle(sys.argv[1])[0], ["low mood, no sleep"])
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse.linalg")))
+"""
+
+
+def test_classify_never_imports_arpack(trained_mlp, tmp_path):
+    """Only fit_svd needs scipy.sparse.linalg, which takes tens of milliseconds
+    to import, so loading a bundle and classifying must not import it."""
+    saved = save_bundle(tmp_path / "bundle", trained_mlp.pipeline)
+    path = [str(Path(riskdomains.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run(
+        [sys.executable, "-c", CLASSIFY_IMPORTS, str(saved)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert run.stdout == "[]\n"
 
 
 class TestBundleErrors:
@@ -224,11 +295,11 @@ class TestBundleErrors:
         write_array = bundle_module._write_array
         written = []
 
-        def fail_on_third(directory, name, array, dtype):
+        def fail_on_third(directory, name, array):
             written.append(name)
             if len(written) == 3:
                 raise OSError("disk full")
-            return write_array(directory, name, array, dtype)
+            return write_array(directory, name, array)
 
         monkeypatch.setattr(bundle_module, "_write_array", fail_on_third)
         with pytest.raises(OSError, match="disk full"):
@@ -238,7 +309,7 @@ class TestBundleErrors:
         assert [p.name for p in saved.parent.iterdir()] == [saved.name]
 
     def test_failed_save_removes_directory(self, trained_mlp, tmp_path, monkeypatch):
-        def disk_full(directory, name, array, dtype):
+        def disk_full(directory, name, array):
             raise OSError("disk full")
 
         monkeypatch.setattr(bundle_module, "_write_array", disk_full)
@@ -249,11 +320,12 @@ class TestBundleErrors:
         assert list(tmp_path.iterdir()) == []
 
 
-def whole_file_read(directory, spec, order):
+def whole_file_read(directory, name, shape, order):
     """The reference read: all bytes at once, then one converting copy."""
-    raw = (directory / spec["file"]).read_bytes()
-    array = np.frombuffer(raw, dtype=spec["dtype"]).reshape(spec["shape"])
-    native = np.float64 if spec["dtype"] == "<f8" else np.int64
+    dtype = "<i8" if name == "df" else "<f8"
+    raw = (directory / f"{name}.bin").read_bytes()
+    array = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    native = np.float64 if dtype == "<f8" else np.int64
     return array.astype(native, order=order)
 
 
@@ -268,22 +340,34 @@ class TestReadArray:
         monkeypatch.setattr(bundle_module, "_READ_BLOCK_BYTES", block)
         for name, spec in arrays.items():
             got = bundle_module._read_array(saved, arrays, name, order)
-            want = whole_file_read(saved, spec, order)
+            want = whole_file_read(saved, name, spec["shape"], order)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.flags[f"{order}_CONTIGUOUS"]
             assert got.tobytes(order="A") == want.tobytes(order="A"), name
 
-    @pytest.mark.parametrize("shape", [[], [0], [3, 0], [0, 4], [5, 7], [2, 3, 4]])
+    # Blocks of 3 values: a row wider than that is read alone, narrower rows
+    # share a block, and a dimension may be 1, the smallest the reader accepts.
+    @pytest.mark.parametrize(
+        "shape", [[5, 7], [2, 3, 4], [1], [1, 9], [9, 1], [3, 1, 2]]
+    )
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_any_shape_matches_whole_file_read(self, tmp_path, monkeypatch, shape, order):
         values = np.arange(math.prod(shape), dtype="<f8").reshape(shape) * 0.1
         values.tofile(tmp_path / "a.bin")
-        arrays = {"a": {"file": "a.bin", "shape": shape, "dtype": "<f8"}}
+        arrays = {"a": {"shape": shape}}
         monkeypatch.setattr(bundle_module, "_READ_BLOCK_BYTES", 24)
         got = bundle_module._read_array(tmp_path, arrays, "a", order)
-        want = whole_file_read(tmp_path, arrays["a"], order)
+        want = whole_file_read(tmp_path, "a", shape, order)
         assert got.shape == want.shape and got.flags[f"{order}_CONTIGUOUS"]
         assert got.tobytes(order="A") == want.tobytes(order="A")
+
+    @pytest.mark.parametrize("shape", [[], [0], [3, 0], [0, 4]])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_empty_shape_is_refused(self, tmp_path, shape, order):
+        """No fit stores a 0-d or empty array, even one whose file matches it."""
+        np.zeros(math.prod(shape)).tofile(tmp_path / "a.bin")
+        with pytest.raises(DataError, match="'a': shape must be a non-empty"):
+            bundle_module._read_array(tmp_path, {"a": {"shape": shape}}, "a", order)
 
     def test_non_finite_value_in_a_later_block(self, tmp_path, monkeypatch):
         values = np.ones((6, 5))
@@ -345,6 +429,17 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def classify_out(bundle, corpus_files, capsys) -> str:
+    """What classify prints for the small corpus; it must exit 0."""
+    code, out, err = run_cli(
+        ["classify", "--bundle", str(bundle),
+         "--corpus", str(corpus_files / "corpus.jsonl")],
+        capsys,
+    )
+    assert code == 0, err
+    return out
 
 
 class TestCliSynth:

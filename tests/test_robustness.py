@@ -149,16 +149,39 @@ def zero_megadoc_row(bundle):
 
 
 def vocabulary_outside(bundle):
-    """Move the vocabulary next to the bundle and name it by absolute path."""
+    """Move the vocabulary next to the bundle and name it there by absolute
+    path in the vocabulary_file field older formats wrote, which is ignored."""
     outside = bundle.parent / "vocabulary.txt"
     (bundle / "vocabulary.txt").rename(outside)
     edit_manifest(lambda m: m.update(vocabulary_file=str(outside)))(bundle)
 
 
-def df_outside(bundle):
-    """Name a copy of df.bin in the bundle's parent as ../df.bin."""
-    shutil.copy(bundle / "df.bin", bundle.parent / "df.bin")
-    edit_manifest(lambda m: m["arrays"]["df"].update(file="../df.bin"))(bundle)
+def empty_vocabulary(bundle):
+    """No term: empty vocabulary and df, k×0 components, corpus_size -5."""
+    (bundle / "vocabulary.txt").write_text("")
+    for name in ("df", "svd_components"):
+        (bundle / f"{name}.bin").write_bytes(b"")
+
+    def mutate(manifest):
+        manifest["arrays"]["df"]["shape"] = [0]
+        manifest["arrays"]["svd_components"]["shape"][1] = 0
+        manifest["corpus_size"] = -5
+
+    edit_manifest(mutate)(bundle)
+
+
+def zero_svd_dimensions(bundle):
+    """k = 0: (0, V) components, no singular values, and a (0, H1) mlp_w1."""
+    for name in ("svd_components", "svd_singular_values", "mlp_w1"):
+        (bundle / f"{name}.bin").write_bytes(b"")
+
+    def mutate(manifest):
+        arrays = manifest["arrays"]
+        arrays["svd_components"]["shape"][0] = 0
+        arrays["svd_singular_values"]["shape"] = [0]
+        arrays["mlp_w1"]["shape"][0] = 0
+
+    edit_manifest(mutate)(bundle)
 
 
 def classify_with_seed(tmp_path, corpus_files, bundles):
@@ -338,9 +361,6 @@ CASES = {
         ),
         2,
     ),
-    "bundle_vocabulary_file_not_string": (
-        corrupt_bundle("mlp", edit_manifest(lambda m: m.update(vocabulary_file=5))), 2
-    ),
     "bundle_use_mwes_string": (
         corrupt_bundle("mlp", edit_manifest(lambda m: m.update(use_mwes="false"))), 2
     ),
@@ -365,14 +385,21 @@ CASES = {
     "bundle_array_shape_negative": (
         corrupt_bundle("mlp", edit_manifest(negate_df_shape)), 2
     ),
-    "bundle_vocabulary_file_absolute": (corrupt_bundle("mlp", vocabulary_outside), 2),
+    "bundle_vocabulary_moved_outside": (
+        corrupt_bundle("mlp", vocabulary_outside), 2, "vocabulary file missing"
+    ),
+    # Empty arrays, which no fit stores; accepted, each would label every
+    # paragraph Other.
+    "bundle_empty_vocabulary": (corrupt_bundle("mlp", empty_vocabulary), 2, "'df'"),
+    "bundle_zero_svd_dimensions": (
+        corrupt_bundle("mlp", zero_svd_dimensions), 2, "'svd_components'"
+    ),
     # No paragraph has a known term, so no cosine is ever computed.
     "bundle_megadoc_vector_zero": (
         corrupt_bundle("cosine", zero_megadoc_row, '{"id": "a", "text": "zzyzx qwfp"}'),
         2,
         "Appearance",
     ),
-    "bundle_array_file_in_parent": (corrupt_bundle("mlp", df_outside), 2),
     "bundle_df_column": (
         corrupt_bundle("mlp", reshape_array("df", lambda s: [*s, 1])),
         2,
