@@ -6,6 +6,10 @@ always reproduces bit-identical parameters. Dropout masks are drawn only
 inside the training loop; mlp_forward and rbf_forward are inference passes.
 The RBF layer has PROTOTYPES_PER_DOMAIN k-means prototypes per domain and
 one shared width d_max / sqrt(2).
+
+Every distance here, the Gaussian layer's, k-means' and the width's, comes
+from squared_distances: ||a||^2 - 2 a.b^T + ||b||^2, one matrix product, so
+this module needs only numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .domains import CLASSIFIED_DOMAINS, N_CLASSIFIED
 from .errors import ConfigError, DataError, NumericalError
@@ -337,8 +340,21 @@ class KmeansResult:
     history: list[float]
 
 
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, n) squared Euclidean distances between the rows of a and of b.
+
+    ||a||^2 - 2 a.b^T + ||b||^2 is one GEMM. Rounding can take a distance
+    near zero a few ulps of the squared norms below it, so it is clamped.
+    """
+    d2 = a @ b.T
+    d2 *= -2.0
+    d2 += np.einsum("ij,ij->i", a, a)[:, None]
+    d2 += np.einsum("ij,ij->i", b, b)
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def _sse(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float]:
-    d2 = cdist(points, centroids, metric="sqeuclidean")
+    d2 = squared_distances(points, centroids)
     assign = d2.argmin(axis=1)
     return assign, float(d2[np.arange(len(points)), assign].sum())
 
@@ -359,7 +375,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KmeansResult:
 
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    d2 = cdist(points, centroids[:1], metric="sqeuclidean").ravel()
+    d2 = squared_distances(points, centroids[:1]).ravel()
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -367,7 +383,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KmeansResult:
         else:
             pick = rng.integers(n)
         centroids[j] = points[pick]
-        d2 = np.minimum(d2, cdist(points, centroids[j : j + 1], "sqeuclidean").ravel())
+        d2 = np.minimum(d2, squared_distances(points, centroids[j : j + 1]).ravel())
 
     assign, inertia = _sse(points, centroids)
     history = [inertia]
@@ -424,7 +440,7 @@ def compute_rbf_width(prototypes: np.ndarray) -> float:
     prototypes = np.asarray(prototypes, dtype=np.float64)
     if prototypes.shape[0] < 2:
         raise DataError("need at least 2 prototypes to compute a width")
-    d_max = float(cdist(prototypes, prototypes).max())
+    d_max = float(np.sqrt(squared_distances(prototypes, prototypes).max()))
     if d_max == 0.0:
         raise DataError("all prototypes coincide; RBF width would be zero")
     return d_max / np.sqrt(2.0)
@@ -437,7 +453,7 @@ def rbf_features(model: RbfModel, x: np.ndarray) -> np.ndarray:
             f"rbf input dimension {x.shape[1]} does not match prototypes "
             f"{model.prototypes.shape[1]}"
         )
-    d2 = cdist(x, model.prototypes, metric="sqeuclidean")
+    d2 = squared_distances(x, model.prototypes)
     return np.exp(-d2 / (2.0 * model.width**2))
 
 

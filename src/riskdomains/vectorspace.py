@@ -33,7 +33,6 @@ from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .domains import Domain
@@ -203,6 +202,9 @@ def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
         k = limit
 
     if k == limit:
+        # Imported here: classify never fits an SVD and need not load scipy.linalg.
+        import scipy.linalg
+
         _, singular, components = scipy.linalg.svd(
             matrix.toarray(), full_matrices=False
         )
@@ -273,6 +275,9 @@ def lda_2d(vectors: np.ndarray, labels: Sequence[Domain]) -> np.ndarray:
         diff = (mu - mean).reshape(-1, 1)
         s_b += xc.shape[0] * (diff @ diff.T)
     s_w_reg = s_w + 1e-6 * np.eye(dim)
+    # Imported here: classify never projects to 2-d and need not load scipy.linalg.
+    import scipy.linalg
+
     eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w_reg)
     top = eigvecs[:, ::-1][:, :2]
     lam = np.maximum(eigvals[::-1][:2], 0.0)

@@ -207,21 +207,26 @@ class TestOlderBundles:
 
 
 # Loads a bundle and classifies as the classify subcommand does, then lists
-# any ARPACK module the process imported.
+# any SciPy module the process imported that only training may need.
 CLASSIFY_IMPORTS = """
 import sys
 import riskdomains.cli
 from riskdomains.bundle import load_bundle
 from riskdomains.classify import classify_batch
 classify_batch(load_bundle(sys.argv[1])[0], ["low mood, no sleep"])
-print(sorted(m for m in sys.modules if m.startswith("scipy.sparse.linalg")))
+training = ("scipy.sparse.linalg.", "scipy.spatial.", "scipy.linalg.", "scipy.special.")
+print(sorted(m for m in sys.modules if (m + ".").startswith(training)))
 """
 
 
-def test_classify_never_imports_arpack(trained_mlp, tmp_path):
-    """Only fit_svd needs scipy.sparse.linalg, which takes tens of milliseconds
-    to import, so loading a bundle and classifying must not import it."""
-    saved = save_bundle(tmp_path / "bundle", trained_mlp.pipeline)
+@pytest.mark.parametrize("kind", ["mlp", "rbf", "cosine"])
+def test_classify_imports_no_training_scipy(kind, request, tmp_path):
+    """Only fit_svd and lda_2d need scipy.sparse.linalg and scipy.linalg,
+    which with scipy.special and scipy.spatial add about 0.1 s and 16 MiB to
+    a process, so importing the CLI, loading any kind's bundle and
+    classifying must import none of them."""
+    pipeline = request.getfixturevalue(f"trained_{kind}").pipeline
+    saved = save_bundle(tmp_path / "bundle", pipeline)
     path = [str(Path(riskdomains.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     run = subprocess.run(

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from riskdomains.domains import CLASSIFIED_DOMAINS, Domain
 from riskdomains.errors import ConfigError, DataError, NumericalError
@@ -26,6 +27,7 @@ from riskdomains.networks import (
     rbf_features,
     rbf_forward,
     rbf_loss_and_grads,
+    squared_distances,
     train_mlp,
     train_rbf,
 )
@@ -225,6 +227,38 @@ class TestKmeans:
         a = kmeans(points, k=4, seed=9)
         b = kmeans(points, k=4, seed=9)
         assert np.array_equal(a.centroids, b.centroids)
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("m, n, d", [(1, 1, 3), (1, 9, 4), (8, 1, 4), (13, 9, 100)])
+    def test_matches_cdist(self, m, n, d):
+        """cdist is the test-only reference; the product form may differ from
+        it by rounding on the scale of the squared norms."""
+        rng = np.random.default_rng(m * n * d)
+        a = rng.normal(scale=3.0, size=(m, d))
+        b = rng.normal(scale=3.0, size=(n, d))
+        d2 = squared_distances(a, b)
+        scale = (a * a).sum(axis=1).max() + (b * b).sum(axis=1).max()
+        assert d2.shape == (m, n)
+        assert np.abs(d2 - cdist(a, b, "sqeuclidean")).max() <= 1e-12 * scale
+
+    def test_identical_rows_are_not_negative(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(40, 100))
+        d2 = squared_distances(a, a)
+        assert d2.min() >= 0.0
+        assert np.diag(d2).max() <= 1e-12 * (a * a).sum(axis=1).max()
+
+    def test_rounding_does_not_trip_the_inertia_check(self):
+        """Copies of a point lie a few ulps from their centroid, not 0, so
+        inertia is rounding noise that must not read as an increase."""
+        rng = np.random.default_rng(0)
+        unit = rng.normal(size=(3, 100))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        result = kmeans(np.repeat(unit, 7, axis=0), k=5, seed=0)
+        assert result.inertia < 1e-12
+        nearest = squared_distances(unit, result.centroids).min(axis=1)
+        assert nearest.max() < 1e-12
 
 
 def brute_force_kmeans_sse(points: np.ndarray, k: int) -> float:
