@@ -18,8 +18,7 @@ from .corpus import KeywordLexicon
 from .domains import CLASSIFIED_DOMAINS, Domain, N_CLASSIFIED
 from .errors import ConfigError, DataError, NumericalError
 from .networks import MlpModel, RbfModel
-from .textnorm import text_to_terms
-from .vectorspace import SvdProjection, TfidfModel, project_all, vectorize_all
+from .vectorspace import SvdProjection, TfidfModel, project_all, vectorize_texts
 
 
 @dataclass(frozen=True)
@@ -173,12 +172,11 @@ def embed(pipeline: Pipeline, texts: Sequence[str]) -> tuple[np.ndarray, np.ndar
     """Normalize, vectorize and project texts: (N, k) vectors and (N,) known.
 
     known[i] is False when text i has no term in the vocabulary; its vector
-    is all zero. Only the n-grams the vocabulary could hold are built.
+    is all zero.
     """
-    table, vocabulary = pipeline.lexicon.fusion, pipeline.tfidf.vocabulary
-    terms = (text_to_terms(text, table, vocabulary) for text in texts)
-    matrix = vectorize_all(pipeline.tfidf, terms)
-    return project_all(pipeline.svd, matrix), np.diff(matrix.indptr) > 0
+    matrix = vectorize_texts(pipeline.tfidf, pipeline.lexicon.fusion, texts)
+    indptr = matrix.indptr
+    return project_all(pipeline.svd, matrix), indptr[1:] > indptr[:-1]
 
 
 def classify_paragraph(

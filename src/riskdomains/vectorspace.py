@@ -7,13 +7,21 @@ strictly positive and every non-empty known vector has unit norm.
 
 A fitted model holds only its sources, the sorted terms, their df and N:
 Vocabulary derives the term index and TfidfModel the idf, the same way for a
-trained and a loaded model. Vocabulary.words, the words its terms are made
-of, is built on first use only: classify reads it, training never does.
+trained and a loaded model. Vocabulary.key_table is built on first use only:
+classify reads it, training never does. It gives each distinct word of the
+terms an id in 1..W and each term the key of its word ids in base B = W + 2.
+The sentinel id U = W + 1 stands for both a stem outside every term and the
+end of a document. No term holds U, so a key through it is never a term:
+an n-gram through an unknown stem or across two documents matches nothing,
+and nothing needs masking.
 
-vectorize_all reads its documents once, collecting each term's column and
-count, and builds the CSR rows in bulk: one sort, counts times idf, and one
-dot product per row for its norm, which keeps every value bit-identical to
-a term-by-term loop.
+vectorize_all turns term multisets into CSR rows. vectorize_texts turns
+texts into the same rows without building a term string: it maps each stem
+to its word id, builds the uni/bi/trigram keys of a whole batch in one
+numpy pass, finds the terms among them with one searchsorted, and counts
+them with one np.unique. Both end in _tfidf_rows:
+counts times idf, and one dot product per row for its norm, which keeps
+every value bit-identical to a term-by-term loop.
 
 The truncated SVD is one Lanczos run (ARPACK) on the N x N Gram matrix XX^T
 of the sparse matrix, plus one sparse-dense product that turns its
@@ -37,6 +45,44 @@ import scipy.sparse as sp
 
 from .domains import Domain
 from .errors import DataError, NumericalError
+from .textnorm import PhraseTable, fuse_mwes, tokenize
+
+
+# Terms Vocabulary.key_table splits at a time.
+_KEY_BLOCK = 4096
+
+
+def _key_base(word_count: int) -> int:
+    """B = W + 2, the base of the term keys over W distinct words.
+
+    Every key is below B**3, so DataError if B**3 reaches 2**63: then not
+    every key would fit an int64.
+    """
+    base = word_count + 2
+    if base**3 >= 2**63:
+        raise DataError(
+            f"vocabulary.txt holds {word_count} distinct words: its term keys "
+            "would not fit in 64 bits"
+        )
+    return base
+
+
+@dataclass(frozen=True)
+class KeyTable:
+    """The terms of a vocabulary as integer keys.
+
+    word_ids gives each word of the terms its id in 1..W. A term's key is
+    its ids in base B = W + 2: a uni/bi/trigram key lies in [1, B), [B, B**2)
+    or [B**2, B**3). The sentinel unknown = W + 1 is a digit of no key.
+    """
+
+    word_ids: dict[str, int]
+    keys: np.ndarray     # (V,) strictly increasing
+    columns: np.ndarray  # (V,) the vocabulary column of each key
+
+    @property
+    def unknown(self) -> int:
+        return len(self.word_ids) + 1
 
 
 @dataclass(frozen=True)
@@ -61,9 +107,42 @@ class Vocabulary:
     # cached_property writes the instance __dict__, which a frozen dataclass
     # leaves open.
     @cached_property
-    def words(self) -> frozenset[str]:
-        """Every word some term contains: a term's stems, split on spaces."""
-        return frozenset(chain.from_iterable(map(str.split, self.terms)))
+    def key_table(self) -> KeyTable:
+        """Each term's key: its word ids in base B, and its column.
+
+        DataError, naming the bundle's vocabulary.txt where a loaded
+        vocabulary comes from, for a term of more than three words or with
+        an empty word; training makes neither.
+        """
+        terms = self.terms
+        word_ids: dict[str, int] = {}
+        # Each term's ids, right-aligned in a row of 3: a leading 0 adds
+        # nothing to the key.
+        digits = np.zeros((len(terms), 3), dtype=np.int64)
+        # The terms are split a block at a time, so no more than a block's
+        # words are held as strings at once.
+        for start in range(0, len(terms), _KEY_BLOCK):
+            block = terms[start : start + _KEY_BLOCK]
+            sizes = np.fromiter(map(str.count, block, repeat(" ")), np.int64) + 1
+            if sizes.max() > 3:
+                line = start + int(np.argmax(sizes > 3)) + 1
+                raise DataError(
+                    f"vocabulary.txt line {line}: a term of more than 3 words"
+                )
+            words = " ".join(block).split(" ")
+            for word in dict.fromkeys(words):
+                word_ids.setdefault(word, len(word_ids) + 1)
+            ends = np.cumsum(sizes)
+            at = np.repeat(3 * (start + np.arange(len(block))) + 3 - ends, sizes)
+            ids = np.fromiter(map(word_ids.__getitem__, words), np.int64, len(words))
+            digits.flat[at + np.arange(len(words))] = ids
+        if "" in word_ids:
+            line = next(i for i, t in enumerate(terms, 1) if "" in t.split(" "))
+            raise DataError(f"vocabulary.txt line {line}: a term with an empty word")
+        base = _key_base(len(word_ids))
+        keys = (digits[:, 0] * base + digits[:, 1]) * base + digits[:, 2]
+        columns = np.argsort(keys)
+        return KeyTable(word_ids=word_ids, keys=keys[columns], columns=columns)
 
 
 @dataclass(frozen=True)
@@ -147,16 +226,63 @@ def vectorize_all(
     known = cols >= 0
     rows, cols, counts = rows[known], cols[known], counts[known]
     order = np.lexsort((cols, rows))
-    cols = cols[order]
-    data = counts[order] * model.idf[cols]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return _tfidf_rows(model, rows[order], cols[order], counts[order], n)
+
+
+def vectorize_texts(
+    model: TfidfModel, table: PhraseTable, texts: Iterable[str]
+) -> sp.csr_matrix:
+    """The rows vectorize_all gives for text_to_terms of each text, bit for bit.
+
+    Each text's stems become their ids in the key table, U for a stem
+    outside every term, and one U ends the text. Then every text's
+    uni/bi/trigram keys are built, looked up and counted at once.
+    """
+    key_table = model.vocabulary.key_table
+    word_id, unknown = key_table.word_ids.get, key_table.unknown
+    ids: list[int] = []
+    lengths: list[int] = []
+    for text in texts:
+        stems = fuse_mwes(tokenize(text), table)
+        ids += map(word_id, stems, repeat(unknown))
+        ids.append(unknown)
+        lengths.append(len(stems) + 1)
+    base, v, n = unknown + 1, len(model.vocabulary), len(lengths)
+    unigrams = np.array(ids, dtype=np.int64)
+    bigrams = unigrams[:-1] * base + unigrams[1:]
+    trigrams = bigrams[:-1] * base + unigrams[2:]
+    doc = np.repeat(np.arange(n), lengths)
+    grams = np.concatenate((unigrams, bigrams, trigrams))
+    rows = np.concatenate((doc, doc[:-1], doc[:-2]))
+    at = np.minimum(np.searchsorted(key_table.keys, grams), v - 1)
+    hit = key_table.keys[at] == grams
+    cells = rows[hit] * v + key_table.columns[at[hit]]
+    cells, counts = np.unique(cells, return_counts=True)
+    return _tfidf_rows(model, *np.divmod(cells, v), counts, n)
+
+
+def _tfidf_rows(
+    model: TfidfModel, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray, n: int
+) -> sp.csr_matrix:
+    """The n x V CSR of L2-normalized count*idf rows.
+
+    Entry j is counts[j] of term cols[j] in document rows[j]; the entries
+    come sorted by row, then column, each (row, column) once.
+    """
+    v = len(model.vocabulary)
+    # scipy narrows int64 index arrays to int32 when every index fits, after
+    # scanning them; int32 arrays give the same matrix without the scan.
+    index = np.int32 if max(n, v, len(cols)) < 2**31 else np.int64
+    data = counts * model.idf[cols]
+    sizes = np.bincount(rows, minlength=n)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(sizes, out=indptr[1:])
     # One dot per row, not a reduceat over all rows: that sums in another
     # order and would move the last bit of some norms.
     bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
     norms = np.array([math.sqrt(np.dot(data[a:b], data[a:b])) for a, b in bounds])
-    data /= np.repeat(np.where(norms > 0.0, norms, 1.0), np.diff(indptr))
-    return sp.csr_matrix((data, cols, indptr), shape=(n, len(model.vocabulary)))
+    data /= np.repeat(np.where(norms > 0.0, norms, 1.0), sizes)
+    return sp.csr_matrix((data, cols.astype(index), indptr), shape=(n, v))
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:

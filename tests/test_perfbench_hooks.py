@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from riskdomains import classify, networks
+from riskdomains import classify, networks, vectorspace
 from riskdomains.bundle import load_bundle, save_bundle
 from riskdomains.classify import Pipeline
 from riskdomains.corpus import KeywordLexicon
@@ -69,17 +69,17 @@ def test_classify_batch_calls_patched_module_attributes(
     assert calls == ["score_vectors", f"{kind}_forward"]
 
 
-def test_classify_batch_calls_text_to_terms_once_per_paragraph(
+def test_classify_batch_tokenizes_each_text_once_in_order(
     trained_mlp, small_corpus, monkeypatch
 ):
     calls = []
-    real = classify.text_to_terms
+    real = vectorspace.tokenize
 
-    def spy(text, table, *rest):
+    def spy(text):
         calls.append(text)
-        return real(text, table, *rest)
+        return real(text)
 
-    monkeypatch.setattr(classify, "text_to_terms", spy)
+    monkeypatch.setattr(vectorspace, "tokenize", spy)
     paragraphs, _, _ = small_corpus
     texts = [p.text for p in paragraphs[:5]]
     classify.classify_batch(trained_mlp.pipeline, texts)

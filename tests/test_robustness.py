@@ -129,6 +129,15 @@ def repeat_second_term(lines):
     lines[2] = lines[1]
 
 
+def replace_last_term(term):
+    """term, which starts with "~" and so sorts after every stem, is last."""
+
+    def mutate(lines):
+        lines[-1] = term
+
+    return mutate
+
+
 def insert_invalid_utf8(name):
     """Insert one 0xff byte, which is never valid UTF-8, into a bundle file."""
 
@@ -416,6 +425,16 @@ CASES = {
     ),
     "bundle_vocabulary_duplicated_line": (
         corrupt_bundle("mlp", edit_vocabulary(repeat_second_term)), 2, "increasing"
+    ),
+    "bundle_vocabulary_four_word_term": (
+        corrupt_bundle("mlp", edit_vocabulary(replace_last_term("~ ~ ~ ~"))),
+        2,
+        r"vocabulary\.txt line \d+: a term of more than 3 words",
+    ),
+    "bundle_vocabulary_double_space": (
+        corrupt_bundle("mlp", edit_vocabulary(replace_last_term("~  ~"))),
+        2,
+        r"vocabulary\.txt line \d+: a term with an empty word",
     ),
     "bundle_manifest_invalid_utf8": (
         corrupt_bundle("mlp", insert_invalid_utf8("manifest.json")),

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import numpy as np
+import scipy.sparse as sp
 
 from riskdomains.porter import porter_stem
 from riskdomains.textnorm import (
@@ -13,7 +14,13 @@ from riskdomains.textnorm import (
     text_to_terms,
     tokenize,
 )
-from riskdomains.vectorspace import Vocabulary
+from riskdomains.vectorspace import (
+    TfidfModel,
+    Vocabulary,
+    fit_tfidf,
+    vectorize_all,
+    vectorize_texts,
+)
 
 
 def phrase(*words):
@@ -170,36 +177,101 @@ def test_text_to_terms_composes():
     assert terms == extract_terms(fuse_mwes(tokenize(text), PANIC_ATTACK))
 
 
-def in_vocabulary(terms, vocabulary):
-    return {t: n for t, n in terms.items() if t in vocabulary.index}
+def tfidf_of(*terms):
+    return TfidfModel(
+        Vocabulary(terms=terms, df=np.ones(len(terms), dtype=np.int64)), corpus_size=1
+    )
+
+
+def csr_bits(matrix):
+    return matrix.indptr.tolist(), matrix.indices.tolist(), matrix.data.tobytes()
+
+
+def reference_bits(tfidf, table, texts):
+    """The CSR of extracting every n-gram as a string."""
+    return csr_bits(vectorize_all(tfidf, (text_to_terms(t, table) for t in texts)))
 
 
 class TestVocabularyPruning:
+    """classify's integer-key path counts exactly the vocabulary's terms."""
+
     # "a b c" is a term, but none of its words and neither of its bigrams is.
-    VOCABULARY = Vocabulary(terms=("a b c", "d"), df=np.ones(2, dtype=np.int64))
+    # Words of at most two letters stem to themselves.
+    TFIDF = tfidf_of("a b c", "d")
+
+    def rows(self, texts, table=PANIC_ATTACK):
+        """The key path's dense rows, after checking its bits."""
+        matrix = vectorize_texts(self.TFIDF, table, texts)
+        assert csr_bits(matrix) == reference_bits(self.TFIDF, table, texts)
+        return matrix.toarray()
 
     def test_words_are_the_words_of_the_terms(self):
-        assert self.VOCABULARY.words == {"a", "b", "c", "d"}
+        keys = self.TFIDF.vocabulary.key_table
+        assert keys.word_ids == {"a": 1, "b": 2, "c": 3, "d": 4}
+        assert keys.unknown == 5
+        # "d" is 4 and "a b c" is (1 * 6 + 2) * 6 + 3, in base 6.
+        assert keys.keys.tolist() == [4, 51]
+        assert keys.columns.tolist() == [1, 0]
 
     def test_trigram_of_non_terms_is_counted(self):
-        terms = extract_terms(["x", "a", "b", "c", "d", "a", "b", "c"], self.VOCABULARY)
-        assert in_vocabulary(terms, self.VOCABULARY) == {"a b c": 2, "d": 1}
+        # Both terms have the same idf, so the row is (2, 1) normalized.
+        rows = self.rows(["x a b c d a b c"])
+        assert np.allclose(rows, [[2 / 5**0.5, 1 / 5**0.5]], rtol=0, atol=1e-15)
 
     def test_no_ngram_through_an_unknown_word(self):
-        terms = extract_terms(["a", "b", "x", "c", "d"], self.VOCABULARY)
-        assert terms == Counter(["a", "b", "c", "d", "a b", "c d"])
+        assert self.rows(["a b x c d", "a x b c"]).tolist() == [[0, 1], [0, 0]]
+
+    def test_no_ngram_or_phrase_across_two_texts(self):
+        # "a b c" spans the texts, and so would the phrase "c d".
+        table = phrase_table([phrase("c", "d")])
+        tfidf = tfidf_of("a b c", "c_d", "d")
+        texts = ["a b", "c", "d", "c d"]
+        matrix = vectorize_texts(tfidf, table, texts)
+        assert csr_bits(matrix) == reference_bits(tfidf, table, texts)
+        assert matrix.indptr.tolist() == [0, 0, 0, 1, 2]
+        assert matrix.indices.tolist() == [2, 1]
+
+    def test_empty_and_all_unknown_texts(self):
+        texts = ["", "x y z", "  ", "d", "zzyzx qwfp"]
+        matrix = vectorize_texts(self.TFIDF, {}, texts)
+        assert csr_bits(matrix) == reference_bits(self.TFIDF, {}, texts)
+        assert np.diff(matrix.indptr).tolist() == [0, 0, 0, 1, 0]
+        assert vectorize_texts(self.TFIDF, {}, []).shape == (0, 2)
+
+    def test_fused_stems(self):
+        tfidf = tfidf_of("panic_attack", "panic_attack todai", "todai")
+        texts = ["Panic attack today!", "panic, today; attack", "today panic attack"]
+        matrix = vectorize_texts(tfidf, PANIC_ATTACK, texts)
+        assert csr_bits(matrix) == reference_bits(tfidf, PANIC_ATTACK, texts)
+        assert matrix.indices.tolist() == [0, 1, 2, 2, 0, 2]
+
+    def test_chunk_equals_stacked_single_texts(self):
+        texts = ["a b c", "", "d a b c x", "x", "a b c d"]
+        chunk = vectorize_texts(self.TFIDF, {}, texts)
+        singles = sp.vstack([vectorize_texts(self.TFIDF, {}, [t]) for t in texts])
+        assert csr_bits(chunk) == csr_bits(singles.tocsr())
 
     def test_matches_unpruned_on_vocabulary_terms(self):
         rng = random.Random(5)
         words = ["a", "b", "c", "d", "x", "y"]
-        for _ in range(200):
-            stems = [rng.choice(words) for _ in range(rng.randint(0, 12))]
-            assert in_vocabulary(
-                extract_terms(stems, self.VOCABULARY), self.VOCABULARY
-            ) == in_vocabulary(extract_terms(stems), self.VOCABULARY)
+        tfidf = tfidf_of("a b c", "a d", "b", "c c", "d", "d x y")
+        texts = [
+            " ".join(rng.choice(words) for _ in range(rng.randint(0, 12)))
+            for _ in range(200)
+        ]
+        expected = reference_bits(tfidf, {}, texts)
+        assert csr_bits(vectorize_texts(tfidf, {}, texts)) == expected
+        for i in range(0, 200, 37):
+            assert csr_bits(vectorize_texts(tfidf, {}, texts[i : i + 37])) == (
+                reference_bits(tfidf, {}, texts[i : i + 37])
+            )
 
-    def test_words_unread_when_every_stem_is_a_term(self):
-        vocabulary = Vocabulary(terms=("d", "d d"), df=np.ones(2, dtype=np.int64))
-        terms = extract_terms(["d", "d", "d"], vocabulary)
-        assert terms == extract_terms(["d", "d", "d"])
-        assert "words" not in vars(vocabulary)
+    def test_key_table_built_on_first_use_only(self):
+        docs = [text_to_terms("d d d", {})]
+        tfidf = fit_tfidf(docs)
+        vectorize_all(tfidf, docs)
+        assert "key_table" not in vars(tfidf.vocabulary)
+        first = vectorize_texts(tfidf, {}, ["d d d"])
+        keys = tfidf.vocabulary.key_table
+        assert csr_bits(vectorize_texts(tfidf, {}, ["d d d"])) == csr_bits(first)
+        assert tfidf.vocabulary.key_table is keys

@@ -21,11 +21,13 @@ from riskdomains.vectorspace import (
     TfidfModel,
     Vocabulary,
     _fix_signs,
+    _key_base,
     fit_svd,
     fit_tfidf,
     lda_2d,
     project_all,
     vectorize_all,
+    vectorize_texts,
 )
 
 TWO_DOCS = [Counter(["patient", "anxious"]), Counter(["patient", "calm"])]
@@ -197,23 +199,42 @@ class TestTfidf:
 def test_vocabulary_pruned_terms_vectorize_to_the_same_bits(
     kind, small_corpus, trained_mlp, trained_mlp_nomwe, trained_rbf, trained_cosine
 ):
+    """classify's integer-key rows are those of extracting every n-gram."""
     pipeline = {
         "mlp": trained_mlp, "mlp_nomwe": trained_mlp_nomwe,
         "rbf": trained_rbf, "cosine": trained_cosine,
     }[kind].pipeline
     paragraphs, _, _ = small_corpus
-    # Every third paragraph holds a word no term contains.
+    # Every third paragraph holds a word no term contains; one text is
+    # empty and one has only unknown words.
     texts = [p.text + " zzyzx" * (i % 3 == 0) for i, p in enumerate(paragraphs)]
-    table, vocabulary = pipeline.lexicon.fusion, pipeline.tfidf.vocabulary
-    assert "zzyzx" not in vocabulary.words
-    bits = []
-    for given in (None, vocabulary):
-        matrix = vectorize_all(
-            pipeline.tfidf, (text_to_terms(t, table, given) for t in texts)
-        )
-        bits.append((matrix.indptr.tolist(), matrix.indices.tolist(),
-                     matrix.data.tobytes()))
-    assert bits[0] == bits[1]
+    texts[5:5] = ["", "zzyzx qwfp"]
+    tfidf, table = pipeline.tfidf, pipeline.lexicon.fusion
+    assert "zzyzx" not in tfidf.vocabulary.key_table.word_ids
+    chunk = vectorize_texts(tfidf, table, texts)
+    full = vectorize_all(tfidf, (text_to_terms(t, table) for t in texts))
+    assert csr_bits(chunk) == csr_bits(full)
+    singles = sp.vstack([vectorize_texts(tfidf, table, [t]) for t in texts[:40]])
+    assert csr_bits(singles.tocsr()) == csr_bits(chunk[:40])
+
+
+class TestKeyTable:
+    def test_refuses_a_term_of_four_words(self):
+        vocabulary = Vocabulary(("a", "b c d e"), np.ones(2, dtype=np.int64))
+        with pytest.raises(DataError, match="line 2: a term of more than 3 words"):
+            vocabulary.key_table
+
+    @pytest.mark.parametrize("term", ["a  b", " a", "a ", ""])
+    def test_refuses_an_empty_word(self, term):
+        vocabulary = Vocabulary((term, "z"), np.ones(2, dtype=np.int64))
+        with pytest.raises(DataError, match="vocabulary.txt line 1: .*empty word"):
+            vocabulary.key_table
+
+    def test_key_base_bound(self):
+        # B = W + 2 and every key lies below B**3.
+        assert _key_base(2**21 - 3) == 2**21 - 1
+        with pytest.raises(DataError, match="2097150 distinct words"):
+            _key_base(2**21 - 2)
 
 
 class TestSvd:
