@@ -1,18 +1,20 @@
 """Model bundle persistence: a directory of raw arrays plus manifest.json.
 
-Array a lives in a.bin as raw little-endian 64-bit values in C order, int
-for df and float otherwise; the manifest records only its shape, so bundles
-are portable and the manifest humanly diffable. Loading reads each file
-block by block straight into an array of the memory order its stage type
-holds, checking each block, so no second copy of an array is ever made.
+Array a lives in a.bin as raw little-endian 64-bit values, int for df and
+float otherwise: exactly the array's memory, in Fortran order for
+svd_components, as SvdProjection holds it, and C order for the rest. The
+manifest records each array's shape and the sha256 of every other file. A
+save is one tofile per array; a load reads each file once into its array,
+then hashes and checks those bytes, so nothing is read twice or copied.
 Nothing in a bundle depends on wall time; retraining with the same inputs,
 seed and BLAS thread count reproduces byte-identical files.
 
 A bundle stores only what cannot be recomputed; the stage types derive the
-idf, the term index and the thresholds. Format 1 and 2 bundles load through
+idf, the term index and the thresholds. Format 1 to 3 bundles load through
 the same code, which ignores what they also stored (format 1's idf.bin and
 thresholds.min, each array's file and dtype, vocabulary_file), so no string
-from a manifest ever becomes a path.
+from a manifest ever becomes a path. They record no hashes, so they load
+unchecked, and hold C order, so SvdProjection copies their components once.
 
 A scorer is stored field by field under its kind's SCORER_PREFIXES entry: an
 array field f as <prefix>f.bin, a scalar as the manifest field <prefix>f.
@@ -24,6 +26,7 @@ check the shapes and values when they are built.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import typing
@@ -40,52 +43,41 @@ from .domains import CLASSIFIED_DOMAINS
 from .errors import ConfigError, DataError
 from .vectorspace import SvdProjection, TfidfModel, Vocabulary
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 VOCAB_NAME = "vocabulary.txt"
 
 SCORER_PREFIXES = {"cosine": "megadoc_", "mlp": "mlp_", "rbf": "rbf_"}
-# Bytes _read_array reads and _write_array writes at a time. 4 MiB holds a
-# dozen rows of standard-size SVD components, so each cache line of the
-# Fortran-order array is touched whole; smaller blocks read the components
-# about twice as slowly.
-_READ_BLOCK_BYTES = 1 << 22
 
 
-def _row_step(shape: tuple[int, ...], itemsize: int) -> int:
-    """Leading-axis rows in one block of at most _READ_BLOCK_BYTES (at least 1)."""
-    return max(1, _READ_BLOCK_BYTES // max(1, math.prod(shape[1:]) * itemsize))
+def _array_file(directory: Path, name: str, version: int) -> tuple[Path, np.dtype, str]:
+    """The file, dtype and memory order of array name in a bundle of version."""
+    order = "F" if name == "svd_components" and version >= 4 else "C"
+    return directory / f"{name}.bin", np.dtype("<i8" if name == "df" else "<f8"), order
 
 
-def _array_file(directory: Path, name: str) -> tuple[Path, np.dtype]:
-    """The file and on-disk dtype of the array called name."""
-    return directory / f"{name}.bin", np.dtype("<i8" if name == "df" else "<f8")
+def _check_sha256(path: Path, data, recorded: str) -> None:
+    if hashlib.sha256(data).hexdigest() != recorded:
+        raise DataError(f"{path}: bytes do not match the sha256 in the manifest")
 
 
 def _write_array(directory: Path, name: str, array: np.ndarray) -> dict:
-    path, dtype = _array_file(directory, name)
-    # The file holds C order. tofile writes a Fortran-order array one element
-    # at a time, so write C-ordered copies of one block of rows at a time,
-    # which holds no copy of the whole array.
-    array = np.asarray(array, dtype=dtype)
-    step = _row_step(array.shape, array.itemsize)
-    with open(path, "wb") as f:
-        for start in range(0, len(array), step):
-            np.ascontiguousarray(array[start : start + step]).tofile(f)
-    return {"shape": list(array.shape)}
+    path, dtype, order = _array_file(directory, name, FORMAT_VERSION)
+    # The array's memory; ravel copies only an array not already in this order.
+    flat = np.asarray(array, dtype=dtype).ravel(order)
+    flat.tofile(path)
+    return {"shape": list(np.shape(array)), "sha256": hashlib.sha256(flat).hexdigest()}
 
 
-def _read_array(
-    directory: Path, arrays: dict, name: str, order: str = "C"
-) -> np.ndarray:
-    """Array name, of the shape arrays[name] records, in the given memory order."""
+def _read_array(directory: Path, arrays: dict, name: str, version: int) -> np.ndarray:
+    """Array name, of the shape arrays[name] records, in its file's order."""
     where = f"bundle array {name!r}"
     spec = require_field(arrays, name, "bundle manifest arrays", dict)
     shape = tuple(require_field(spec, "shape", where, list))
     # No fit stores an empty array; one would label every paragraph Other.
     if not shape or not all(is_json_type(d, int) and d > 0 for d in shape):
         raise DataError(f"{where}: shape must be a non-empty list of positive integers")
-    path, dtype = _array_file(directory, name)
+    path, dtype, order = _array_file(directory, name, version)
     if not path.is_file():
         raise DataError(f"bundle array file missing: {path}")
     # Python ints, so that no shape can overflow into a matching size.
@@ -96,22 +88,27 @@ def _read_array(
             f"bundle array {name!r} has {size} bytes, "
             f"expected {expected} for shape {list(shape)}"
         )
-    # The file holds C order; fill an owned native-order array in the
-    # requested order a block of leading-axis rows at a time, so no second
-    # copy of the whole array is ever held.
-    array = np.empty(shape, dtype=dtype.type, order=order)
-    step = _row_step(shape, dtype.itemsize)
-    with open(path, "rb") as f:
-        for start in range(0, len(array), step):
-            block = array[start : start + step]
-            raw = f.read(block.size * dtype.itemsize)
-            if len(raw) != block.size * dtype.itemsize:
-                raise DataError(f"bundle array {name!r} is shorter than its shape")
-            values = np.frombuffer(raw, dtype=dtype).reshape(block.shape)
-            if dtype.kind == "f" and not np.isfinite(values).all():
-                raise DataError(f"bundle array {name!r} holds non-finite values")
-            block[...] = values
-    return array
+    flat = np.fromfile(path, dtype=dtype)
+    if version >= 4:  # older formats record no hashes
+        _check_sha256(path, flat, require_field(spec, "sha256", where, str))
+    if dtype.kind == "f" and not np.isfinite(flat).all():
+        raise DataError(f"bundle array {name!r} holds non-finite values")
+    return flat.reshape(shape, order=order)
+
+
+def _read_terms(directory: Path, manifest: dict, where: str, version: int) -> tuple:
+    """The terms of vocabulary.txt, one a line. Its bytes are freed on return:
+    held while the arrays were read, they raised the peak memory of repeated
+    loads by about one components array in a third of the runs."""
+    path = directory / VOCAB_NAME
+    if not path.is_file():
+        raise DataError(f"bundle vocabulary file missing: {path}")
+    raw = path.read_bytes()
+    if version >= 4:
+        recorded = require_field(manifest, "vocabulary_sha256", where, str)
+        _check_sha256(path, raw, recorded)
+    with parse_errors(path):
+        return tuple(raw.decode("utf-8").splitlines())
 
 
 def save_bundle(
@@ -146,9 +143,8 @@ def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None
             directory, "svd_singular_values", svd.singular_values
         ),
     }
-    (directory / VOCAB_NAME).write_text(
-        "\n".join(tfidf.vocabulary.terms) + "\n", encoding="utf-8"
-    )
+    vocabulary = ("\n".join(tfidf.vocabulary.terms) + "\n").encode("utf-8")
+    (directory / VOCAB_NAME).write_bytes(vocabulary)
 
     manifest: dict = {
         "format_version": FORMAT_VERSION,
@@ -158,6 +154,7 @@ def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None
         "corpus_size": tfidf.corpus_size,
         "lexicon": lexicon_to_json(pipeline.lexicon),
         "training": training_info,
+        "vocabulary_sha256": hashlib.sha256(vocabulary).hexdigest(),
     }
     prefix = SCORER_PREFIXES[pipeline.kind]
     for f in dataclasses.fields(pipeline.scorer):
@@ -211,22 +208,16 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         )
     arrays = require_field(manifest, "arrays", where, dict)
 
-    def arr(name: str, order: str = "C") -> np.ndarray:
-        return _read_array(directory, arrays, name, order)
+    def arr(name: str) -> np.ndarray:
+        return _read_array(directory, arrays, name, version)
 
-    vocab_file = directory / VOCAB_NAME
-    if not vocab_file.is_file():
-        raise DataError(f"bundle vocabulary file missing: {vocab_file}")
-    with parse_errors(vocab_file):
-        terms = tuple(vocab_file.read_text(encoding="utf-8").splitlines())
+    terms = _read_terms(directory, manifest, where, version)
     tfidf = TfidfModel(
         vocabulary=Vocabulary(terms=terms, df=arr("df")),
         corpus_size=require_field(manifest, "corpus_size", where, int),
     )
-    # SvdProjection holds its components in Fortran order.
     svd = SvdProjection(
-        components=arr("svd_components", order="F"),
-        singular_values=arr("svd_singular_values"),
+        components=arr("svd_components"), singular_values=arr("svd_singular_values")
     )
     try:
         lexicon = lexicon_from_json(require_field(manifest, "lexicon", where), where)

@@ -167,12 +167,15 @@ class SvdProjection:
 
     components is held in Fortran order, so components.T is C-contiguous
     and project_all multiplies by it without copying the (k, V) matrix.
+    Building one makes it so, copying only components held in another
+    order, such as those of a bundle older than format 4.
     """
 
     components: np.ndarray       # (k, V), rows orthonormal
     singular_values: np.ndarray  # (k,), non-negative, non-increasing
 
     def __post_init__(self):
+        object.__setattr__(self, "components", np.asfortranarray(self.components))
         components, singular_values = self.components, self.singular_values
         if components.ndim != 2 or singular_values.shape != components.shape[:1]:
             raise DataError(
@@ -361,8 +364,7 @@ def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
     order = np.argsort(-singular, kind="stable")
     if np.any(order != np.arange(k)):
         components, singular = components[order], singular[order]
-    components = _fix_signs(np.asfortranarray(components))
-    return SvdProjection(components=components, singular_values=singular)
+    return SvdProjection(components=_fix_signs(components), singular_values=singular)
 
 
 def project_all(projection: SvdProjection, matrix: sp.spmatrix) -> np.ndarray:

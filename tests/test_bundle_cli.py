@@ -3,10 +3,10 @@
 import argparse
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -96,54 +96,77 @@ class TestBundleRoundTrip:
         assert loaded.thresholds.alpha == trained.pipeline.thresholds.alpha
 
 
-class TestOlderBundles:
-    """Bundles written before the manifest lost fields the reader can derive."""
+def write_older_format(pipeline, directory, version):
+    """Save pipeline as format version (1 to 3) wrote it.
 
-    def test_format_1_bundle_loads_like_format_2(self, trained, small_corpus, tmp_path):
-        """Format 1 also stored idf.bin and thresholds.min; both are ignored."""
-        paragraphs, _, _ = small_corpus
-        saved = save_bundle(tmp_path / "v2", trained.pipeline)
-        old = tmp_path / "v1"
-        shutil.copytree(saved, old)
-        idf, thresholds = trained.pipeline.tfidf.idf, trained.pipeline.thresholds
-        idf.astype("<f8").tofile(old / "idf.bin")
-        path = old / "manifest.json"
-        manifest = json.loads(path.read_text())
-        assert manifest["format_version"] == 3
+    Every file holds C order and the manifest records no sha256. Formats 1
+    and 2 also named each array's file and dtype and the vocabulary file;
+    format 1 also stored idf.bin and thresholds.min.
+    """
+    saved = save_bundle(directory, pipeline)
+    components = np.ascontiguousarray(pipeline.svd.components)
+    components.astype("<f8").tofile(saved / "svd_components.bin")
+    path = saved / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["format_version"] == 4
+    manifest["format_version"] = version
+    del manifest["vocabulary_sha256"]
+    for spec in manifest["arrays"].values():
+        assert list(spec) == ["sha256", "shape"]
+        del spec["sha256"]
+    if version <= 2:
+        manifest["vocabulary_file"] = "vocabulary.txt"
+        for name, spec in manifest["arrays"].items():
+            spec.update(file=f"{name}.bin", dtype="<i8" if name == "df" else "<f8")
+    if version == 1:
+        idf, thresholds = pipeline.tfidf.idf, pipeline.thresholds
+        idf.astype("<f8").tofile(saved / "idf.bin")
         assert "idf" not in manifest["arrays"] and "min" not in manifest["thresholds"]
-        manifest["format_version"] = 1
         manifest["arrays"]["idf"] = {
             "file": "idf.bin", "shape": [len(idf)], "dtype": "<f8"
         }
         manifest["thresholds"]["min"] = {
             d.value: thresholds.thresholds[i] for i, d in enumerate(CLASSIFIED_DOMAINS)
         }
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        texts = [p.text for p in paragraphs]
-        labels_a, scores_a = classify_batch(load_bundle(saved)[0], texts)
-        labels_b, scores_b = classify_batch(load_bundle(old)[0], texts)
-        assert labels_a == labels_b
-        assert np.array_equal(scores_a, scores_b)
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return saved
+
+
+def assert_loads_like_format_4(pipeline, version, corpus_files, tmp_path, capsys):
+    """An older bundle's components load bit-identical to the format 4
+    load, in Fortran order, and it classifies byte-identically."""
+    saved = save_bundle(tmp_path / "v4", pipeline)
+    old = write_older_format(pipeline, tmp_path / f"v{version}", version)
+    components = load_bundle(saved)[0].svd.components
+    old_components = load_bundle(old)[0].svd.components
+    assert old_components.flags.f_contiguous
+    assert old_components.tobytes(order="F") == components.tobytes(order="F")
+    assert classify_out(old, corpus_files, capsys) == classify_out(
+        saved, corpus_files, capsys
+    )
+
+
+class TestOlderBundles:
+    """Bundles written before the manifest lost fields the reader can derive,
+    and before each file held its array's own memory and hash."""
+
+    def test_format_1_bundle_loads_like_format_2(
+        self, trained, corpus_files, tmp_path, capsys
+    ):
+        """Format 1 also stored idf.bin and thresholds.min; both are ignored."""
+        assert_loads_like_format_4(trained.pipeline, 1, corpus_files, tmp_path, capsys)
 
     def test_format_2_bundle_classifies_like_format_3(
         self, trained, corpus_files, tmp_path, capsys
     ):
         """Format 2 also named each array's file and dtype and the vocabulary."""
-        saved = save_bundle(tmp_path / "v3", trained.pipeline)
-        old = tmp_path / "v2"
-        shutil.copytree(saved, old)
-        path = old / "manifest.json"
-        manifest = json.loads(path.read_text())
-        assert manifest["format_version"] == 3 and "vocabulary_file" not in manifest
-        assert all(list(spec) == ["shape"] for spec in manifest["arrays"].values())
-        manifest["format_version"] = 2
-        manifest["vocabulary_file"] = "vocabulary.txt"
-        for name, spec in manifest["arrays"].items():
-            spec.update(file=f"{name}.bin", dtype="<i8" if name == "df" else "<f8")
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        assert classify_out(saved, corpus_files, capsys) == classify_out(
-            old, corpus_files, capsys
-        )
+        assert_loads_like_format_4(trained.pipeline, 2, corpus_files, tmp_path, capsys)
+
+    def test_format_3_bundle_classifies_like_format_4(
+        self, trained, corpus_files, tmp_path, capsys
+    ):
+        """Format 3 stored svd_components in C order and no hashes."""
+        assert_loads_like_format_4(trained.pipeline, 3, corpus_files, tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "edit", ["array_file_in_parent", "vocabulary_file_not_string"]
@@ -280,6 +303,9 @@ class TestBundleErrors:
         vocab = saved / "vocabulary.txt"
         lines = vocab.read_text().splitlines()
         vocab.write_text("\n".join(lines[:-1]) + "\n")
+        # The edited file's own hash, so the load reaches the size check.
+        digest = hashlib.sha256(vocab.read_bytes()).hexdigest()
+        self.edit_manifest(saved, lambda m: m.update(vocabulary_sha256=digest))
         with pytest.raises(DataError, match="vocabulary size"):
             load_bundle(saved)
 
@@ -326,43 +352,51 @@ class TestBundleErrors:
 
 
 def whole_file_read(directory, name, shape, order):
-    """The reference read: all bytes at once, then one converting copy."""
+    """The reference read: all bytes at once, as the array's memory in order."""
     dtype = "<i8" if name == "df" else "<f8"
     raw = (directory / f"{name}.bin").read_bytes()
-    array = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    native = np.float64 if dtype == "<f8" else np.int64
-    return array.astype(native, order=order)
+    return np.frombuffer(raw, dtype=dtype).reshape(shape, order=order)
+
+
+# An array name whose file holds each memory order.
+NAME_OF_ORDER = {"C": "a", "F": "svd_components"}
+
+
+def write_array_file(directory, name, values, shape):
+    """Write values as name's file; returns the manifest arrays recording it."""
+    values.tofile(directory / f"{name}.bin")
+    return {name: {"shape": shape, "sha256": hashlib.sha256(values).hexdigest()}}
 
 
 class TestReadArray:
-    @pytest.mark.parametrize("block", [8, 100, bundle_module._READ_BLOCK_BYTES])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_bundle_arrays_match_whole_file_read(
-        self, trained_mlp, tmp_path, monkeypatch, order, block
-    ):
-        saved = save_bundle(tmp_path / "bundle", trained_mlp.pipeline)
+    def test_bundle_arrays_match_whole_file_read(self, trained, tmp_path):
+        saved = save_bundle(tmp_path / "bundle", trained.pipeline)
         arrays = json.loads((saved / "manifest.json").read_text())["arrays"]
-        monkeypatch.setattr(bundle_module, "_READ_BLOCK_BYTES", block)
         for name, spec in arrays.items():
-            got = bundle_module._read_array(saved, arrays, name, order)
+            order = "F" if name == "svd_components" else "C"
+            got = bundle_module._read_array(saved, arrays, name, 4)
             want = whole_file_read(saved, name, spec["shape"], order)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.flags[f"{order}_CONTIGUOUS"]
             assert got.tobytes(order="A") == want.tobytes(order="A"), name
 
-    # Blocks of 3 values: a row wider than that is read alone, narrower rows
-    # share a block, and a dimension may be 1, the smallest the reader accepts.
+    def test_components_file_is_their_fortran_memory(self, trained_mlp, tmp_path):
+        saved = save_bundle(tmp_path / "bundle", trained_mlp.pipeline)
+        components = trained_mlp.pipeline.svd.components
+        assert components.flags.f_contiguous
+        assert (saved / "svd_components.bin").read_bytes() == components.T.tobytes()
+
+    # A dimension may be 1, the smallest the reader accepts.
     @pytest.mark.parametrize(
         "shape", [[5, 7], [2, 3, 4], [1], [1, 9], [9, 1], [3, 1, 2]]
     )
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_any_shape_matches_whole_file_read(self, tmp_path, monkeypatch, shape, order):
-        values = np.arange(math.prod(shape), dtype="<f8").reshape(shape) * 0.1
-        values.tofile(tmp_path / "a.bin")
-        arrays = {"a": {"shape": shape}}
-        monkeypatch.setattr(bundle_module, "_READ_BLOCK_BYTES", 24)
-        got = bundle_module._read_array(tmp_path, arrays, "a", order)
-        want = whole_file_read(tmp_path, "a", shape, order)
+    def test_any_shape_matches_whole_file_read(self, tmp_path, shape, order):
+        name = NAME_OF_ORDER[order]
+        values = np.arange(math.prod(shape), dtype="<f8") * 0.1
+        arrays = write_array_file(tmp_path, name, values, shape)
+        got = bundle_module._read_array(tmp_path, arrays, name, 4)
+        want = whole_file_read(tmp_path, name, shape, order)
         assert got.shape == want.shape and got.flags[f"{order}_CONTIGUOUS"]
         assert got.tobytes(order="A") == want.tobytes(order="A")
 
@@ -370,18 +404,18 @@ class TestReadArray:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_empty_shape_is_refused(self, tmp_path, shape, order):
         """No fit stores a 0-d or empty array, even one whose file matches it."""
-        np.zeros(math.prod(shape)).tofile(tmp_path / "a.bin")
-        with pytest.raises(DataError, match="'a': shape must be a non-empty"):
-            bundle_module._read_array(tmp_path, {"a": {"shape": shape}}, "a", order)
+        name = NAME_OF_ORDER[order]
+        arrays = write_array_file(tmp_path, name, np.zeros(math.prod(shape)), shape)
+        with pytest.raises(DataError, match=f"'{name}': shape must be a non-empty"):
+            bundle_module._read_array(tmp_path, arrays, name, 4)
 
-    def test_non_finite_value_in_a_later_block(self, tmp_path, monkeypatch):
-        values = np.ones((6, 5))
-        values[5, 4] = np.inf
-        values.tofile(tmp_path / "a.bin")
-        arrays = {"a": {"file": "a.bin", "shape": [6, 5], "dtype": "<f8"}}
-        monkeypatch.setattr(bundle_module, "_READ_BLOCK_BYTES", 80)
-        with pytest.raises(DataError, match="non-finite"):
-            bundle_module._read_array(tmp_path, arrays, "a", "F")
+    def test_non_finite_value_anywhere_is_refused(self, tmp_path):
+        for i, bad in enumerate([np.inf, -np.inf, np.nan] * 10):
+            values = np.ones(30)
+            values[i] = bad
+            arrays = write_array_file(tmp_path, "svd_components", values, [6, 5])
+            with pytest.raises(DataError, match="non-finite"):
+                bundle_module._read_array(tmp_path, arrays, "svd_components", 4)
 
 
 def scalar_leaves(node, keys=()):

@@ -1,17 +1,20 @@
 """Seeded mutations of every CLI input keep the exit-code contract.
 
 A valid config, lexicon, corpus, gold, predictions, annotations file and
-bundle manifest and vocabulary are each mutated several ways: a flipped
-bit, truncation, an inserted 0xff byte, a UTF-8 BOM, deep nesting, and one
-JSON value swapped for null, NaN, -1, 2**64+1 or []. For every mutant the
-CLI, run in-process, must return 0, 1, 2 or 3, and a non-zero exit must
-write exactly one "error:" line and no traceback. The corpus is tiny and
-the model a cosine one, so the whole sweep takes a few seconds.
+bundle manifest, vocabulary and array file are each mutated several ways: a
+flipped bit, truncation, an inserted 0xff byte, a UTF-8 BOM, deep nesting,
+and one JSON value swapped for null, NaN, -1, 2**64+1 or [] (in an array
+file, one 8-byte value swapped for that number, or for zero bytes if it is
+none). For every mutant the CLI, run in-process, must return 0, 1, 2 or 3,
+and a non-zero exit must write exactly one "error:" line and no traceback.
+The corpus is tiny and the model a cosine one, so the whole sweep takes a
+few seconds.
 """
 
 import json
 import random
 import shutil
+import struct
 
 import pytest
 
@@ -85,6 +88,12 @@ def swap_text_line(raw, rng, new):
     lines = raw.splitlines()
     lines[rng.randrange(len(lines))] = json.dumps(new).encode()
     return b"\n".join(lines) + b"\n"
+
+
+def swap_array_value(raw, rng, new):
+    i = 8 * rng.randrange(len(raw) // 8)
+    word = struct.pack("<d", new) if isinstance(new, (int, float)) else bytes(8)
+    return raw[:i] + word + raw[i + 8 :]
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +186,10 @@ INPUTS = {
     "vocabulary": (
         lambda v: v["bundle"] / "vocabulary.txt", swap_text_line,
         lambda t, v, raw: bundle_with(t, v, "vocabulary.txt", raw),
+    ),
+    "array": (
+        lambda v: v["bundle"] / "svd_components.bin", swap_array_value,
+        lambda t, v, raw: bundle_with(t, v, "svd_components.bin", raw),
     ),
 }
 

@@ -7,6 +7,7 @@ config error, 2 for a data error, a single "error:" line on stderr, and
 never a traceback or a silent exit 0.
 """
 
+import hashlib
 import json
 import re
 import shutil
@@ -61,6 +62,34 @@ def edit_manifest(mutate):
     return corrupt
 
 
+def record_sha256(bundle, name):
+    """Record an edited file's own hash in the manifest, so that loading
+    passes the hash check and reaches the check a case is written for."""
+    digest = hashlib.sha256((bundle / name).read_bytes()).hexdigest()
+
+    def mutate(manifest):
+        if name == "vocabulary.txt":
+            manifest["vocabulary_sha256"] = digest
+        else:
+            manifest["arrays"][name.removesuffix(".bin")]["sha256"] = digest
+
+    edit_manifest(mutate)(bundle)
+
+
+def flip_bit_62(name):
+    """Flip bit 62 of the middle 8-byte word of a bundle file, leaving its
+    hash as it was. In a float that is the top exponent bit, so a value below
+    1 in magnitude grows by a factor of 2**1024 and stays finite."""
+
+    def corrupt(bundle):
+        path = bundle / name
+        raw = bytearray(path.read_bytes())
+        raw[8 * (len(raw) // 16) + 7] ^= 0x40
+        path.write_bytes(raw)
+
+    return corrupt
+
+
 def reshape_array(name, reshape):
     """Give one array a new shape of the same size in the manifest."""
 
@@ -77,6 +106,7 @@ def map_singular_values(transform):
     def corrupt(bundle):
         path = bundle / "svd_singular_values.bin"
         transform(np.fromfile(path, dtype="<f8")).astype("<f8").tofile(path)
+        record_sha256(bundle, path.name)
 
     return corrupt
 
@@ -88,6 +118,7 @@ def fill_array(name, value):
         path = bundle / f"{name}.bin"
         n = len(path.read_bytes()) // 8
         path.write_bytes(np.full(n, value, dtype="<f8").tobytes())
+        record_sha256(bundle, path.name)
 
     return corrupt
 
@@ -104,6 +135,7 @@ def set_first_df(value):
         df = np.fromfile(path, dtype="<i8")
         df[0] = value
         df.tofile(path)
+        record_sha256(bundle, path.name)
 
     return corrupt
 
@@ -116,6 +148,7 @@ def edit_vocabulary(mutate):
         lines = path.read_text().splitlines()
         mutate(lines)
         path.write_text("".join(line + "\n" for line in lines))
+        record_sha256(bundle, path.name)
 
     return corrupt
 
@@ -145,6 +178,8 @@ def insert_invalid_utf8(name):
         path = bundle / name
         raw = path.read_bytes()
         path.write_bytes(raw[:10] + b"\xff" + raw[10:])
+        if name != "manifest.json":
+            record_sha256(bundle, name)
 
     return corrupt
 
@@ -155,6 +190,7 @@ def zero_megadoc_row(bundle):
     vectors = np.fromfile(path, dtype="<f8").reshape(7, -1)
     vectors[0] = 0.0
     vectors.tofile(path)
+    record_sha256(bundle, path.name)
 
 
 def vocabulary_outside(bundle):
@@ -168,8 +204,10 @@ def vocabulary_outside(bundle):
 def empty_vocabulary(bundle):
     """No term: empty vocabulary and df, k×0 components, corpus_size -5."""
     (bundle / "vocabulary.txt").write_text("")
+    record_sha256(bundle, "vocabulary.txt")
     for name in ("df", "svd_components"):
         (bundle / f"{name}.bin").write_bytes(b"")
+        record_sha256(bundle, f"{name}.bin")
 
     def mutate(manifest):
         manifest["arrays"]["df"]["shape"] = [0]
@@ -183,6 +221,7 @@ def zero_svd_dimensions(bundle):
     """k = 0: (0, V) components, no singular values, and a (0, H1) mlp_w1."""
     for name in ("svd_components", "svd_singular_values", "mlp_w1"):
         (bundle / f"{name}.bin").write_bytes(b"")
+        record_sha256(bundle, f"{name}.bin")
 
     def mutate(manifest):
         arrays = manifest["arrays"]
@@ -775,6 +814,39 @@ CASES = {
         synth_with({"paragraphs_per_domain": "x"}), 1, "paragraphs_per_domain"
     ),
 }
+
+
+# Each kind's scorer arrays. With df, the SVD arrays and the vocabulary they
+# are every file a format 4 bundle hashes.
+SCORER_ARRAYS = {
+    "mlp": ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "mlp_w3", "mlp_b3"),
+    "rbf": ("rbf_prototypes", "rbf_w", "rbf_b"),
+    "cosine": ("megadoc_vectors",),
+}
+for kind, scorer_arrays in SCORER_ARRAYS.items():
+    for name in ("df", "svd_components", "svd_singular_values", *scorer_arrays):
+        CASES[f"bundle_{kind}_{name}_bit_flipped"] = (
+            corrupt_bundle(kind, flip_bit_62(f"{name}.bin")),
+            2,
+            rf"{name}\.bin: bytes do not match the sha256",
+        )
+    CASES[f"bundle_{kind}_vocabulary_bit_flipped"] = (
+        corrupt_bundle(kind, flip_bit_62("vocabulary.txt")),
+        2,
+        r"vocabulary\.txt: bytes do not match the sha256",
+    )
+CASES["bundle_array_sha256_missing"] = (
+    corrupt_bundle(
+        "mlp", edit_manifest(lambda m: m["arrays"]["svd_components"].pop("sha256"))
+    ),
+    2,
+    "'svd_components'.*sha256",
+)
+CASES["bundle_vocabulary_sha256_missing"] = (
+    corrupt_bundle("rbf", edit_manifest(lambda m: m.pop("vocabulary_sha256"))),
+    2,
+    "vocabulary_sha256",
+)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
