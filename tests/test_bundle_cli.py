@@ -368,17 +368,42 @@ def write_array_file(directory, name, values, shape):
     return {name: {"shape": shape, "sha256": hashlib.sha256(values).hexdigest()}}
 
 
+def assert_same_read(got, want, order, name):
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    assert got.flags[f"{order}_CONTIGUOUS"], name
+    # Bit for bit, without a bytes copy of a large array.
+    assert np.array_equal(got.view("<u8"), want.view("<u8")), name
+
+
 class TestReadArray:
-    def test_bundle_arrays_match_whole_file_read(self, trained, tmp_path):
-        saved = save_bundle(tmp_path / "bundle", trained.pipeline)
-        arrays = json.loads((saved / "manifest.json").read_text())["arrays"]
-        for name, spec in arrays.items():
-            order = "F" if name == "svd_components" else "C"
-            got = bundle_module._read_array(saved, arrays, name, 4)
-            want = whole_file_read(saved, name, spec["shape"], order)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.flags[f"{order}_CONTIGUOUS"]
-            assert got.tobytes(order="A") == want.tobytes(order="A"), name
+    # values: the size of one more array, in the file of a name held in
+    # order; from 2 rows of 4 to 32 MiB, larger than any trained array here.
+    @pytest.mark.parametrize("values", [8, 100, 4 * 2**20])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bundle_arrays_match_whole_file_read(
+        self, trained_cosine, trained_mlp, trained_rbf, trained_mlp_nomwe,
+        tmp_path, order, values,
+    ):
+        """Each array held in order, of every kind's bundle and of a file of
+        values values, reads back as its whole file's bytes in that order."""
+        kinds = [trained_cosine, trained_mlp, trained_rbf, trained_mlp_nomwe]
+        for i, trained in enumerate(kinds):
+            saved = save_bundle(tmp_path / f"bundle{i}", trained.pipeline)
+            arrays = json.loads((saved / "manifest.json").read_text())["arrays"]
+            names = [
+                name for name in arrays
+                if ("F" if name == "svd_components" else "C") == order
+            ]
+            assert names
+            for name in names:
+                got = bundle_module._read_array(saved, arrays, name, 4)
+                want = whole_file_read(saved, name, arrays[name]["shape"], order)
+                assert_same_read(got, want, order, name)
+        name = NAME_OF_ORDER[order]
+        shape = [values // 4, 4]
+        arrays = write_array_file(tmp_path, name, np.arange(values) * 0.1, shape)
+        got = bundle_module._read_array(tmp_path, arrays, name, 4)
+        assert_same_read(got, whole_file_read(tmp_path, name, shape, order), order, name)
 
     def test_components_file_is_their_fortran_memory(self, trained_mlp, tmp_path):
         saved = save_bundle(tmp_path / "bundle", trained_mlp.pipeline)
