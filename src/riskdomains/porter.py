@@ -6,6 +6,15 @@ the 1980 paper: step 2 maps "bli" to "ble" instead of "abli" to "able",
 step 2 gains the "logi" to "log" rule, and words of length <= 2 are
 returned unchanged.
 
+As in the paper, steps 1a, 1c, 2, 3, 4, 5a and 5b are rule tables:
+(suffix, replacement) rows, longest suffix first, and a condition on the
+stem left once the suffix is removed. _apply runs any of them: the first
+listed suffix the word ends with decides the step, and the word keeps that
+suffix unless the condition holds. Step 1b is the one step that is not a
+table, because a removed -ed or -ing is followed by a clean-up of the stem.
+The conditions read each letter as consonant or vowel from one left-to-right
+pass over the stem, so a long run of y's costs time linear in its length.
+
 All functions are pure; input words are expected to be lowercase.
 porter_stem memoizes the most recently used STEM_CACHE_SIZE words, because
 paragraphs repeat words far more often than they introduce new ones.
@@ -14,6 +23,7 @@ paragraphs repeat words far more often than they introduce new ones.
 from __future__ import annotations
 
 import functools
+from typing import Callable
 
 _VOWELS = "aeiou"
 # Distinct words porter_stem remembers: three times the 20 000-odd words of a
@@ -21,61 +31,36 @@ _VOWELS = "aeiou"
 STEM_CACHE_SIZE = 1 << 16
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    c = word[i]
-    if c in _VOWELS:
-        return False
-    if c == "y":
-        # y is a consonant at the start of a word or after a vowel
-        return True if i == 0 else not _is_consonant(word, i - 1)
-    return True
+def _forms(word: str) -> str:
+    """Each letter as "c" (consonant) or "v" (vowel), in one pass.
+
+    y is a consonant at the start of the word or after a vowel, and a vowel
+    after a consonant, so a run of y's alternates.
+    """
+    forms = []
+    form = "v"  # so a leading y is a consonant
+    for c in word:
+        form = "v" if c in _VOWELS or (c == "y" and form == "c") else "c"
+        forms.append(form)
+    return "".join(forms)
 
 
 def _measure(stem: str) -> int:
     """Number of vowel-consonant sequences: [C](VC)^m[V]."""
-    m = 0
-    in_vowel_run = False
-    for i in range(len(stem)):
-        if not _is_consonant(stem, i):
-            in_vowel_run = True
-        elif in_vowel_run:
-            m += 1
-            in_vowel_run = False
-    return m
+    return _forms(stem).count("vc")
 
 
 def _contains_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _forms(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _forms(word)[-1] == "c"
 
 
 def _ends_cvc(stem: str) -> bool:
     """consonant-vowel-consonant ending where the final consonant is not w, x or y."""
-    n = len(stem)
-    return (
-        n >= 3
-        and _is_consonant(stem, n - 3)
-        and not _is_consonant(stem, n - 2)
-        and _is_consonant(stem, n - 1)
-        and stem[-1] not in "wxy"
-    )
-
-
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-3] + "i"
-    if word.endswith("s") and not word.endswith("ss"):
-        return word[:-1]
-    return word
+    return _forms(stem).endswith("cvc") and stem[-1] not in "wxy"
 
 
 def _step1b(word: str) -> str:
@@ -95,110 +80,110 @@ def _step1b(word: str) -> str:
     return word
 
 
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _contains_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
+_Condition = Callable[[str], bool]
+_RuleTable = tuple[tuple[str, ...], dict[str, tuple[str, _Condition]]]
 
 
-# Ordered longest suffix first; the first matching suffix consumes the step
-# even when its measure condition fails, as in the reference implementation.
-_STEP2_RULES = (
-    ("ational", "ate"),
-    ("ization", "ize"),
-    ("iveness", "ive"),
-    ("fulness", "ful"),
-    ("ousness", "ous"),
-    ("tional", "tion"),
-    ("biliti", "ble"),
-    ("entli", "ent"),
-    ("ousli", "ous"),
-    ("alism", "al"),
-    ("aliti", "al"),
-    ("iviti", "ive"),
-    ("ation", "ate"),
-    ("enci", "ence"),
-    ("anci", "ance"),
-    ("izer", "ize"),
-    ("alli", "al"),
-    ("ator", "ate"),
-    ("logi", "log"),
-    ("bli", "ble"),
-    ("eli", "e"),
+def _table(condition: _Condition, *rows: tuple) -> _RuleTable:
+    """A step's suffixes in order, and each one's replacement and condition.
+
+    A row is (suffix, replacement) under the step's condition, or
+    (suffix, replacement, condition) under its own.
+    """
+    rules = {row[0]: (row[1], row[2] if len(row) == 3 else condition) for row in rows}
+    return tuple(rules), rules
+
+
+def _apply(word: str, table: _RuleTable) -> str:
+    suffixes, rules = table
+    if not word.endswith(suffixes):
+        return word
+    suffix = next(filter(word.endswith, suffixes))
+    replacement, holds = rules[suffix]
+    stem = word[: -len(suffix)]
+    return stem + replacement if holds(stem) else word
+
+
+def _m_above_0(stem: str) -> bool:
+    return _measure(stem) > 0
+
+
+def _m_above_1(stem: str) -> bool:
+    return _measure(stem) > 1
+
+
+def _drops_e(stem: str) -> bool:
+    m = _measure(stem)
+    return m > 1 or (m == 1 and not _ends_cvc(stem))
+
+
+_STEP1A = _table(
+    lambda stem: True, ("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", "")
 )
 
-_STEP3_RULES = (
-    ("icate", "ic"),
-    ("ative", ""),
-    ("alize", "al"),
-    ("iciti", "ic"),
-    ("ical", "ic"),
-    ("ness", ""),
-    ("ful", ""),
+_LATER_STEPS = (
+    _table(_contains_vowel, ("y", "i")),  # step 1c
+    _table(  # step 2
+        _m_above_0,
+        ("ational", "ate"),
+        ("ization", "ize"),
+        ("iveness", "ive"),
+        ("fulness", "ful"),
+        ("ousness", "ous"),
+        ("tional", "tion"),
+        ("biliti", "ble"),
+        ("entli", "ent"),
+        ("ousli", "ous"),
+        ("alism", "al"),
+        ("aliti", "al"),
+        ("iviti", "ive"),
+        ("ation", "ate"),
+        ("enci", "ence"),
+        ("anci", "ance"),
+        ("izer", "ize"),
+        ("alli", "al"),
+        ("ator", "ate"),
+        ("logi", "log"),
+        ("bli", "ble"),
+        ("eli", "e"),
+    ),
+    _table(  # step 3
+        _m_above_0,
+        ("icate", "ic"),
+        ("ative", ""),
+        ("alize", "al"),
+        ("iciti", "ic"),
+        ("ical", "ic"),
+        ("ness", ""),
+        ("ful", ""),
+    ),
+    _table(  # step 4
+        _m_above_1,
+        ("ement", ""),
+        ("ance", ""),
+        ("ence", ""),
+        ("able", ""),
+        ("ible", ""),
+        ("ment", ""),
+        ("ant", ""),
+        ("ent", ""),
+        # No later suffix ends a word that ends in "ion", so a failing
+        # "ion" may end the step.
+        ("ion", "", lambda stem: stem.endswith(("s", "t")) and _m_above_1(stem)),
+        ("ism", ""),
+        ("ate", ""),
+        ("iti", ""),
+        ("ous", ""),
+        ("ive", ""),
+        ("ize", ""),
+        ("al", ""),
+        ("er", ""),
+        ("ic", ""),
+        ("ou", ""),
+    ),
+    _table(_drops_e, ("e", "")),  # step 5a
+    _table(lambda stem: _measure(stem + "l") > 1, ("ll", "l")),  # step 5b
 )
-
-_STEP4_SUFFIXES = (
-    "ement",
-    "ance",
-    "ence",
-    "able",
-    "ible",
-    "ment",
-    "ant",
-    "ent",
-    "ion",
-    "ism",
-    "ate",
-    "iti",
-    "ous",
-    "ive",
-    "ize",
-    "al",
-    "er",
-    "ic",
-    "ou",
-)
-
-
-def _step2(word: str) -> str:
-    for suffix, repl in _STEP2_RULES:
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            return stem + repl if _measure(stem) > 0 else word
-    return word
-
-
-def _step3(word: str) -> str:
-    for suffix, repl in _STEP3_RULES:
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            return stem + repl if _measure(stem) > 0 else word
-    return word
-
-
-def _step4(word: str) -> str:
-    for suffix in _STEP4_SUFFIXES:
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            if suffix == "ion" and not stem.endswith(("s", "t")):
-                continue  # "ion" only strips after s or t; keep scanning
-            return stem if _measure(stem) > 1 else word
-    return word
-
-
-def _step5a(word: str) -> str:
-    if word.endswith("e"):
-        stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
-    return word
-
-
-def _step5b(word: str) -> str:
-    if word.endswith("l") and _ends_double_consonant(word) and _measure(word[:-1]) > 1:
-        return word[:-1]
-    return word
 
 
 @functools.lru_cache(maxsize=STEM_CACHE_SIZE)
@@ -209,15 +194,7 @@ def porter_stem(word: str) -> str:
     """
     if len(word) <= 2:
         return word
-    for step in (
-        _step1a,
-        _step1b,
-        _step1c,
-        _step2,
-        _step3,
-        _step4,
-        _step5a,
-        _step5b,
-    ):
-        word = step(word)
+    word = _step1b(_apply(word, _STEP1A))
+    for table in _LATER_STEPS:
+        word = _apply(word, table)
     return word

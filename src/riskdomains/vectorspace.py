@@ -7,9 +7,10 @@ strictly positive and every non-empty known vector has unit norm.
 
 A fitted model holds only its sources, the sorted terms, their df and N:
 Vocabulary derives the term index and TfidfModel the idf, the same way for a
-trained and a loaded model. Vocabulary.key_table is built on first use only:
-classify reads it, training never does. It gives each distinct word of the
-terms an id in 1..W and each term the key of its word ids in base B = W + 2.
+trained and a loaded model. Vocabulary.index and Vocabulary.key_table are
+each built on first use only: training reads the index and classify the key
+table. The key table gives each distinct word of the terms an id in 1..W
+and each term the key of its word ids in base B = W + 2.
 The sentinel id U = W + 1 stands for both a stem outside every term and the
 end of a document. No term holds U, so a key through it is never a term:
 an n-gram through an unknown stem or across two documents matches nothing,
@@ -89,7 +90,6 @@ class KeyTable:
 class Vocabulary:
     terms: tuple[str, ...]  # strictly increasing
     df: np.ndarray  # (V,)
-    index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
         n, df = len(self.terms), self.df
@@ -99,13 +99,17 @@ class Vocabulary:
             )
         if any(map(operator.ge, self.terms, self.terms[1:])):
             raise DataError("vocabulary terms are not in strictly increasing order")
-        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.terms)})
 
     def __len__(self) -> int:
         return len(self.terms)
 
     # cached_property writes the instance __dict__, which a frozen dataclass
     # leaves open.
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Each term's column."""
+        return {t: i for i, t in enumerate(self.terms)}
+
     @cached_property
     def key_table(self) -> KeyTable:
         """Each term's key: its word ids in base B, and its column.

@@ -3,7 +3,9 @@
 perfbench/tracing.py replaces module-level references to the functions it
 names; a rename in src/ would silently drop that span from the benchmark,
 and so would a call that no longer goes through the module attribute.
-perfbench/worker.py and run.py unpack three values from load_bundle.
+perfbench/worker.py and run.py unpack three values from load_bundle, and
+run.py calls the package outside the tracer to describe its inputs and
+score its outputs.
 """
 
 import importlib
@@ -12,18 +14,25 @@ from pathlib import Path
 
 import pytest
 
-from riskdomains import classify, networks, vectorspace
+from riskdomains import Domain, classify, networks, vectorspace
 from riskdomains.bundle import load_bundle, save_bundle
 from riskdomains.classify import Pipeline
 from riskdomains.corpus import KeywordLexicon
+from riskdomains.evaluation import PredictionRecord, build_report
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_function_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_perfbench("tracing")
     targets = [*tracing.TARGETS, ("pipeline", "_stage"), ("networks", "adam_step")]
     missing = []
     for module_name, attr in targets:
@@ -31,6 +40,29 @@ def test_every_traced_function_resolves():
         if not callable(getattr(module, attr, None)):
             missing.append(f"riskdomains.{module_name}.{attr}")
     assert not missing
+
+
+def test_input_properties_reads_the_package(trained_mlp, corpus_files, tmp_path):
+    """input_properties reads vocabulary.index, weak_label(...).entries,
+    tokenize and porter_stem."""
+    run = load_perfbench("run")
+    bundle = save_bundle(tmp_path / "bundle", trained_mlp.pipeline)
+    corpus = tmp_path / "eval.jsonl"
+    corpus.write_text('{"id": "e", "text": "Anxious zyzzyva"}\n')
+    data = {"corpus": str(corpus), "lexicon": str(corpus_files / "lexicon.json")}
+    props = run.input_properties(data, str(bundle), str(corpus_files / "corpus.jsonl"))
+    assert props["paragraphs"] == 1 and props["tokens"] == 2
+    assert props["distinct_words"] == 2
+    assert props["oov_token_rate"] == 0.5  # "anxious" stems to a term
+    assert props["all_unknown_paragraph_share"] == 0
+    assert props["weak_label_yield"] == 1  # "anxious" is a Mood keyword
+    assert props["distinct_words_read"] > props["distinct_words"]
+
+
+def test_build_report_f1_is_a_float():
+    """run.evaluate reads build_report(...).f1 as one number per pass."""
+    record = PredictionRecord(id="a", predicted=(Domain.MOOD,), gold=(Domain.MOOD,))
+    assert isinstance(build_report([record]).f1, float)
 
 
 def test_load_bundle_returns_pipeline_lexicon_manifest(trained_mlp, tmp_path):

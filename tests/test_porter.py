@@ -60,6 +60,30 @@ def test_stem_cache_is_bounded_and_transparent():
         ("depressed", "depress"),
         ("suicidal", "suicid"),
         ("ideation", "ideat"),
+        # Each rule table with its condition failing, then holding; values
+        # frozen from the stemmer the tables replaced.
+        ("caress", "caress"),  # 1a: "ss" stays
+        ("ties", "ti"),  # 1a
+        ("feed", "feed"),  # 1b: "eed" after m = 0
+        ("bled", "bled"),  # 1b: no vowel before "ed"
+        ("sized", "size"),  # 1b: "iz" gains an e
+        ("filing", "file"),  # 1b: m = 1 and cvc gains an e
+        ("sky", "sky"),  # 1c
+        ("say", "sai"),  # 1c
+        ("rational", "ration"),  # 2 fails, 4 removes "al"
+        ("hopefulness", "hope"),  # 2, then 3
+        ("generalizations", "gener"),  # 2, 3 and 4
+        ("gleeful", "gleeful"),  # 3
+        ("panic", "panic"),  # 4
+        ("opinion", "opinion"),  # 4: "ion" after n
+        ("adoption", "adopt"),  # 4: "ion" after t
+        ("rate", "rate"),  # 5a: m = 1 and cvc
+        ("cease", "ceas"),  # 5a
+        ("roll", "roll"),  # 5b
+        ("controll", "control"),  # 5b
+        # A run of y's alternates between consonant and vowel.
+        ("y" * 10 + "ing", "y" * 9 + "i"),
+        ("y" * 12 + "ing", "y" * 11 + "i"),
     ],
 )
 def test_known_pairs(word, stem):

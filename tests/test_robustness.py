@@ -4,7 +4,8 @@ Each case corrupts one field of a bundle, corpus, lexicon or config, or
 passes input the program cannot use, and runs the CLI in-process; a case may
 also give a pattern the error line must match. The contract: exit 1 for a
 config error, 2 for a data error, a single "error:" line on stderr, and
-never a traceback or a silent exit 0.
+never a traceback or a silent exit 0. Odd input the program can use, such
+as a word of a thousand y's, exits 0.
 """
 
 import hashlib
@@ -862,3 +863,32 @@ def test_malformed_input_fails_loudly(name, tmp_path, corpus_files, bundles, cap
     assert all(re.search(pattern, lines[0]) for pattern in message), lines[0]
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# The y test once recursed once per letter of a run of y's, so this word
+# ended classify and train in a RecursionError.
+LONG_Y_WORD = "y" * 1200 + "ing"
+
+
+def test_classify_stems_a_long_run_of_y(tmp_path, bundles, capsys):
+    line = json.dumps({"id": "a", "text": f"patient {LONG_Y_WORD} reports"})
+    corpus = write_lines(tmp_path / "corpus.jsonl", [line])
+    argv = ["classify", "--bundle", str(bundles["mlp"]), "--corpus", str(corpus)]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["id"] == "a"
+
+
+def test_train_stems_a_long_run_of_y(tmp_path, corpus_files, capsys):
+    """The paragraph is weakly labeled Mood, so training stems its words."""
+    text = f"anxious depressed tearful {LONG_Y_WORD}"
+    line = json.dumps({"id": "zz-deep", "text": text})
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text((corpus_files / "corpus.jsonl").read_text() + line + "\n")
+    out = tmp_path / "out"
+    argv = [
+        "train", "--corpus", str(corpus),
+        "--lexicon", str(corpus_files / "lexicon.json"), "--out", str(out),
+    ]
+    assert main(argv) == 0, capsys.readouterr().err
+    terms = (out / "vocabulary.txt").read_text().splitlines()
+    assert "y" * 1199 + "i" in terms
