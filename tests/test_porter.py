@@ -68,7 +68,7 @@ def test_stem_cache_is_bounded_and_transparent():
         ("bled", "bled"),  # 1b: no vowel before "ed"
         ("sized", "size"),  # 1b: "iz" gains an e
         ("filing", "file"),  # 1b: m = 1 and cvc gains an e
-        ("sky", "sky"),  # 1c
+        ("cry", "cry"),  # 1c: no vowel before "y"
         ("say", "sai"),  # 1c
         ("rational", "ration"),  # 2 fails, 4 removes "al"
         ("hopefulness", "hope"),  # 2, then 3
