@@ -174,9 +174,9 @@ def embed(pipeline: Pipeline, texts: Sequence[str]) -> tuple[np.ndarray, np.ndar
     known[i] is False when text i has no term in the vocabulary; its vector
     is all zero.
     """
-    matrix = vectorize_texts(pipeline.tfidf, pipeline.lexicon.fusion, texts)
-    indptr = matrix.indptr
-    return project_all(pipeline.svd, matrix), indptr[1:] > indptr[:-1]
+    rows = vectorize_texts(pipeline.tfidf, pipeline.lexicon.fusion, texts)
+    indptr = rows.indptr
+    return project_all(pipeline.svd, rows), indptr[1:] > indptr[:-1]
 
 
 def classify_paragraph(

@@ -635,14 +635,20 @@ def read_records(path: str | Path):
     except FileNotFoundError:
         raise DataError(f"file not found: {path}")
     seen: set[str] = set()
+    prefix = f"{path}:"
     with f:
         for lineno, raw_line in enumerate(f, start=1):
-            where = f"{path}:{lineno}"
-            with parse_errors(where):
+            try:
                 line = raw_line.decode("utf-8").strip()
                 if not line:
                     continue
                 obj = json.loads(line)
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+                # Re-raised inside parse_errors, for its message; a line
+                # that parses enters no context manager.
+                with parse_errors(f"{prefix}{lineno}"):
+                    raise
+            where = f"{prefix}{lineno}"
             if not isinstance(obj, dict):
                 raise DataError(f"{where}: record must be a JSON object")
             raw = require_field(obj, "id", where)

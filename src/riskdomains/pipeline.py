@@ -117,10 +117,10 @@ def train_pipeline(
     with _stage("fit_tfidf"):
         term_docs = [text_to_terms(p.text, lexicon.fusion) for p, _ in corpus.entries]
         tfidf = fit_tfidf(term_docs)
-        matrix = vectorize_all(tfidf, term_docs)
+        rows = vectorize_all(tfidf, term_docs)
     with _stage("fit_svd"):
-        svd = fit_svd(matrix, k=options.svd_k)
-        vectors = project_all(svd, matrix)
+        svd = fit_svd(rows, k=options.svd_k)
+        vectors = project_all(svd, rows)
 
     history: list[float] = []
     if options.kind == "cosine":

@@ -16,18 +16,24 @@ end of a document. No term holds U, so a key through it is never a term:
 an n-gram through an unknown stem or across two documents matches nothing,
 and nothing needs masking.
 
-vectorize_all turns term multisets into CSR rows. vectorize_texts turns
-texts into the same rows without building a term string: it maps each stem
-to its word id, builds the uni/bi/trigram keys of a whole batch in one
-numpy pass, finds the terms among them with one searchsorted, and counts
-them with one np.unique. Both end in _tfidf_rows:
-counts times idf, and one dot product per row for its norm, which keeps
-every value bit-identical to a term-by-term loop.
+Document vectors are SparseRows: three numpy arrays in CSR layout (indptr,
+indices, data) and the N x V shape, so classify needs no SciPy.
+vectorize_all turns term multisets into rows. vectorize_texts turns texts
+into the same rows without building a term string: it maps each stem to its
+word id, builds the uni/bi/trigram keys of a whole batch in one numpy pass,
+finds the terms among them with one searchsorted, and counts them with one
+np.unique. Both end in _tfidf_rows: counts times idf, and one dot product
+per row for its norm, which keeps every value bit-identical to a
+term-by-term loop.
 
 The truncated SVD is one Lanczos run (ARPACK) on the N x N Gram matrix XX^T
 of the sparse matrix, plus one sparse-dense product that turns its
 eigenvectors into the components; only k = min(N, V), which ARPACK cannot
-return, takes the exact dense SVD.
+return, takes the exact dense SVD. fit_svd alone imports SciPy.
+
+project_all, for training and classify alike, adds each row's products
+data[j] * components.T[indices[j]] onto 0.0 in entry order. That is the order
+of SciPy's own CSR-times-dense product, so its result is SciPy's bit for bit.
 """
 
 from __future__ import annotations
@@ -39,10 +45,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domains import Domain
 from .errors import DataError, NumericalError
@@ -51,6 +56,27 @@ from .textnorm import PhraseTable, fuse_mwes, tokenize
 
 # Terms Vocabulary.key_table splits at a time.
 _KEY_BLOCK = 4096
+
+# project_all steps through the rows _GROUP_ROWS at a time, so that a group's
+# sums stay in cache (256 x k = 100 doubles is 200 KiB), until no more than
+# _TAIL_ROWS have entries left; it finishes each of those alone, _TAIL_BLOCK
+# products per block.
+_GROUP_ROWS = 256
+_TAIL_ROWS = 8
+_TAIL_BLOCK = 1024
+
+
+class SparseRows(NamedTuple):
+    """N x V sparse rows in CSR layout, as plain numpy arrays.
+
+    Row i holds the entries indptr[i]:indptr[i + 1]: the column indices[j]
+    and the value data[j] of each, by increasing column.
+    """
+
+    indptr: np.ndarray   # (N + 1,)
+    indices: np.ndarray  # (nnz,)
+    data: np.ndarray     # (nnz,) float64
+    shape: tuple[int, int]
 
 
 def _key_base(word_count: int) -> int:
@@ -211,7 +237,7 @@ def fit_tfidf(docs: Sequence[Mapping[str, int]]) -> TfidfModel:
 
 def vectorize_all(
     model: TfidfModel, docs: Iterable[Mapping[str, int]]
-) -> sp.csr_matrix:
+) -> SparseRows:
     """L2-normalized count*idf weights, one sparse N x V row per document.
 
     Unknown terms are ignored; a document with no known terms yields an
@@ -238,7 +264,7 @@ def vectorize_all(
 
 def vectorize_texts(
     model: TfidfModel, table: PhraseTable, texts: Iterable[str]
-) -> sp.csr_matrix:
+) -> SparseRows:
     """The rows vectorize_all gives for text_to_terms of each text, bit for bit.
 
     Each text's stems become their ids in the key table, U for a stem
@@ -270,15 +296,15 @@ def vectorize_texts(
 
 def _tfidf_rows(
     model: TfidfModel, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray, n: int
-) -> sp.csr_matrix:
-    """The n x V CSR of L2-normalized count*idf rows.
+) -> SparseRows:
+    """The n x V SparseRows of L2-normalized count*idf rows.
 
     Entry j is counts[j] of term cols[j] in document rows[j]; the entries
-    come sorted by row, then column, each (row, column) once.
+    come sorted by row, then column, each (row, column) once. indptr and
+    indices are int32 when every index fits: half the memory of int64, and
+    the index type SciPy itself picks, so fit_svd wraps them without a copy.
     """
     v = len(model.vocabulary)
-    # scipy narrows int64 index arrays to int32 when every index fits, after
-    # scanning them; int32 arrays give the same matrix without the scan.
     index = np.int32 if max(n, v, len(cols)) < 2**31 else np.int64
     data = counts * model.idf[cols]
     sizes = np.bincount(rows, minlength=n)
@@ -289,7 +315,7 @@ def _tfidf_rows(
     bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
     norms = np.array([math.sqrt(np.dot(data[a:b], data[a:b])) for a, b in bounds])
     data /= np.repeat(np.where(norms > 0.0, norms, 1.0), sizes)
-    return sp.csr_matrix((data, cols.astype(index), indptr), shape=(n, v))
+    return SparseRows(indptr, cols.astype(index), data, (n, v))
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
@@ -306,8 +332,8 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return components
 
 
-def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
-    """Top-k right singular vectors and singular values of a sparse matrix.
+def fit_svd(rows: SparseRows, k: int = 100) -> SvdProjection:
+    """Top-k right singular vectors and singular values of sparse rows.
 
     One Lanczos run (ARPACK's eigsh, from a fixed start vector) finds the
     top-k eigenvectors Q of the N x N Gram matrix XX^T; NumericalError if it
@@ -317,8 +343,16 @@ def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
     the basis instead. k = min(N, V), which ARPACK cannot return, takes the
     exact dense SVD. Deterministic at a fixed BLAS thread count. Rows come
     by descending singular value, each signed by _fix_signs.
+
+    rows may also be a SciPy CSR matrix: only its indptr, indices, data and
+    shape are read, and they become the CSR matrix the solvers multiply by.
     """
-    matrix = sp.csr_matrix(matrix, dtype=np.float64)
+    # Imported here: classify never fits an SVD and need not load SciPy.
+    import scipy.sparse as sp
+
+    matrix = sp.csr_matrix(
+        (rows.data, rows.indices, rows.indptr), shape=rows.shape, dtype=np.float64
+    )
     n, v = matrix.shape
     if n < 1 or v < 1:
         raise DataError("cannot run SVD on an empty matrix")
@@ -335,14 +369,12 @@ def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
         k = limit
 
     if k == limit:
-        # Imported here: classify never fits an SVD and need not load scipy.linalg.
         import scipy.linalg
 
         _, singular, components = scipy.linalg.svd(
             matrix.toarray(), full_matrices=False
         )
     else:
-        # Imported here: classify never fits an SVD and need not load ARPACK.
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
         # The CSC view matrix.T multiplies without a transposed copy.
@@ -371,14 +403,59 @@ def fit_svd(matrix: sp.spmatrix, k: int = 100) -> SvdProjection:
     return SvdProjection(components=_fix_signs(components), singular_values=singular)
 
 
-def project_all(projection: SvdProjection, matrix: sp.spmatrix) -> np.ndarray:
-    """Map each row of an N x V matrix to its k-dim coordinates."""
-    if matrix.shape[1] != projection.components.shape[1]:
+def project_all(projection: SvdProjection, rows: SparseRows) -> np.ndarray:
+    """Map each of N sparse rows to its k-dim coordinates: rows @ components.T.
+
+    Row i is the sum of data[j] * components.T[indices[j]] over its entries
+    j, added onto 0.0 in entry order: the order of SciPy's CSR-times-dense
+    product, so the (N, k) result is SciPy's bit for bit. rows may also be a
+    SciPy CSR matrix; only its indptr, indices, data and shape are read.
+
+    The rows go longest first, _GROUP_ROWS at a time. Step p adds the p-th
+    product of every row of the group that has one, in one numpy operation,
+    until at most _TAIL_ROWS rows are left; each of those finishes
+    _TAIL_BLOCK products at a time, summed down a block whose first row is
+    the sum so far. No temporary outgrows _GROUP_ROWS x k or _TAIL_BLOCK x k.
+    """
+    ct = projection.components.T  # (V, k), C-contiguous
+    n, v = rows.shape
+    if v != ct.shape[0]:
         raise DataError(
-            f"cannot project matrix with {matrix.shape[1]} columns "
-            f"using {projection.components.shape[1]}-column components"
+            f"cannot project matrix with {v} columns "
+            f"using {ct.shape[0]}-column components"
         )
-    return np.asarray(matrix @ projection.components.T)
+    k = ct.shape[1]
+    indptr, indices, data = rows.indptr, rows.indices, rows.data
+    sizes = indptr[1:] - indptr[:-1]
+    order = np.argsort(-sizes)
+    sizes, starts = sizes[order], indptr[:-1][order]
+    out = np.zeros((n, k))
+    steps = 0
+    if n > _TAIL_ROWS:
+        steps = int(sizes[_TAIL_ROWS])
+        # The rows with a p-th entry are the first live[p] in this order.
+        live = np.searchsorted(-sizes, -np.arange(steps)).tolist()
+        for g in range(0, n, _GROUP_ROWS):
+            for p, m in enumerate(live):
+                m = min(m, g + _GROUP_ROWS)
+                if m <= g:
+                    break
+                at = starts[g:m] + p
+                out[g:m] += data[at, None] * ct[indices[at]]
+    tail = int(sizes[0]) - steps if n else 0
+    # sum(axis=0) adds down the rows one at a time only for two or more
+    # columns; a single column it sums pairwise, so k = 1 gets a zero column.
+    block = np.zeros((min(tail, _TAIL_BLOCK) + 1, max(k, 2)))
+    for i in range(min(n, _TAIL_ROWS)):
+        end = int(starts[i] + sizes[i])
+        for a in range(int(starts[i]) + steps, end, _TAIL_BLOCK):
+            b = min(a + _TAIL_BLOCK, end)
+            block[0, :k] = out[i]
+            np.multiply(data[a:b, None], ct[indices[a:b]], out=block[1 : b - a + 1, :k])
+            out[i] = block[: b - a + 1].sum(axis=0)[:k]
+    result = np.empty_like(out)
+    result[order] = out
+    return result
 
 
 def lda_2d(vectors: np.ndarray, labels: Sequence[Domain]) -> np.ndarray:

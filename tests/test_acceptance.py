@@ -43,6 +43,7 @@ from riskdomains.networks import (
 )
 from riskdomains.pipeline import PipelineOptions, train_pipeline
 from riskdomains.vectorspace import fit_svd, fit_tfidf, project_all, vectorize_all
+from sparse_rows import as_csr
 
 STANDARD_COUNTS = dict(
     paragraphs_per_domain=200, multilabel_per_domain=30, other_paragraphs=100
@@ -130,7 +131,7 @@ def test_criterion_01_tfidf_matches_brute_force_oracle():
         terms = sorted({t for d in docs for t in d})
         for doc in docs:
             expected = brute_force_weights(docs, doc)
-            got = vectorize_all(model, [doc]).toarray()[0]
+            got = as_csr(vectorize_all(model, [doc])).toarray()[0]
             ordered = np.array([got[model.vocabulary.index[t]] for t in terms])
             assert np.max(np.abs(ordered - expected)) < 1e-12
     assert time.perf_counter() - start < 5.0

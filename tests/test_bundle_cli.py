@@ -230,33 +230,61 @@ class TestOlderBundles:
 
 
 # Loads a bundle and classifies as the classify subcommand does, then lists
-# any SciPy module the process imported that only training may need.
+# every SciPy module the process imported.
 CLASSIFY_IMPORTS = """
 import sys
 import riskdomains.cli
 from riskdomains.bundle import load_bundle
 from riskdomains.classify import classify_batch
 classify_batch(load_bundle(sys.argv[1])[0], ["low mood, no sleep"])
-training = ("scipy.sparse.linalg.", "scipy.spatial.", "scipy.linalg.", "scipy.special.")
-print(sorted(m for m in sys.modules if (m + ".").startswith(training)))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
+
+# Runs the CLI with its arguments; with "block", any import of SciPy fails.
+RUN_CLI = """
+import sys
+if sys.argv.pop(1) == "block":
+    sys.modules["scipy"] = None
+from riskdomains.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def package_env() -> dict:
+    path = [str(Path(riskdomains.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 @pytest.mark.parametrize("kind", ["mlp", "rbf", "cosine"])
 def test_classify_imports_no_training_scipy(kind, request, tmp_path):
-    """Only fit_svd and lda_2d need scipy.sparse.linalg and scipy.linalg,
-    which with scipy.special and scipy.spatial add about 0.1 s and 16 MiB to
-    a process, so importing the CLI, loading any kind's bundle and
-    classifying must import none of them."""
+    """Only training (fit_svd) and project-lda (lda_2d) need SciPy, which
+    adds about 0.17 s and 17 MiB to a process, so importing the CLI,
+    loading any kind's bundle and classifying must import no SciPy module."""
     pipeline = request.getfixturevalue(f"trained_{kind}").pipeline
     saved = save_bundle(tmp_path / "bundle", pipeline)
-    path = [str(Path(riskdomains.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     run = subprocess.run(
         [sys.executable, "-c", CLASSIFY_IMPORTS, str(saved)],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=package_env(), check=True,
     )
     assert run.stdout == "[]\n"
+
+
+def test_classify_runs_with_scipy_blocked(trained_mlp, corpus_files, tmp_path):
+    """riskdomains classify needs no SciPy at all: with every SciPy import
+    made to fail, it exits 0 and writes what an unblocked run writes."""
+    saved = save_bundle(tmp_path / "bundle", trained_mlp.pipeline)
+    outputs = []
+    for mode in ("block", "allow"):
+        out = tmp_path / f"{mode}.jsonl"
+        run = subprocess.run(
+            [sys.executable, "-c", RUN_CLI, mode, "classify", "--bundle", str(saved),
+             "--corpus", str(corpus_files / "corpus.jsonl"), "--out", str(out)],
+            capture_output=True, text=True, env=package_env(),
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(out.read_bytes())
+    lines = (corpus_files / "corpus.jsonl").read_bytes().count(b"\n")
+    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == lines
 
 
 class TestBundleErrors:

@@ -21,6 +21,7 @@ from riskdomains.vectorspace import (
     vectorize_all,
     vectorize_texts,
 )
+from sparse_rows import as_csr
 
 
 def phrase(*words):
@@ -203,7 +204,7 @@ class TestVocabularyPruning:
         """The key path's dense rows, after checking its bits."""
         matrix = vectorize_texts(self.TFIDF, table, texts)
         assert csr_bits(matrix) == reference_bits(self.TFIDF, table, texts)
-        return matrix.toarray()
+        return as_csr(matrix).toarray()
 
     def test_words_are_the_words_of_the_terms(self):
         keys = self.TFIDF.vocabulary.key_table
@@ -248,7 +249,9 @@ class TestVocabularyPruning:
     def test_chunk_equals_stacked_single_texts(self):
         texts = ["a b c", "", "d a b c x", "x", "a b c d"]
         chunk = vectorize_texts(self.TFIDF, {}, texts)
-        singles = sp.vstack([vectorize_texts(self.TFIDF, {}, [t]) for t in texts])
+        singles = sp.vstack(
+            [as_csr(vectorize_texts(self.TFIDF, {}, [t])) for t in texts]
+        )
         assert csr_bits(chunk) == csr_bits(singles.tocsr())
 
     def test_matches_unpruned_on_vocabulary_terms(self):

@@ -17,6 +17,7 @@ from riskdomains.errors import DataError, NumericalError
 from riskdomains.pipeline import PipelineOptions, train_pipeline
 from riskdomains.textnorm import text_to_terms
 from riskdomains.vectorspace import (
+    SparseRows,
     SvdProjection,
     TfidfModel,
     Vocabulary,
@@ -29,6 +30,7 @@ from riskdomains.vectorspace import (
     vectorize_all,
     vectorize_texts,
 )
+from sparse_rows import as_csr
 
 TWO_DOCS = [Counter(["patient", "anxious"]), Counter(["patient", "calm"])]
 
@@ -127,19 +129,19 @@ class TestTfidf:
 
     def test_vectorize_unit_norm(self):
         model = fit_tfidf(TWO_DOCS)
-        vector = vectorize_all(model, [Counter(["patient", "calm", "calm"])])[0]
+        vector = as_csr(vectorize_all(model, [Counter(["patient", "calm", "calm"])]))[0]
         assert np.linalg.norm(vector.toarray()) == pytest.approx(1.0, abs=1e-12)
 
     def test_vectorize_all_unknown_is_flagged_zero(self):
         model = fit_tfidf(TWO_DOCS)
-        vector = vectorize_all(model, [Counter(["nothing", "matches"])])[0]
+        vector = as_csr(vectorize_all(model, [Counter(["nothing", "matches"])]))[0]
         assert vector.nnz == 0
 
     def test_vectorize_known_example(self):
         # Hand computation: pre-norm weights (2*1.0, 1*(ln(1.5)+1)), then L2.
         model = fit_tfidf(TWO_DOCS)
         doc = Counter({"patient": 2, "anxious": 1})
-        dense = vectorize_all(model, [doc]).toarray()[0]
+        dense = as_csr(vectorize_all(model, [doc])).toarray()[0]
         idx = model.vocabulary.index
         w_patient = 2.0
         w_anxious = math.log(1.5) + 1
@@ -162,16 +164,16 @@ class TestTfidf:
             for doc in docs:
                 expected = brute_force_vectorize(docs, doc)
                 terms = sorted({t for d in docs for t in d})
-                got = vectorize_all(model, [doc]).toarray()[0]
+                got = as_csr(vectorize_all(model, [doc])).toarray()[0]
                 ordered = np.array([got[model.vocabulary.index[t]] for t in terms])
                 assert np.max(np.abs(ordered - expected)) < 1e-12
 
     def test_vectorize_all_matches_vectorize(self):
         model = fit_tfidf(TWO_DOCS)
         docs = [Counter(["patient"]), Counter(["anxious", "calm"]), Counter(["zzz"])]
-        matrix = vectorize_all(model, docs)
+        matrix = as_csr(vectorize_all(model, docs))
         for i, doc in enumerate(docs):
-            row = vectorize_all(model, [doc])
+            row = as_csr(vectorize_all(model, [doc]))
             assert np.allclose(matrix[i].toarray(), row.toarray())
 
 
@@ -214,8 +216,10 @@ def test_vocabulary_pruned_terms_vectorize_to_the_same_bits(
     chunk = vectorize_texts(tfidf, table, texts)
     full = vectorize_all(tfidf, (text_to_terms(t, table) for t in texts))
     assert csr_bits(chunk) == csr_bits(full)
-    singles = sp.vstack([vectorize_texts(tfidf, table, [t]) for t in texts[:40]])
-    assert csr_bits(singles.tocsr()) == csr_bits(chunk[:40])
+    singles = sp.vstack(
+        [as_csr(vectorize_texts(tfidf, table, [t])) for t in texts[:40]]
+    )
+    assert csr_bits(singles.tocsr()) == csr_bits(as_csr(chunk)[:40])
 
 
 class TestKeyTable:
@@ -431,6 +435,81 @@ class TestProject:
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
             project_all(self.projection, sp.csr_matrix((1, 5)))
+
+
+def scipy_bits(projection, rows):
+    """SciPy's CSR @ components.T, the bits project_all must give."""
+    return (as_csr(rows) @ projection.components.T).tobytes()
+
+
+class TestProjectMatchesScipyBitForBit:
+    """project_all sums each row in SciPy's order, so no bit may move."""
+
+    def texts(self, small_corpus):
+        # A 1 024-row chunk of paragraphs, every fifth with an unknown word
+        # and some with no known term at all.
+        paragraphs = small_corpus[0]
+        texts = [
+            paragraphs[i % len(paragraphs)].text + " zzyzx" * (i % 5 == 0)
+            for i in range(1024)
+        ]
+        texts[3], texts[500], texts[1023] = "", "zzyzx qwfp", "x y"
+        return texts
+
+    @pytest.mark.parametrize("kind", ["mlp", "cosine"])
+    def test_chunk_and_single_rows(self, kind, small_corpus, request):
+        pipeline = request.getfixturevalue(f"trained_{kind}").pipeline
+        tfidf, table, svd = pipeline.tfidf, pipeline.lexicon.fusion, pipeline.svd
+        texts = self.texts(small_corpus)
+        chunk = vectorize_texts(tfidf, table, texts)
+        empty = np.diff(chunk.indptr) == 0
+        assert empty[[3, 500, 1023]].all() and not empty.all()
+        got = project_all(svd, chunk)
+        assert got.tobytes() == scipy_bits(svd, chunk)
+        assert np.all(got[empty] == 0.0)
+        for i in (0, 3, 5, 500):
+            row = vectorize_texts(tfidf, table, [texts[i]])
+            assert project_all(svd, row).tobytes() == scipy_bits(svd, row)
+            assert project_all(svd, row).tobytes() == got[i : i + 1].tobytes()
+        none = vectorize_texts(tfidf, table, [])
+        assert project_all(svd, none).shape == (0, svd.k)
+
+    def test_megadocument_rows(self, small_corpus, trained_cosine):
+        # The cosine centroids: 7 rows of over 2 000 entries, each finished
+        # in several blocks.
+        paragraphs, _, lexicon = small_corpus
+        pipeline = trained_cosine.pipeline
+        corpus = weak_label(paragraphs, lexicon)
+        term_docs = [text_to_terms(p.text, lexicon.fusion) for p, _ in corpus.entries]
+        megadocs = build_megadocuments(corpus, term_docs)
+        rows = vectorize_all(pipeline.tfidf, [megadocs[d] for d in CLASSIFIED_DOMAINS])
+        assert np.diff(rows.indptr).min() > 2 * 1024
+        svd = pipeline.svd
+        assert project_all(svd, rows).tobytes() == scipy_bits(svd, rows)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 100])
+    def test_scipy_matrix_of_mixed_lengths(self, k):
+        # Empty rows among short ones and among rows of up to 3 000 entries;
+        # k = 1 is one column, which numpy would sum pairwise.
+        rng = np.random.default_rng(k)
+        v = 4000
+        lengths = [0, 5, 3000, 0, 1, 40, 2100, 0, 1025, 1024, 700, 9, 0, 2, 2999]
+        dense = np.zeros((len(lengths), v))
+        for i, n in enumerate(lengths):
+            dense[i, rng.choice(v, size=n, replace=False)] = rng.normal(size=n)
+        matrix = sp.csr_matrix(dense)
+        projection = SvdProjection(
+            components=rng.normal(size=(k, v)),
+            singular_values=np.sort(rng.uniform(size=k))[::-1],
+        )
+        want = (matrix @ projection.components.T).tobytes()
+        assert project_all(projection, matrix).tobytes() == want
+        rows = SparseRows(matrix.indptr, matrix.indices, matrix.data, matrix.shape)
+        assert project_all(projection, rows).tobytes() == want
+        for i in range(len(lengths)):
+            assert project_all(projection, matrix[i]).tobytes() == scipy_bits(
+                projection, matrix[i]
+            )
 
 
 class TestLda2d:
