@@ -1,26 +1,33 @@
 """Model bundle persistence: a directory of raw arrays plus manifest.json.
 
-Array a lives in a.bin as raw little-endian 64-bit values, int for df and
-float otherwise: exactly the array's memory, in Fortran order for
-svd_components, as SvdProjection holds it, and C order for the rest. The
-manifest records each array's shape and the sha256 of every other file. A
-save is one tofile per array; a load reads each file once into its array,
-then hashes and checks those bytes, so nothing is read twice or copied.
-Nothing in a bundle depends on wall time; retraining with the same inputs,
-seed and BLAS thread count reproduces byte-identical files.
+Array a lives in a.bin as raw little-endian 64-bit values, int for df,
+term_keys and term_columns and float otherwise: exactly the array's memory,
+in Fortran order for svd_components, as SvdProjection holds it, and C order
+for the rest. words.txt holds the vocabulary's W words, one a line, in id
+order. The manifest records each array's shape, the sha256 of every other
+file, and manifest_sha256, the sha256 of its own canonical serialization
+without that field. A save is one tofile per array; a load reads each file
+once into its array, then hashes and checks those bytes, so nothing is read
+twice or copied. Nothing in a bundle depends on wall time; retraining with
+the same inputs, seed and BLAS thread count reproduces byte-identical files.
 
-A bundle stores only what cannot be recomputed; the stage types derive the
-idf, the term index and the thresholds. Format 1 to 3 bundles load through
-the same code, which ignores what they also stored (format 1's idf.bin and
-thresholds.min, each array's file and dtype, vocabulary_file), so no string
-from a manifest ever becomes a path. They record no hashes, so they load
-unchecked, and hold C order, so SvdProjection copies their components once.
+A bundle stores only what cannot be recomputed, and what classify reads:
+the vocabulary as its key table (the words, each term's key and its
+column), which a save derives once, so that a load derives nothing. The
+stage types derive the idf, the thresholds and, on first read, the terms
+and the term index. Format 1 to 4 bundles load through the same code, which
+reads their vocabulary.txt instead and derives the key table from its terms
+at the first classify. It ignores what they also stored (format 1's idf.bin
+and thresholds.min, each array's file and dtype, vocabulary_file), so no
+string from a manifest ever becomes a path. Formats 1 to 3 record no
+hashes, so they load unchecked, and hold C order, so SvdProjection copies
+their components once; format 4 has no manifest hash.
 
 A scorer is stored field by field under its kind's SCORER_PREFIXES entry: an
 array field f as <prefix>f.bin, a scalar as the manifest field <prefix>f.
 Loading walks the same fields. The loader only reads: the stage types
-(Vocabulary, TfidfModel, SvdProjection, the scorer, ThresholdSet, Pipeline)
-check the shapes and values when they are built.
+(KeyTable, Vocabulary, TfidfModel, SvdProjection, the scorer, ThresholdSet,
+Pipeline) check the shapes and values when they are built.
 """
 
 from __future__ import annotations
@@ -41,11 +48,15 @@ from .corpus import (
 )
 from .domains import CLASSIFIED_DOMAINS
 from .errors import ConfigError, DataError
-from .vectorspace import SvdProjection, TfidfModel, Vocabulary
+from .vectorspace import KeyTable, SvdProjection, TfidfModel, Vocabulary
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 MANIFEST_NAME = "manifest.json"
-VOCAB_NAME = "vocabulary.txt"
+WORDS_NAME = "words.txt"
+VOCAB_NAME = "vocabulary.txt"  # the terms, in formats 1 to 4
+
+# Arrays stored as <i8; every other array is <f8.
+_INT_ARRAYS = frozenset({"df", "term_keys", "term_columns"})
 
 SCORER_PREFIXES = {"cosine": "megadoc_", "mlp": "mlp_", "rbf": "rbf_"}
 
@@ -53,7 +64,18 @@ SCORER_PREFIXES = {"cosine": "megadoc_", "mlp": "mlp_", "rbf": "rbf_"}
 def _array_file(directory: Path, name: str, version: int) -> tuple[Path, np.dtype, str]:
     """The file, dtype and memory order of array name in a bundle of version."""
     order = "F" if name == "svd_components" and version >= 4 else "C"
-    return directory / f"{name}.bin", np.dtype("<i8" if name == "df" else "<f8"), order
+    dtype = np.dtype("<i8" if name in _INT_ARRAYS else "<f8")
+    return directory / f"{name}.bin", dtype, order
+
+
+def manifest_sha256(manifest: dict) -> str:
+    """The sha256 of the manifest's canonical serialization, without its
+    manifest_sha256 field. json.dumps writes every float so that it reads
+    back exactly, so a rewrite that changes only whitespace or key order
+    keeps the hash."""
+    fields = {k: v for k, v in manifest.items() if k != "manifest_sha256"}
+    canonical = json.dumps(fields, indent=2, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _check_sha256(path: Path, data, recorded: str) -> None:
@@ -96,17 +118,20 @@ def _read_array(directory: Path, arrays: dict, name: str, version: int) -> np.nd
     return flat.reshape(shape, order=order)
 
 
-def _read_terms(directory: Path, manifest: dict, where: str, version: int) -> tuple:
-    """The terms of vocabulary.txt, one a line. Its bytes are freed on return:
-    held while the arrays were read, they raised the peak memory of repeated
-    loads by about one components array in a third of the runs."""
-    path = directory / VOCAB_NAME
+def _read_vocabulary_lines(
+    directory: Path, manifest: dict, where: str, version: int
+) -> tuple[str, ...]:
+    """The lines of the vocabulary file: the words of words.txt in format
+    5, the terms of vocabulary.txt before. Its bytes are freed on return."""
+    name, field = (
+        (WORDS_NAME, "words_sha256") if version >= 5 else (VOCAB_NAME, "vocabulary_sha256")
+    )
+    path = directory / name
     if not path.is_file():
         raise DataError(f"bundle vocabulary file missing: {path}")
     raw = path.read_bytes()
     if version >= 4:
-        recorded = require_field(manifest, "vocabulary_sha256", where, str)
-        _check_sha256(path, raw, recorded)
+        _check_sha256(path, raw, require_field(manifest, field, where, str))
     with parse_errors(path):
         return tuple(raw.decode("utf-8").splitlines())
 
@@ -121,6 +146,9 @@ def save_bundle(
     existing bundle as it was.
     """
     directory = Path(directory)
+    # Derived before anything is written: a training vocabulary whose keys
+    # would not fit in 64 bits fails here and leaves no directory behind.
+    pipeline.tfidf.vocabulary.key_table
     if directory.exists():
         if not (directory / MANIFEST_NAME).exists() and any(directory.iterdir()):
             raise DataError(
@@ -143,8 +171,11 @@ def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None
             directory, "svd_singular_values", svd.singular_values
         ),
     }
-    vocabulary = ("\n".join(tfidf.vocabulary.terms) + "\n").encode("utf-8")
-    (directory / VOCAB_NAME).write_bytes(vocabulary)
+    key_table = tfidf.vocabulary.key_table
+    words = ("\n".join(key_table.words) + "\n").encode("utf-8")
+    (directory / WORDS_NAME).write_bytes(words)
+    arrays["term_keys"] = _write_array(directory, "term_keys", key_table.keys)
+    arrays["term_columns"] = _write_array(directory, "term_columns", key_table.columns)
 
     manifest: dict = {
         "format_version": FORMAT_VERSION,
@@ -154,7 +185,7 @@ def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None
         "corpus_size": tfidf.corpus_size,
         "lexicon": lexicon_to_json(pipeline.lexicon),
         "training": training_info,
-        "vocabulary_sha256": hashlib.sha256(vocabulary).hexdigest(),
+        "words_sha256": hashlib.sha256(words).hexdigest(),
     }
     prefix = SCORER_PREFIXES[pipeline.kind]
     for f in dataclasses.fields(pipeline.scorer):
@@ -171,6 +202,7 @@ def _save_into(directory: Path, pipeline: Pipeline, training_info: dict) -> None
         "sigma": {d.value: t.sigmas[i] for i, d in enumerate(CLASSIFIED_DOMAINS)},
     }
     manifest["arrays"] = arrays
+    manifest["manifest_sha256"] = manifest_sha256(manifest)
     (directory / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -200,6 +232,10 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
             f"bundle format version {version!r} not supported "
             f"(reader expects 1 to {FORMAT_VERSION})"
         )
+    if version >= 5:
+        recorded = require_field(manifest, "manifest_sha256", where, str)
+        if manifest_sha256(manifest) != recorded:
+            raise DataError(f"{where}: fields do not match its manifest_sha256")
     order = require_field(manifest, "domain_order", where)
     if order != [d.value for d in CLASSIFIED_DOMAINS]:
         raise DataError(
@@ -211,13 +247,22 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
     def arr(name: str) -> np.ndarray:
         return _read_array(directory, arrays, name, version)
 
-    terms = _read_terms(directory, manifest, where, version)
-    tfidf = TfidfModel(
-        vocabulary=Vocabulary(terms=terms, df=arr("df")),
-        corpus_size=require_field(manifest, "corpus_size", where, int),
-    )
+    df = arr("df")
     svd = SvdProjection(
         components=arr("svd_components"), singular_values=arr("svd_singular_values")
+    )
+    # The vocabulary is read after svd_components: reading its small arrays
+    # before that one raised the peak memory of repeated loads by 23 MiB in
+    # 3 of 4 runs, by where the C heap placed them.
+    lines = _read_vocabulary_lines(directory, manifest, where, version)
+    if version >= 5:
+        key_table = KeyTable(lines, arr("term_keys"), arr("term_columns"))
+        vocabulary = Vocabulary.from_key_table(key_table, df)
+    else:
+        vocabulary = Vocabulary(lines, df)
+    tfidf = TfidfModel(
+        vocabulary=vocabulary,
+        corpus_size=require_field(manifest, "corpus_size", where, int),
     )
     try:
         lexicon = lexicon_from_json(require_field(manifest, "lexicon", where), where)

@@ -5,12 +5,14 @@ the cosine baseline). The idf is the smoothed plus-one variant
 ln((1+N)/(1+df))+1 and document vectors are L2-normalized, so every idf is
 strictly positive and every non-empty known vector has unit norm.
 
-A fitted model holds only its sources, the sorted terms, their df and N:
-Vocabulary derives the term index and TfidfModel the idf, the same way for a
-trained and a loaded model. Vocabulary.index and Vocabulary.key_table are
-each built on first use only: training reads the index and classify the key
-table. The key table gives each distinct word of the terms an id in 1..W
-and each term the key of its word ids in base B = W + 2.
+A fitted model holds only its sources: the sorted terms or their key table,
+their df and N. TfidfModel derives the idf, the same way for a trained and a
+loaded model. Vocabulary derives the term index, and the key table from the
+terms or the terms from a stored key table (a format 5 bundle); each is
+built on first use only: training reads the index and classify the key
+table, so classify with a format 5 bundle splits no term string. The key
+table gives each distinct word of the terms an id in 1..W and each term the
+key of its word ids in base B = W + 2.
 The sentinel id U = W + 1 stands for both a stem outside every term and the
 end of a document. No term holds U, so a key through it is never a term:
 an n-gram through an unknown stem or across two documents matches nothing,
@@ -79,58 +81,153 @@ class SparseRows(NamedTuple):
     shape: tuple[int, int]
 
 
-def _key_base(word_count: int) -> int:
+def _key_base(word_count: int, where: str = "the training vocabulary") -> int:
     """B = W + 2, the base of the term keys over W distinct words.
 
-    Every key is below B**3, so DataError if B**3 reaches 2**63: then not
-    every key would fit an int64.
+    Every key is below B**3, so DataError, naming where the words come
+    from, if B**3 reaches 2**63: then not every key would fit an int64.
     """
     base = word_count + 2
     if base**3 >= 2**63:
         raise DataError(
-            f"vocabulary.txt holds {word_count} distinct words: its term keys "
+            f"{where} holds {word_count} distinct words: its term keys "
             "would not fit in 64 bits"
         )
     return base
+
+
+def _sized(df: np.ndarray, n: int) -> np.ndarray:
+    if df.shape != (n,):
+        raise DataError(
+            f"vocabulary size {n} does not match df array of shape {list(df.shape)}"
+        )
+    return df
+
+
+def _digits(keys: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three base-B digits of each key below B**3, highest first."""
+    high, low = np.divmod(keys, base)
+    return (*np.divmod(high, base), low)
+
+
+def _check_increasing(terms: Sequence[str]) -> None:
+    if any(map(operator.ge, terms, terms[1:])):
+        raise DataError("vocabulary terms are not in strictly increasing order")
 
 
 @dataclass(frozen=True)
 class KeyTable:
     """The terms of a vocabulary as integer keys.
 
-    word_ids gives each word of the terms its id in 1..W. A term's key is
-    its ids in base B = W + 2: a uni/bi/trigram key lies in [1, B), [B, B**2)
-    or [B**2, B**3). The sentinel unknown = W + 1 is a digit of no key.
+    words[i] is the word of id i + 1, so the W words of the terms have the
+    ids 1..W. A term's key is its ids in base B = W + 2: a uni/bi/trigram
+    key lies in [1, B), [B, B**2) or [B**2, B**3). The sentinel
+    unknown = W + 1 is a digit of no key.
+
+    Building one checks what a format 5 bundle stores: the words distinct,
+    none empty or holding a space; the keys strictly increasing, each made
+    of one to three word ids in 1..W; the columns a permutation of 0..V-1.
     """
 
-    word_ids: dict[str, int]
+    words: tuple[str, ...]
     keys: np.ndarray     # (V,) strictly increasing
     columns: np.ndarray  # (V,) the vocabulary column of each key
+    word_ids: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        words, keys, columns = self.words, self.keys, self.columns
+        word_ids = dict(zip(words, range(1, len(words) + 1)))
+        if len(word_ids) < len(words):
+            raise DataError("the vocabulary's word list holds a word twice")
+        if "" in word_ids or any(" " in word for word in words):
+            raise DataError("the vocabulary's word list holds an empty word or a space")
+        object.__setattr__(self, "word_ids", word_ids)
+        base = _key_base(len(words), "the vocabulary's word list")
+        if keys.ndim != 1 or columns.shape != keys.shape:
+            raise DataError(
+                f"term keys of shape {list(keys.shape)} and columns of shape "
+                f"{list(columns.shape)} do not fit together"
+            )
+        if np.any(keys[1:] <= keys[:-1]):
+            raise DataError("term keys are not strictly increasing")
+        n = len(keys)
+        if n and keys[-1] >= base**3:
+            raise DataError(
+                f"term key {int(np.searchsorted(keys, base**3))}: "
+                "a term of more than 3 words"
+            )
+        first, middle, low = _digits(keys, base)
+        # A leading 0 is no word; a 0 after a word is an empty word.
+        empty = (keys < 1) | (low == 0) | ((middle == 0) & (first != 0))
+        if np.any(empty):
+            raise DataError(
+                f"term key {int(np.argmax(empty))}: a term with an empty word"
+            )
+        outside = np.maximum(np.maximum(first, middle), low) > len(words)
+        if np.any(outside):
+            raise DataError(
+                f"term key {int(np.argmax(outside))}: a word id outside "
+                f"1..{len(words)}"
+            )
+        if n and (
+            columns.min() < 0 or columns.max() >= n
+            or not np.bincount(columns, minlength=n).all()
+        ):
+            raise DataError(f"term columns are not a permutation of 0..{n - 1}")
 
     @property
     def unknown(self) -> int:
-        return len(self.word_ids) + 1
+        return len(self.words) + 1
 
 
-@dataclass(frozen=True)
 class Vocabulary:
-    terms: tuple[str, ...]  # strictly increasing
-    df: np.ndarray  # (V,)
+    """A fit's terms, strictly increasing, and the df of each.
 
-    def __post_init__(self):
-        n, df = len(self.terms), self.df
-        if df.shape != (n,):
-            raise DataError(
-                f"vocabulary size {n} does not match df array of shape {list(df.shape)}"
-            )
-        if any(map(operator.ge, self.terms, self.terms[1:])):
-            raise DataError("vocabulary terms are not in strictly increasing order")
+    A vocabulary is built from its terms (a fit, or a bundle of format 4 or
+    older) or, by from_key_table, from their key table (a format 5 bundle).
+    terms, index and key_table are each built on first read only, then
+    kept: training reads the index, classify the key table, a save the key
+    table. So a format 5 load splits no term string, and a fit builds its
+    key table only when it is saved or classifies.
+    """
+
+    def __init__(self, terms: Sequence[str], df: np.ndarray):
+        # An instance attribute, so the terms cached_property never runs.
+        self.terms = tuple(terms)
+        self.df = _sized(df, len(self.terms))  # (V,)
+        _check_increasing(self.terms)
+
+    @classmethod
+    def from_key_table(cls, key_table: KeyTable, df: np.ndarray) -> Vocabulary:
+        vocabulary = cls.__new__(cls)
+        vocabulary.key_table = key_table
+        vocabulary.df = _sized(df, len(key_table.keys))
+        return vocabulary
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.df)
 
-    # cached_property writes the instance __dict__, which a frozen dataclass
-    # leaves open.
+    @cached_property
+    def terms(self) -> tuple[str, ...]:
+        """Each column's term: the words of its key, joined by spaces.
+
+        DataError if they are not strictly increasing, the one check of a
+        stored key table that waits for this first read.
+        """
+        table = self.key_table
+        at = np.empty_like(table.columns)  # where each column's key is
+        at[table.columns] = np.arange(len(at))
+        first, middle, low = _digits(table.keys[at], table.unknown + 1)
+        words = np.array(["", *table.words], dtype=object)
+        # A key checked by KeyTable has a first word only if it has a middle one.
+        terms = words[low]
+        for digit in (middle, first):
+            more = digit > 0
+            terms[more] = words[digit[more]] + " " + terms[more]
+        terms = tuple(terms.tolist())
+        _check_increasing(terms)
+        return terms
+
     @cached_property
     def index(self) -> dict[str, int]:
         """Each term's column."""
@@ -138,41 +235,46 @@ class Vocabulary:
 
     @cached_property
     def key_table(self) -> KeyTable:
-        """Each term's key: its word ids in base B, and its column.
+        """Each term's key and column, derived from the terms by
+        derive_key_table where the vocabulary was built from them."""
+        return derive_key_table(self.terms)
 
-        DataError, naming the bundle's vocabulary.txt where a loaded
-        vocabulary comes from, for a term of more than three words or with
-        an empty word; training makes neither.
-        """
-        terms = self.terms
-        word_ids: dict[str, int] = {}
-        # Each term's ids, right-aligned in a row of 3: a leading 0 adds
-        # nothing to the key.
-        digits = np.zeros((len(terms), 3), dtype=np.int64)
-        # The terms are split a block at a time, so no more than a block's
-        # words are held as strings at once.
-        for start in range(0, len(terms), _KEY_BLOCK):
-            block = terms[start : start + _KEY_BLOCK]
-            sizes = np.fromiter(map(str.count, block, repeat(" ")), np.int64) + 1
-            if sizes.max() > 3:
-                line = start + int(np.argmax(sizes > 3)) + 1
-                raise DataError(
-                    f"vocabulary.txt line {line}: a term of more than 3 words"
-                )
-            words = " ".join(block).split(" ")
-            for word in dict.fromkeys(words):
-                word_ids.setdefault(word, len(word_ids) + 1)
-            ends = np.cumsum(sizes)
-            at = np.repeat(3 * (start + np.arange(len(block))) + 3 - ends, sizes)
-            ids = np.fromiter(map(word_ids.__getitem__, words), np.int64, len(words))
-            digits.flat[at + np.arange(len(words))] = ids
-        if "" in word_ids:
-            line = next(i for i, t in enumerate(terms, 1) if "" in t.split(" "))
-            raise DataError(f"vocabulary.txt line {line}: a term with an empty word")
-        base = _key_base(len(word_ids))
-        keys = (digits[:, 0] * base + digits[:, 1]) * base + digits[:, 2]
-        columns = np.argsort(keys)
-        return KeyTable(word_ids=word_ids, keys=keys[columns], columns=columns)
+
+def derive_key_table(terms: Sequence[str]) -> KeyTable:
+    """The key table of strictly increasing terms: each term's word ids in
+    base B, sorted, and its column.
+
+    The one derivation of a key table: a save calls it, and the first
+    classify of a fit or of a format 1-4 bundle. DataError, naming the
+    bundle's vocabulary.txt where a loaded vocabulary comes from, for a term
+    of more than three words or with an empty word; training makes neither.
+    """
+    word_ids: dict[str, int] = {}
+    # Each term's ids, right-aligned in a row of 3: a leading 0 adds
+    # nothing to the key.
+    digits = np.zeros((len(terms), 3), dtype=np.int64)
+    # The terms are split a block at a time, so no more than a block's
+    # words are held as strings at once.
+    for start in range(0, len(terms), _KEY_BLOCK):
+        block = terms[start : start + _KEY_BLOCK]
+        sizes = np.fromiter(map(str.count, block, repeat(" ")), np.int64) + 1
+        if sizes.max() > 3:
+            line = start + int(np.argmax(sizes > 3)) + 1
+            raise DataError(f"vocabulary.txt line {line}: a term of more than 3 words")
+        words = " ".join(block).split(" ")
+        for word in dict.fromkeys(words):
+            word_ids.setdefault(word, len(word_ids) + 1)
+        ends = np.cumsum(sizes)
+        at = np.repeat(3 * (start + np.arange(len(block))) + 3 - ends, sizes)
+        ids = np.fromiter(map(word_ids.__getitem__, words), np.int64, len(words))
+        digits.flat[at + np.arange(len(words))] = ids
+    if "" in word_ids:
+        line = next(i for i, t in enumerate(terms, 1) if "" in t.split(" "))
+        raise DataError(f"vocabulary.txt line {line}: a term with an empty word")
+    base = _key_base(len(word_ids))
+    keys = (digits[:, 0] * base + digits[:, 1]) * base + digits[:, 2]
+    columns = np.argsort(keys)
+    return KeyTable(words=tuple(word_ids), keys=keys[columns], columns=columns)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ import pytest
 import riskdomains
 import riskdomains.bundle as bundle_module
 import riskdomains.cli as cli_module
-from riskdomains.bundle import load_bundle, save_bundle
+import riskdomains.vectorspace as vectorspace
+from riskdomains.bundle import load_bundle, manifest_sha256, save_bundle
 from riskdomains.classify import classify_batch
 from riskdomains.cli import _ALLOWED_KEYS, build_parser, main
 from riskdomains.corpus import (
@@ -38,6 +39,14 @@ def dir_bytes(directory) -> dict[str, bytes]:
         for p in sorted(directory.rglob("*"))
         if p.is_file()
     }
+
+
+def write_sealed(path, manifest) -> None:
+    """Write an edited manifest with the manifest_sha256 of its new fields,
+    so that a load passes the hash check and reaches the check a test is
+    written for."""
+    sealed = {**manifest, "manifest_sha256": manifest_sha256(manifest)}
+    path.write_text(json.dumps(sealed))
 
 
 @pytest.fixture(params=["cosine", "mlp", "rbf", "mlp_nomwe"])
@@ -82,7 +91,7 @@ class TestBundleRoundTrip:
     def test_bundle_holds_only_manifest_listed_files(self, trained, tmp_path):
         saved = save_bundle(tmp_path / "bundle", trained.pipeline)
         manifest = json.loads((saved / "manifest.json").read_text())
-        listed = {"manifest.json", "vocabulary.txt"}
+        listed = {"manifest.json", "words.txt"}
         listed |= {f"{name}.bin" for name in manifest["arrays"]}
         assert set(dir_bytes(saved)) == listed
         assert len(listed) == 2 + len(manifest["arrays"])
@@ -95,25 +104,96 @@ class TestBundleRoundTrip:
         )
         assert loaded.thresholds.alpha == trained.pipeline.thresholds.alpha
 
+    def test_loaded_terms_and_index_are_the_trained_ones(self, trained, tmp_path):
+        """A load reads the stored key table; the terms and the index it
+        rebuilds on first read are the fit's, and so is the table."""
+        vocabulary = trained.pipeline.tfidf.vocabulary
+        save_bundle(tmp_path / "bundle", trained.pipeline)
+        loaded = load_bundle(tmp_path / "bundle")[0].tfidf.vocabulary
+        assert "terms" not in vars(loaded) and "index" not in vars(loaded)
+        assert loaded.terms == vocabulary.terms
+        assert loaded.index == vocabulary.index
+        table, stored = vocabulary.key_table, loaded.key_table
+        assert stored.word_ids == table.word_ids
+        assert np.array_equal(stored.keys, table.keys)
+        assert np.array_equal(stored.columns, table.columns)
+
+    def test_classify_derives_no_key_table(
+        self, trained, corpus_files, tmp_path, capsys, monkeypatch
+    ):
+        """A format 5 load and classify split no term: with the derivation
+        made to fail, classify still exits 0 and prints the same lines."""
+        saved = save_bundle(tmp_path / "bundle", trained.pipeline)
+        before = classify_out(saved, corpus_files, capsys)
+
+        def derive(terms):
+            raise AssertionError("a load derived the key table")
+
+        monkeypatch.setattr(vectorspace, "derive_key_table", derive)
+        assert classify_out(saved, corpus_files, capsys) == before
+
+    def test_whitespace_rewrite_of_manifest_classifies_the_same(
+        self, trained_mlp, corpus_files, tmp_path, capsys
+    ):
+        """manifest_sha256 covers the manifest's fields, not its layout."""
+        saved = save_bundle(tmp_path / "bundle", trained_mlp.pipeline)
+        before = classify_out(saved, corpus_files, capsys)
+        path = saved / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps(manifest, indent=None, separators=(",", ":")))
+        assert classify_out(saved, corpus_files, capsys) == before
+        path.write_text(json.dumps(dict(reversed(manifest.items())), indent="\t"))
+        assert classify_out(saved, corpus_files, capsys) == before
+
+    def test_threshold_edit_is_refused(self, trained_mlp, corpus_files, tmp_path, capsys):
+        """Lowering one threshold mean, with the hash left as it was, was a
+        silent wrong answer before the manifest was hashed."""
+        saved = save_bundle(tmp_path / "bundle", trained_mlp.pipeline)
+        path = saved / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["thresholds"]["mean"]["Mood"] -= 0.5
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        code, out, err = run_cli(
+            ["classify", "--bundle", str(saved),
+             "--corpus", str(corpus_files / "corpus.jsonl")],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert "manifest.json" in lines[0] and "manifest_sha256" in lines[0]
+
 
 def write_older_format(pipeline, directory, version):
-    """Save pipeline as format version (1 to 3) wrote it.
+    """Save pipeline as format version (1 to 4) wrote it.
 
-    Every file holds C order and the manifest records no sha256. Formats 1
-    and 2 also named each array's file and dtype and the vocabulary file;
-    format 1 also stored idf.bin and thresholds.min.
+    Format 4 stored the terms, one a line, in vocabulary.txt with its
+    vocabulary_sha256, where format 5 stores the words and the term keys
+    and columns; it had no manifest_sha256. Formats 1 to 3 also held C
+    order in every file and recorded no sha256. Formats 1 and 2 also named
+    each array's file and dtype and the vocabulary file; format 1 also
+    stored idf.bin and thresholds.min.
     """
     saved = save_bundle(directory, pipeline)
-    components = np.ascontiguousarray(pipeline.svd.components)
-    components.astype("<f8").tofile(saved / "svd_components.bin")
     path = saved / "manifest.json"
     manifest = json.loads(path.read_text())
-    assert manifest["format_version"] == 4
+    assert manifest["format_version"] == 5
     manifest["format_version"] = version
-    del manifest["vocabulary_sha256"]
-    for spec in manifest["arrays"].values():
-        assert list(spec) == ["sha256", "shape"]
-        del spec["sha256"]
+    del manifest["manifest_sha256"], manifest["words_sha256"]
+    (saved / "words.txt").unlink()
+    for name in ("term_keys", "term_columns"):
+        (saved / f"{name}.bin").unlink()
+        del manifest["arrays"][name]
+    vocabulary = "".join(t + "\n" for t in pipeline.tfidf.vocabulary.terms).encode()
+    (saved / "vocabulary.txt").write_bytes(vocabulary)
+    manifest["vocabulary_sha256"] = hashlib.sha256(vocabulary).hexdigest()
+    if version <= 3:
+        components = np.ascontiguousarray(pipeline.svd.components)
+        components.astype("<f8").tofile(saved / "svd_components.bin")
+        del manifest["vocabulary_sha256"]
+        for spec in manifest["arrays"].values():
+            assert list(spec) == ["sha256", "shape"]
+            del spec["sha256"]
     if version <= 2:
         manifest["vocabulary_file"] = "vocabulary.txt"
         for name, spec in manifest["arrays"].items():
@@ -132,10 +212,10 @@ def write_older_format(pipeline, directory, version):
     return saved
 
 
-def assert_loads_like_format_4(pipeline, version, corpus_files, tmp_path, capsys):
-    """An older bundle's components load bit-identical to the format 4
+def assert_loads_like_format_5(pipeline, version, corpus_files, tmp_path, capsys):
+    """An older bundle's components load bit-identical to the format 5
     load, in Fortran order, and it classifies byte-identically."""
-    saved = save_bundle(tmp_path / "v4", pipeline)
+    saved = save_bundle(tmp_path / "v5", pipeline)
     old = write_older_format(pipeline, tmp_path / f"v{version}", version)
     components = load_bundle(saved)[0].svd.components
     old_components = load_bundle(old)[0].svd.components
@@ -154,19 +234,29 @@ class TestOlderBundles:
         self, trained, corpus_files, tmp_path, capsys
     ):
         """Format 1 also stored idf.bin and thresholds.min; both are ignored."""
-        assert_loads_like_format_4(trained.pipeline, 1, corpus_files, tmp_path, capsys)
+        assert_loads_like_format_5(trained.pipeline, 1, corpus_files, tmp_path, capsys)
 
     def test_format_2_bundle_classifies_like_format_3(
         self, trained, corpus_files, tmp_path, capsys
     ):
         """Format 2 also named each array's file and dtype and the vocabulary."""
-        assert_loads_like_format_4(trained.pipeline, 2, corpus_files, tmp_path, capsys)
+        assert_loads_like_format_5(trained.pipeline, 2, corpus_files, tmp_path, capsys)
 
     def test_format_3_bundle_classifies_like_format_4(
         self, trained, corpus_files, tmp_path, capsys
     ):
         """Format 3 stored svd_components in C order and no hashes."""
-        assert_loads_like_format_4(trained.pipeline, 3, corpus_files, tmp_path, capsys)
+        assert_loads_like_format_5(trained.pipeline, 3, corpus_files, tmp_path, capsys)
+
+    def test_format_4_bundle_classifies_like_format_5(
+        self, trained, corpus_files, tmp_path, capsys
+    ):
+        """Format 4 stored the terms, whose key table the first classify
+        derives, and left the manifest unhashed."""
+        assert_loads_like_format_5(trained.pipeline, 4, corpus_files, tmp_path, capsys)
+        old = load_bundle(tmp_path / "v4")[0].tfidf.vocabulary
+        assert "key_table" not in vars(old)
+        assert old.terms == trained.pipeline.tfidf.vocabulary.terms
 
     @pytest.mark.parametrize(
         "edit", ["array_file_in_parent", "vocabulary_file_not_string"]
@@ -187,7 +277,7 @@ class TestOlderBundles:
             manifest["arrays"]["df"]["file"] = "../df.bin"
         else:
             manifest["vocabulary_file"] = 5
-        path.write_text(json.dumps(manifest))
+        write_sealed(path, manifest)
         assert classify_out(saved, corpus_files, capsys) == before
 
     @pytest.mark.parametrize(
@@ -203,7 +293,7 @@ class TestOlderBundles:
         path = saved / "manifest.json"
         manifest = json.loads(path.read_text())
         assert not set(extra) & set(manifest)
-        path.write_text(json.dumps({**manifest, **extra}))
+        write_sealed(path, {**manifest, **extra})
         texts = [p.text for p in paragraphs]
         labels_a, scores_a = classify_batch(pipeline, texts)
         labels_b, scores_b = classify_batch(load_bundle(saved)[0], texts)
@@ -219,7 +309,7 @@ class TestOlderBundles:
         path = saved / "manifest.json"
         manifest = json.loads(path.read_text())
         manifest["lexicon"] = lexicon_to_json(lexicon)
-        path.write_text(json.dumps(manifest))
+        write_sealed(path, manifest)
         loaded, loaded_lexicon, _ = load_bundle(saved)
         assert loaded_lexicon.fusion == {}
         texts = [p.text for p in paragraphs]
@@ -296,7 +386,7 @@ class TestBundleErrors:
         path = saved / "manifest.json"
         manifest = json.loads(path.read_text())
         mutate(manifest)
-        path.write_text(json.dumps(manifest))
+        write_sealed(path, manifest)
 
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "empty").mkdir()
@@ -328,14 +418,49 @@ class TestBundleErrors:
             load_bundle(saved)
 
     def test_vocabulary_size_mismatch(self, saved):
-        vocab = saved / "vocabulary.txt"
-        lines = vocab.read_text().splitlines()
-        vocab.write_text("\n".join(lines[:-1]) + "\n")
-        # The edited file's own hash, so the load reaches the size check.
-        digest = hashlib.sha256(vocab.read_bytes()).hexdigest()
-        self.edit_manifest(saved, lambda m: m.update(vocabulary_sha256=digest))
+        # The last column's key goes, so the columns are still a permutation.
+        keys = np.fromfile(saved / "term_keys.bin", dtype="<i8")
+        columns = np.fromfile(saved / "term_columns.bin", dtype="<i8")
+        kept = columns != columns.max()
+        for name, array in (("term_keys", keys), ("term_columns", columns)):
+            array[kept].tofile(saved / f"{name}.bin")
+        # The edited files' own hashes, so the load reaches the size check.
+
+        def mutate(manifest):
+            for name in ("term_keys", "term_columns"):
+                raw = (saved / f"{name}.bin").read_bytes()
+                manifest["arrays"][name] = {
+                    "shape": [len(raw) // 8], "sha256": hashlib.sha256(raw).hexdigest()
+                }
+
+        self.edit_manifest(saved, mutate)
         with pytest.raises(DataError, match="vocabulary size"):
             load_bundle(saved)
+
+    def test_over_wide_vocabulary_fails_train(
+        self, corpus_files, tmp_path, capsys, monkeypatch
+    ):
+        """A vocabulary whose keys would not fit in 64 bits fails train,
+        where the save derives the key table, before any directory is
+        written; a classify of its bundle would fail every time."""
+        key_base = vectorspace._key_base
+
+        def too_many_words(count, where="the training vocabulary"):
+            return key_base(count + 2**21, where)
+
+        monkeypatch.setattr(vectorspace, "_key_base", too_many_words)
+        code, _, err = run_cli(
+            ["train", "--kind", "cosine",
+             "--corpus", str(corpus_files / "corpus.jsonl"),
+             "--lexicon", str(corpus_files / "lexicon.json"),
+             "--out", str(tmp_path / "models" / "bundle")],
+            capsys,
+        )
+        assert code == 2
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "Traceback" not in err, err
+        assert "the training vocabulary holds" in errors[0]
+        assert list(tmp_path.iterdir()) == []
 
     def test_refuses_non_bundle_directory(self, trained_mlp, tmp_path):
         target = tmp_path / "precious"
@@ -381,7 +506,7 @@ class TestBundleErrors:
 
 def whole_file_read(directory, name, shape, order):
     """The reference read: all bytes at once, as the array's memory in order."""
-    dtype = "<i8" if name == "df" else "<f8"
+    dtype = "<i8" if name in ("df", "term_keys", "term_columns") else "<f8"
     raw = (directory / f"{name}.bin").read_bytes()
     return np.frombuffer(raw, dtype=dtype).reshape(shape, order=order)
 
@@ -508,7 +633,10 @@ def test_every_manifest_leaf_is_type_checked(kind, trained_mlp, trained_rbf, tmp
             for key in keys[:-1]:
                 node = node[key]
             node[keys[-1]] = bad
-            path.write_text(json.dumps(edited))
+            if keys == ("manifest_sha256",):
+                path.write_text(json.dumps(edited))
+            else:
+                write_sealed(path, edited)
             try:
                 load_bundle(saved)
             except DataError:

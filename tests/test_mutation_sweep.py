@@ -1,14 +1,16 @@
 """Seeded mutations of every CLI input keep the exit-code contract.
 
 A valid config, lexicon, corpus, gold, predictions, annotations file and
-bundle manifest, vocabulary and array file are each mutated several ways: a
-flipped bit, truncation, an inserted 0xff byte, a UTF-8 BOM, deep nesting,
-and one JSON value swapped for null, NaN, -1, 2**64+1 or [] (in an array
-file, one 8-byte value swapped for that number, or for zero bytes if it is
-none). For every mutant the CLI, run in-process, must return 0, 1, 2 or 3,
-and a non-zero exit must write exactly one "error:" line and no traceback.
-The corpus is tiny and the model a cosine one, so the whole sweep takes a
-few seconds.
+bundle manifest, vocabulary words, term keys, term columns and components
+file are each mutated several ways: a flipped bit, truncation, an inserted
+0xff byte, a UTF-8 BOM, deep nesting, and one JSON value swapped for null,
+NaN, -1, 2**64+1 or [] (in an array file, one 8-byte value swapped for that
+number, or for zero bytes if it is none). For every mutant the CLI, run
+in-process, must return 0, 1, 2 or 3, and a non-zero exit must write exactly
+one "error:" line and no traceback. A bundle file's mutant must exit 2 or
+print exactly what the valid bundle prints: every bundle file is hashed, so
+no mutant may give a different answer. The corpus is tiny and the model a
+cosine one, so the whole sweep takes a few seconds.
 """
 
 import json
@@ -184,14 +186,25 @@ INPUTS = {
         lambda t, v, raw: bundle_with(t, v, "manifest.json", raw),
     ),
     "vocabulary": (
-        lambda v: v["bundle"] / "vocabulary.txt", swap_text_line,
-        lambda t, v, raw: bundle_with(t, v, "vocabulary.txt", raw),
+        lambda v: v["bundle"] / "words.txt", swap_text_line,
+        lambda t, v, raw: bundle_with(t, v, "words.txt", raw),
+    ),
+    "term_keys": (
+        lambda v: v["bundle"] / "term_keys.bin", swap_array_value,
+        lambda t, v, raw: bundle_with(t, v, "term_keys.bin", raw),
+    ),
+    "term_columns": (
+        lambda v: v["bundle"] / "term_columns.bin", swap_array_value,
+        lambda t, v, raw: bundle_with(t, v, "term_columns.bin", raw),
     ),
     "array": (
         lambda v: v["bundle"] / "svd_components.bin", swap_array_value,
         lambda t, v, raw: bundle_with(t, v, "svd_components.bin", raw),
     ),
 }
+
+# The input kinds that are bundle files.
+BUNDLE_FILES = {"manifest", "vocabulary", "term_keys", "term_columns", "array"}
 
 
 def mutants(raw, swap, rng):
@@ -207,7 +220,9 @@ def test_mutated_input_keeps_exit_contract(kind, valid, tmp_path_factory, capsys
     raw = source(valid).read_bytes()
     work = tmp_path_factory.mktemp(kind)
     (work / "valid").mkdir()
+    capsys.readouterr()
     assert main(argv_for(work / "valid", valid, raw)) == 0, "the valid input fails"
+    expected = capsys.readouterr().out
     for seed in SEEDS:
         rng = random.Random(f"{kind}:{seed}")
         for i, (name, mutant) in enumerate(mutants(raw, swap, rng)):
@@ -215,9 +230,11 @@ def test_mutated_input_keeps_exit_contract(kind, valid, tmp_path_factory, capsys
             run.mkdir()
             capsys.readouterr()
             code = main(argv_for(run, valid, mutant))
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
             label = f"{kind} seed {seed}: {name}"
             assert code in (0, 1, 2, 3), label
+            if kind in BUNDLE_FILES:
+                assert code == 2 or (code == 0 and out == expected), label
             assert "Traceback" not in err, label
             if code != 0:
                 errors = [ln for ln in err.splitlines() if ln.startswith("error:")]

@@ -16,7 +16,7 @@ import shutil
 import numpy as np
 import pytest
 
-from riskdomains.bundle import save_bundle
+from riskdomains.bundle import load_bundle, manifest_sha256, save_bundle
 from riskdomains.cli import main
 
 
@@ -54,10 +54,16 @@ def corrupt_bundle(kind, corrupt, *corpus_lines):
 
 
 def edit_manifest(mutate):
+    """Edit the manifest and record its new manifest_sha256, so that
+    loading passes the hash check and reaches the check a case is written
+    for."""
+
     def corrupt(bundle):
         path = bundle / "manifest.json"
         manifest = json.loads(path.read_text())
         mutate(manifest)
+        if "manifest_sha256" in manifest:
+            manifest["manifest_sha256"] = manifest_sha256(manifest)
         path.write_text(json.dumps(manifest))
 
     return corrupt
@@ -69,8 +75,8 @@ def record_sha256(bundle, name):
     digest = hashlib.sha256((bundle / name).read_bytes()).hexdigest()
 
     def mutate(manifest):
-        if name == "vocabulary.txt":
-            manifest["vocabulary_sha256"] = digest
+        if name == "words.txt":
+            manifest["words_sha256"] = digest
         else:
             manifest["arrays"][name.removesuffix(".bin")]["sha256"] = digest
 
@@ -141,11 +147,54 @@ def set_first_df(value):
     return corrupt
 
 
-def edit_vocabulary(mutate):
-    """Edit the list of vocabulary lines in place; the count stays the same."""
+def edit_term_keys(mutate):
+    """Edit the list of term keys in place; the count stays the same."""
 
     def corrupt(bundle):
-        path = bundle / "vocabulary.txt"
+        path = bundle / "term_keys.bin"
+        keys = np.fromfile(path, dtype="<i8").tolist()
+        mutate(keys)
+        np.array(keys, dtype="<i8").tofile(path)
+        record_sha256(bundle, path.name)
+
+    return corrupt
+
+
+def swap_first_terms(keys):
+    keys[0], keys[1] = keys[1], keys[0]
+
+
+def repeat_second_term(keys):
+    """The second key overwrites the third, so it appears twice."""
+    keys[2] = keys[1]
+
+
+def replace_last_term(ids):
+    """The term of the last column becomes the one of ids(W), its word ids
+    first to last, 0 for an empty word. Keys and columns are sorted again,
+    so they still ascend and the columns are still a permutation."""
+
+    def corrupt(bundle):
+        count = len((bundle / "words.txt").read_text().splitlines())
+        keys = np.fromfile(bundle / "term_keys.bin", dtype="<i8")
+        columns = np.fromfile(bundle / "term_columns.bin", dtype="<i8")
+        key = 0
+        for word_id in ids(count):
+            key = key * (count + 2) + word_id
+        keys[np.argmax(columns)] = key
+        order = np.argsort(keys)
+        for name, array in (("term_keys", keys), ("term_columns", columns)):
+            array[order].astype("<i8").tofile(bundle / f"{name}.bin")
+            record_sha256(bundle, f"{name}.bin")
+
+    return corrupt
+
+
+def edit_lines(name, mutate):
+    """Edit the lines of a bundle text file in place."""
+
+    def corrupt(bundle):
+        path = bundle / name
         lines = path.read_text().splitlines()
         mutate(lines)
         path.write_text("".join(line + "\n" for line in lines))
@@ -154,22 +203,13 @@ def edit_vocabulary(mutate):
     return corrupt
 
 
-def swap_first_terms(lines):
-    lines[0], lines[1] = lines[1], lines[0]
-
-
-def repeat_second_term(lines):
-    """The second term overwrites the third, so it appears twice."""
-    lines[2] = lines[1]
-
-
-def replace_last_term(term):
-    """term, which starts with "~" and so sorts after every stem, is last."""
-
-    def mutate(lines):
-        lines[-1] = term
-
-    return mutate
+def repeat_first_column(bundle):
+    """The first term column appears twice, so one column has no key."""
+    path = bundle / "term_columns.bin"
+    columns = np.fromfile(path, dtype="<i8")
+    columns[1] = columns[0]
+    columns.tofile(path)
+    record_sha256(bundle, path.name)
 
 
 def insert_invalid_utf8(name):
@@ -195,23 +235,26 @@ def zero_megadoc_row(bundle):
 
 
 def vocabulary_outside(bundle):
-    """Move the vocabulary next to the bundle and name it there by absolute
-    path in the vocabulary_file field older formats wrote, which is ignored."""
-    outside = bundle.parent / "vocabulary.txt"
-    (bundle / "vocabulary.txt").rename(outside)
+    """Move the vocabulary's words next to the bundle and name them there by
+    absolute path in the vocabulary_file field older formats wrote, which is
+    ignored."""
+    outside = bundle.parent / "words.txt"
+    (bundle / "words.txt").rename(outside)
     edit_manifest(lambda m: m.update(vocabulary_file=str(outside)))(bundle)
 
 
 def empty_vocabulary(bundle):
-    """No term: empty vocabulary and df, k×0 components, corpus_size -5."""
-    (bundle / "vocabulary.txt").write_text("")
-    record_sha256(bundle, "vocabulary.txt")
-    for name in ("df", "svd_components"):
+    """No term: empty words, keys, columns and df, k×0 components,
+    corpus_size -5."""
+    (bundle / "words.txt").write_text("")
+    record_sha256(bundle, "words.txt")
+    for name in ("df", "term_keys", "term_columns", "svd_components"):
         (bundle / f"{name}.bin").write_bytes(b"")
         record_sha256(bundle, f"{name}.bin")
 
     def mutate(manifest):
-        manifest["arrays"]["df"]["shape"] = [0]
+        for name in ("df", "term_keys", "term_columns"):
+            manifest["arrays"][name]["shape"] = [0]
         manifest["arrays"]["svd_components"]["shape"][1] = 0
         manifest["corpus_size"] = -5
 
@@ -360,6 +403,22 @@ def write_manifest(raw):
     return corrupt
 
 
+def write_manifest_json(mutate):
+    """Edit the manifest and keep the manifest_sha256 it records."""
+
+    def corrupt(bundle):
+        path = bundle / "manifest.json"
+        manifest = json.loads(path.read_text())
+        mutate(manifest)
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+    return corrupt
+
+
+def lower_mood_mean(manifest):
+    manifest["thresholds"]["mean"]["Mood"] -= 0.5
+
+
 def synth_with(config):
     """Run synth with a config file."""
 
@@ -461,20 +520,47 @@ CASES = {
         corrupt_bundle("cosine", set_first_df(10**6)), 2, "corpus_size"
     ),
     "bundle_vocabulary_swapped_lines": (
-        corrupt_bundle("mlp", edit_vocabulary(swap_first_terms)), 2, "increasing"
+        corrupt_bundle("mlp", edit_term_keys(swap_first_terms)), 2, "increasing"
     ),
     "bundle_vocabulary_duplicated_line": (
-        corrupt_bundle("mlp", edit_vocabulary(repeat_second_term)), 2, "increasing"
+        corrupt_bundle("mlp", edit_term_keys(repeat_second_term)), 2, "increasing"
     ),
     "bundle_vocabulary_four_word_term": (
-        corrupt_bundle("mlp", edit_vocabulary(replace_last_term("~ ~ ~ ~"))),
+        corrupt_bundle("mlp", replace_last_term(lambda w: (w, w, w, w))),
         2,
-        r"vocabulary\.txt line \d+: a term of more than 3 words",
+        r"term key \d+: a term of more than 3 words",
     ),
     "bundle_vocabulary_double_space": (
-        corrupt_bundle("mlp", edit_vocabulary(replace_last_term("~  ~"))),
+        corrupt_bundle("mlp", replace_last_term(lambda w: (w, 0, w))),
         2,
-        r"vocabulary\.txt line \d+: a term with an empty word",
+        r"term key \d+: a term with an empty word",
+    ),
+    "bundle_vocabulary_word_id_outside": (
+        corrupt_bundle("mlp", replace_last_term(lambda w: (w + 1, 1, 1))),
+        2,
+        r"term key \d+: a word id outside 1\.\.\d+",
+    ),
+    "bundle_vocabulary_repeated_word": (
+        corrupt_bundle("mlp", edit_lines("words.txt", repeat_second_term)),
+        2,
+        "word list holds a word twice",
+    ),
+    "bundle_vocabulary_word_with_space": (
+        corrupt_bundle(
+            "mlp", edit_lines("words.txt", lambda lines: lines.append("~ ~"))
+        ),
+        2,
+        "word list holds an empty word or a space",
+    ),
+    "bundle_vocabulary_repeated_column": (
+        corrupt_bundle("mlp", repeat_first_column), 2, "not a permutation"
+    ),
+    # A threshold lowered by 0.5, which moved most mlp labels, with the
+    # manifest_sha256 left as it was.
+    "bundle_manifest_edited_unsealed": (
+        corrupt_bundle("mlp", write_manifest_json(lower_mood_mean)),
+        2,
+        r"manifest\.json: fields do not match its manifest_sha256",
     ),
     "bundle_manifest_invalid_utf8": (
         corrupt_bundle("mlp", insert_invalid_utf8("manifest.json")),
@@ -482,9 +568,9 @@ CASES = {
         r"manifest\.json: .*utf-8",
     ),
     "bundle_vocabulary_invalid_utf8": (
-        corrupt_bundle("mlp", insert_invalid_utf8("vocabulary.txt")),
+        corrupt_bundle("mlp", insert_invalid_utf8("words.txt")),
         2,
-        r"vocabulary\.txt: .*UTF-8",
+        r"words\.txt: .*UTF-8",
     ),
     "corpus_invalid_utf8_past_first_chunk": (
         classify_to_file_past_first_chunk(b'{"id": "x", "text": "anxious \xff"}'),
@@ -817,24 +903,27 @@ CASES = {
 }
 
 
-# Each kind's scorer arrays. With df, the SVD arrays and the vocabulary they
-# are every file a format 4 bundle hashes.
+# Each kind's scorer arrays. With df, the SVD arrays and the vocabulary's
+# words, keys and columns they are every file a format 5 bundle hashes.
 SCORER_ARRAYS = {
     "mlp": ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "mlp_w3", "mlp_b3"),
     "rbf": ("rbf_prototypes", "rbf_w", "rbf_b"),
     "cosine": ("megadoc_vectors",),
 }
 for kind, scorer_arrays in SCORER_ARRAYS.items():
-    for name in ("df", "svd_components", "svd_singular_values", *scorer_arrays):
+    for name in (
+        "df", "svd_components", "svd_singular_values", "term_keys", "term_columns",
+        *scorer_arrays,
+    ):
         CASES[f"bundle_{kind}_{name}_bit_flipped"] = (
             corrupt_bundle(kind, flip_bit_62(f"{name}.bin")),
             2,
             rf"{name}\.bin: bytes do not match the sha256",
         )
     CASES[f"bundle_{kind}_vocabulary_bit_flipped"] = (
-        corrupt_bundle(kind, flip_bit_62("vocabulary.txt")),
+        corrupt_bundle(kind, flip_bit_62("words.txt")),
         2,
-        r"vocabulary\.txt: bytes do not match the sha256",
+        r"words\.txt: bytes do not match the sha256",
     )
 CASES["bundle_array_sha256_missing"] = (
     corrupt_bundle(
@@ -844,9 +933,9 @@ CASES["bundle_array_sha256_missing"] = (
     "'svd_components'.*sha256",
 )
 CASES["bundle_vocabulary_sha256_missing"] = (
-    corrupt_bundle("rbf", edit_manifest(lambda m: m.pop("vocabulary_sha256"))),
+    corrupt_bundle("rbf", edit_manifest(lambda m: m.pop("words_sha256"))),
     2,
-    "vocabulary_sha256",
+    "words_sha256",
 )
 
 
@@ -890,5 +979,5 @@ def test_train_stems_a_long_run_of_y(tmp_path, corpus_files, capsys):
         "--lexicon", str(corpus_files / "lexicon.json"), "--out", str(out),
     ]
     assert main(argv) == 0, capsys.readouterr().err
-    terms = (out / "vocabulary.txt").read_text().splitlines()
+    terms = load_bundle(out)[0].tfidf.vocabulary.terms
     assert "y" * 1199 + "i" in terms

@@ -17,6 +17,7 @@ from riskdomains.errors import DataError, NumericalError
 from riskdomains.pipeline import PipelineOptions, train_pipeline
 from riskdomains.textnorm import text_to_terms
 from riskdomains.vectorspace import (
+    KeyTable,
     SparseRows,
     SvdProjection,
     TfidfModel,
@@ -237,8 +238,44 @@ class TestKeyTable:
     def test_key_base_bound(self):
         # B = W + 2 and every key lies below B**3.
         assert _key_base(2**21 - 3) == 2**21 - 1
-        with pytest.raises(DataError, match="2097150 distinct words"):
+        with pytest.raises(
+            DataError, match="the training vocabulary holds 2097150 distinct words"
+        ):
             _key_base(2**21 - 2)
+
+    def test_stored_table_rebuilds_the_terms(self):
+        vocabulary = fit_tfidf(TWO_DOCS).vocabulary
+        table = vocabulary.key_table
+        stored = KeyTable(table.words, table.keys.copy(), table.columns.copy())
+        loaded = Vocabulary.from_key_table(stored, vocabulary.df)
+        assert loaded.terms == vocabulary.terms
+        assert loaded.index == vocabulary.index
+        assert len(loaded) == len(vocabulary)
+
+    def test_terms_are_checked_at_first_read(self):
+        """Key order is id order, not term order: these keys build a table,
+        but the terms they give, "b" then "a", do not increase."""
+        table = KeyTable(("b", "a"), np.array([1, 2]), np.array([0, 1]))
+        vocabulary = Vocabulary.from_key_table(table, np.ones(2, dtype=np.int64))
+        with pytest.raises(DataError, match="strictly increasing"):
+            vocabulary.terms
+
+    @pytest.mark.parametrize(
+        "words, keys, columns, message",
+        [
+            (("a", "a"), [1, 2], [0, 1], "a word twice"),
+            (("a", "b c"), [1, 2], [0, 1], "a space"),
+            (("a", "b"), [2, 1], [0, 1], "not strictly increasing"),
+            (("a", "b"), [1, 4**3], [0, 1], "term key 1: a term of more than 3"),
+            (("a", "b"), [1, 4], [0, 1], "term key 1: a term with an empty word"),
+            (("a", "b"), [1, 3], [0, 1], r"term key 1: a word id outside 1\.\.2"),
+            (("a", "b"), [1, 2], [1, 1], "not a permutation"),
+            (("a", "b"), [1, 2], [0], "do not fit together"),
+        ],
+    )
+    def test_stored_table_is_checked(self, words, keys, columns, message):
+        with pytest.raises(DataError, match=message):
+            KeyTable(words, np.array(keys), np.array(columns))
 
 
 class TestSvd:
