@@ -11,6 +11,16 @@ once into its array, then hashes and checks those bytes, so nothing is read
 twice or copied. Nothing in a bundle depends on wall time; retraining with
 the same inputs, seed and BLAS thread count reproduces byte-identical files.
 
+Hashing svd_components.bin is most of a load, so in formats 4 and 5 its
+check (sha256 and finiteness) runs on a thread of its own, started once the
+load has read the file, while the load reads on and the caller goes on to
+its first paragraphs; hashlib and numpy release the GIL for it. Every other
+check ends before load_bundle returns. The SvdProjection holds the pending
+check, and every read of the component values waits for it and raises its
+DataError, so nothing is scored, projected or saved from unchecked
+components. A load that fails after starting the check waits for it, so its
+failure is the error raised, as when it came first.
+
 A bundle stores only what cannot be recomputed, and what classify reads:
 the vocabulary as its key table (the words, each term's key and its
 column), which a save derives once, so that a load derives nothing. The
@@ -36,6 +46,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import threading
 import typing
 from pathlib import Path
 
@@ -59,6 +70,12 @@ VOCAB_NAME = "vocabulary.txt"  # the terms, in formats 1 to 4
 _INT_ARRAYS = frozenset({"df", "term_keys", "term_columns"})
 
 SCORER_PREFIXES = {"cosine": "megadoc_", "mlp": "mlp_", "rbf": "rbf_"}
+
+# Values a check tests for finiteness at a time. Testing a whole array at
+# once allocates its size in booleans: 4 MiB for the 1x svd_components,
+# which on the check's thread landed in that thread's heap and raised the
+# peak memory of a classify run by 6 MiB.
+_FINITE_BLOCK = 2**20
 
 
 def _array_file(directory: Path, name: str, version: int) -> tuple[Path, np.dtype, str]:
@@ -92,7 +109,21 @@ def _write_array(directory: Path, name: str, array: np.ndarray) -> dict:
 
 
 def _read_array(directory: Path, arrays: dict, name: str, version: int) -> np.ndarray:
-    """Array name, of the shape arrays[name] records, in its file's order."""
+    """Array name, of the shape arrays[name] records, in its file's order,
+    its bytes checked."""
+    array, check = _read_unchecked(directory, arrays, name, version)
+    check()
+    return array
+
+
+def _read_unchecked(
+    directory: Path, arrays: dict, name: str, version: int
+) -> tuple[np.ndarray, typing.Callable[[], None]]:
+    """Array name, as _read_array gives it, and the check of its bytes: their
+    sha256, which formats 4 and 5 record, and that float values are finite.
+    The check's one temporary, a buffer of up to _FINITE_BLOCK booleans, is
+    allocated here, so that it comes from the caller's heap whichever thread
+    runs the check."""
     where = f"bundle array {name!r}"
     spec = require_field(arrays, name, "bundle manifest arrays", dict)
     shape = tuple(require_field(spec, "shape", where, list))
@@ -111,11 +142,42 @@ def _read_array(directory: Path, arrays: dict, name: str, version: int) -> np.nd
             f"expected {expected} for shape {list(shape)}"
         )
     flat = np.fromfile(path, dtype=dtype)
-    if version >= 4:  # older formats record no hashes
-        _check_sha256(path, flat, require_field(spec, "sha256", where, str))
-    if dtype.kind == "f" and not np.isfinite(flat).all():
-        raise DataError(f"bundle array {name!r} holds non-finite values")
-    return flat.reshape(shape, order=order)
+    recorded = require_field(spec, "sha256", where, str) if version >= 4 else None
+    finite = None
+    if dtype.kind == "f":
+        finite = np.empty(min(flat.size, _FINITE_BLOCK), bool)
+
+    def check() -> None:
+        if recorded is not None:
+            _check_sha256(path, flat, recorded)
+        if finite is not None:
+            for a in range(0, flat.size, finite.size):
+                block = flat[a : a + finite.size]
+                if not np.isfinite(block, out=finite[: block.size]).all():
+                    raise DataError(f"bundle array {name!r} holds non-finite values")
+
+    return flat.reshape(shape, order=order), check
+
+
+class _CheckThread:
+    """A check run on a thread of its own; wait() joins the thread and raises
+    what the check raised, on every call."""
+
+    def __init__(self, check: typing.Callable[[], None]):
+        self._error: Exception | None = None
+        self._thread = threading.Thread(target=self._run, args=(check,))
+        self._thread.start()
+
+    def _run(self, check: typing.Callable[[], None]) -> None:
+        try:
+            check()
+        except Exception as e:  # for wait() to raise, whatever it is
+            self._error = e
+
+    def wait(self) -> None:
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
 
 
 def _read_vocabulary_lines(
@@ -146,8 +208,11 @@ def save_bundle(
     existing bundle as it was.
     """
     directory = Path(directory)
-    # Derived before anything is written: a training vocabulary whose keys
-    # would not fit in 64 bits fails here and leaves no directory behind.
+    # Both before anything is written. A loaded pipeline whose components
+    # fail their check fails here, so a save never hashes unchecked bytes
+    # afresh. A training vocabulary whose keys would not fit in 64 bits
+    # fails here too, and leaves no directory behind.
+    pipeline.svd.wait_for_check()
     pipeline.tfidf.vocabulary.key_table
     if directory.exists():
         if not (directory / MANIFEST_NAME).exists() and any(directory.iterdir()):
@@ -248,52 +313,67 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         return _read_array(directory, arrays, name, version)
 
     df = arr("df")
-    svd = SvdProjection(
-        components=arr("svd_components"), singular_values=arr("svd_singular_values")
-    )
-    # The vocabulary is read after svd_components: reading its small arrays
-    # before that one raised the peak memory of repeated loads by 23 MiB in
-    # 3 of 4 runs, by where the C heap placed them.
-    lines = _read_vocabulary_lines(directory, manifest, where, version)
-    if version >= 5:
-        key_table = KeyTable(lines, arr("term_keys"), arr("term_columns"))
-        vocabulary = Vocabulary.from_key_table(key_table, df)
-    else:
-        vocabulary = Vocabulary(lines, df)
-    tfidf = TfidfModel(
-        vocabulary=vocabulary,
-        corpus_size=require_field(manifest, "corpus_size", where, int),
-    )
+    components, check = _read_unchecked(directory, arrays, "svd_components", version)
+    if version >= 4:
+        # Hashing this file is most of a load: check it beside the rest.
+        wait = _CheckThread(check).wait
+    else:  # no hash to compute
+        check()
+        wait = None
     try:
-        lexicon = lexicon_from_json(require_field(manifest, "lexicon", where), where)
-    except ConfigError as e:
-        raise DataError(f"{where}: lexicon: {e}")
-    use_mwes = require_field(manifest, "use_mwes", where, bool)
-    if not use_mwes:
-        lexicon = lexicon.without_keyphrases()
+        svd = SvdProjection(components, arr("svd_singular_values"), wait)
+        # The vocabulary is read after svd_components: reading its small
+        # arrays before that one raised the peak memory of repeated loads by
+        # 23 MiB in 3 of 4 runs, by where the C heap placed them.
+        lines = _read_vocabulary_lines(directory, manifest, where, version)
+        if version >= 5:
+            key_table = KeyTable(lines, arr("term_keys"), arr("term_columns"))
+            vocabulary = Vocabulary.from_key_table(key_table, df)
+        else:
+            vocabulary = Vocabulary(lines, df)
+        tfidf = TfidfModel(
+            vocabulary=vocabulary,
+            corpus_size=require_field(manifest, "corpus_size", where, int),
+        )
+        try:
+            lexicon = lexicon_from_json(
+                require_field(manifest, "lexicon", where), where
+            )
+        except ConfigError as e:
+            raise DataError(f"{where}: lexicon: {e}")
+        use_mwes = require_field(manifest, "use_mwes", where, bool)
+        if not use_mwes:
+            lexicon = lexicon.without_keyphrases()
 
-    kind = require_field(manifest, "kind", where, str)
-    if kind not in SCORER_TYPES:
-        raise DataError(f"bundle has unknown model kind {kind!r}")
-    scorer_type, prefix = SCORER_TYPES[kind], SCORER_PREFIXES[kind]
-    scorer = scorer_type(**{
-        name: arr(prefix + name) if hint is np.ndarray
-        else require_field(manifest, prefix + name, where, hint)
-        for name, hint in typing.get_type_hints(scorer_type).items()
-    })
+        kind = require_field(manifest, "kind", where, str)
+        if kind not in SCORER_TYPES:
+            raise DataError(f"bundle has unknown model kind {kind!r}")
+        scorer_type, prefix = SCORER_TYPES[kind], SCORER_PREFIXES[kind]
+        scorer = scorer_type(**{
+            name: arr(prefix + name) if hint is np.ndarray
+            else require_field(manifest, prefix + name, where, hint)
+            for name, hint in typing.get_type_hints(scorer_type).items()
+        })
 
-    t = require_field(manifest, "thresholds", where, dict)
-    t_where = f"{where}: thresholds"
-    per_domain = []  # mean and sigma, the order of ThresholdSet's fields
-    for key in ("mean", "sigma"):
-        table = require_field(t, key, t_where, dict)
-        per_domain.append(np.array([
-            require_field(table, d.value, f"{t_where}.{key}", float)
-            for d in CLASSIFIED_DOMAINS
-        ]))
-    thresholds = ThresholdSet(require_field(t, "alpha", t_where, float), *per_domain)
-    pipeline = Pipeline(
-        kind=kind, use_mwes=use_mwes, lexicon=lexicon, tfidf=tfidf, svd=svd,
-        thresholds=thresholds, scorer=scorer,
-    )
+        t = require_field(manifest, "thresholds", where, dict)
+        t_where = f"{where}: thresholds"
+        per_domain = []  # mean and sigma, the order of ThresholdSet's fields
+        for key in ("mean", "sigma"):
+            table = require_field(t, key, t_where, dict)
+            per_domain.append(np.array([
+                require_field(table, d.value, f"{t_where}.{key}", float)
+                for d in CLASSIFIED_DOMAINS
+            ]))
+        alpha = require_field(t, "alpha", t_where, float)
+        thresholds = ThresholdSet(alpha, *per_domain)
+        pipeline = Pipeline(
+            kind=kind, use_mwes=use_mwes, lexicon=lexicon, tfidf=tfidf, svd=svd,
+            thresholds=thresholds, scorer=scorer,
+        )
+    except BaseException:
+        # A failed check is the error a load raises, as when it came first;
+        # and no check outlives a failed load.
+        if wait is not None:
+            wait()
+        raise
     return pipeline, lexicon, manifest

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import riskdomains.bundle as bundle_module
 import riskdomains.cli as cli_module
 import riskdomains.vectorspace as vectorspace
 from riskdomains.bundle import load_bundle, manifest_sha256, save_bundle
-from riskdomains.classify import classify_batch
+from riskdomains.classify import classify_batch, classify_paragraph, embed
 from riskdomains.cli import _ALLOWED_KEYS, build_parser, main
 from riskdomains.corpus import (
     Paragraph,
@@ -594,6 +595,119 @@ class TestReadArray:
             arrays = write_array_file(tmp_path, "svd_components", values, [6, 5])
             with pytest.raises(DataError, match="non-finite"):
                 bundle_module._read_array(tmp_path, arrays, "svd_components", 4)
+
+    @pytest.mark.parametrize("block", [1, 4, 29, 30, 31])
+    def test_finiteness_is_checked_in_every_block(self, tmp_path, monkeypatch, block):
+        """The check tests block values at a time: a non-finite value in any
+        block, the last one partial or not, is refused."""
+        monkeypatch.setattr(bundle_module, "_FINITE_BLOCK", block)
+        values = np.ones(30)
+        arrays = write_array_file(tmp_path, "svd_components", values, [6, 5])
+        assert bundle_module._read_array(tmp_path, arrays, "svd_components", 4).all()
+        for i in range(30):
+            values = np.ones(30)
+            values[i] = np.nan
+            arrays = write_array_file(tmp_path, "svd_components", values, [6, 5])
+            with pytest.raises(DataError, match="non-finite"):
+                bundle_module._read_array(tmp_path, arrays, "svd_components", 4)
+
+
+# The error of a components file whose bytes miss their sha256.
+COMPONENTS_MISMATCH = r"svd_components\.bin: bytes do not match the sha256"
+
+
+class TestComponentsCheckedBesideTheLoad:
+    """Format 4 and 5 loads check svd_components on a thread of their own;
+    every read of the component values waits for that check."""
+
+    @pytest.fixture(params=[4, 5])
+    def failing(self, request, trained_mlp, tmp_path):
+        """A bundle of format 4 or 5 whose svd_components misses its sha256."""
+        directory = tmp_path / f"v{request.param}"
+        if request.param == 5:
+            saved = save_bundle(directory, trained_mlp.pipeline)
+        else:
+            saved = write_older_format(trained_mlp.pipeline, directory, 4)
+        path = saved / "svd_components.bin"
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01
+        path.write_bytes(raw)
+        return saved
+
+    def test_save_of_the_loaded_pipeline_writes_nothing(self, failing, tmp_path):
+        """An upgrade by save_bundle never hashes unchecked bytes afresh."""
+        pipeline = load_bundle(failing)[0]
+        parent = tmp_path / "new"
+        with pytest.raises(DataError, match=COMPONENTS_MISMATCH):
+            save_bundle(parent / "resaved", pipeline)
+        assert not parent.exists()
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda p: classify_paragraph(p, "anxious and tearful"),
+            lambda p: classify_batch(p, ["anxious and tearful", "calm"]),
+            lambda p: embed(p, ["anxious and tearful"]),
+            lambda p: p.svd.components,
+        ],
+        ids=["classify_paragraph", "classify_batch", "embed", "components"],
+    )
+    def test_first_read_of_the_values_raises(self, failing, use):
+        pipeline = load_bundle(failing)[0]
+        for _ in range(2):  # and every read after it
+            with pytest.raises(DataError, match=COMPONENTS_MISMATCH):
+                use(pipeline)
+
+    def test_k_and_shape_do_not_wait(self, failing, trained_mlp, monkeypatch):
+        """With the check held, k and shape answer, while the check's thread
+        still runs; then the values' first read raises."""
+        release = threading.Event()
+        check_sha256 = bundle_module._check_sha256
+
+        def held(path, data, recorded):
+            if path.name == "svd_components.bin":
+                release.wait(10)
+            check_sha256(path, data, recorded)
+
+        monkeypatch.setattr(bundle_module, "_check_sha256", held)
+        threads = threading.active_count()
+        pipeline = load_bundle(failing)[0]
+        try:
+            svd = trained_mlp.pipeline.svd
+            assert pipeline.svd.k == svd.k
+            assert pipeline.svd.shape == svd.components.shape
+            assert threading.active_count() == threads + 1
+        finally:
+            release.set()
+        with pytest.raises(DataError, match=COMPONENTS_MISMATCH):
+            pipeline.svd.components
+        assert threading.active_count() == threads
+
+    def test_failed_check_is_the_error_of_a_failed_load(self, failing):
+        """A load that fails after starting the check reports the check, as
+        when it ran first, and leaves no thread behind."""
+        path = failing / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["thresholds"]
+        if "manifest_sha256" in manifest:
+            write_sealed(path, manifest)
+        else:
+            path.write_text(json.dumps(manifest))
+        threads = threading.active_count()
+        with pytest.raises(DataError, match=COMPONENTS_MISMATCH):
+            load_bundle(failing)
+        assert threading.active_count() == threads
+
+    def test_older_formats_are_checked_in_the_load(self, trained_mlp, tmp_path):
+        """Formats 1 to 3 record no hash; their finiteness is checked before
+        load_bundle returns."""
+        saved = write_older_format(trained_mlp.pipeline, tmp_path / "v3", 3)
+        path = saved / "svd_components.bin"
+        values = np.fromfile(path, dtype="<f8")
+        values[-1] = np.inf
+        values.tofile(path)
+        with pytest.raises(DataError, match="'svd_components' holds non-finite"):
+            load_bundle(saved)
 
 
 def scalar_leaves(node, keys=()):

@@ -12,6 +12,7 @@ import hashlib
 import json
 import re
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -952,6 +953,101 @@ def test_malformed_input_fails_loudly(name, tmp_path, corpus_files, bundles, cap
     assert all(re.search(pattern, lines[0]) for pattern in message), lines[0]
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def nan_in_components(bundle):
+    """One NaN amid svd_components, with the file's sha256 recorded."""
+    path = bundle / "svd_components.bin"
+    values = np.fromfile(path, dtype="<f8")
+    values[len(values) // 2] = np.nan
+    values.tofile(path)
+    record_sha256(bundle, path.name)
+
+
+# Components that fail their check, and what the error line then says.
+FAILED_COMPONENTS = {
+    "bit_flipped": (
+        flip_bit_62("svd_components.bin"),
+        r"svd_components\.bin: bytes do not match the sha256",
+    ),
+    "nan_recorded": (nan_in_components, "'svd_components' holds non-finite values"),
+}
+
+
+def classify_lines(lines, to_file):
+    """classify of a corpus of the given raw lines, to stdout or to a file."""
+
+    def command(tmp_path, bundle):
+        corpus = write_lines(tmp_path / "corpus.jsonl", lines)
+        argv = ["classify", "--bundle", str(bundle), "--corpus", str(corpus)]
+        out = tmp_path / "predictions.jsonl"
+        return argv + ["--out", str(out)] if to_file else argv, [out]
+
+    return command
+
+
+def project_lda_nothing_labeled(tmp_path, bundle):
+    corpus = write_lines(tmp_path / "corpus.jsonl", ['{"id": "a", "text": "mild day"}'])
+    argv = [
+        "project-lda", "--bundle", str(bundle), "--corpus", str(corpus),
+        "--out", str(tmp_path / "scatter"),
+    ]
+    return argv, [tmp_path / "scatter.csv", tmp_path / "scatter.svg"]
+
+
+# Commands on a loaded bundle; each gives its argv and the files it may write.
+# Some would fail, or classify nothing, with good components too. A load
+# returns before the components are checked, and each still exits as if the
+# check had come first.
+BUNDLE_COMMANDS = {
+    "classify": classify_lines(['{"id": "a", "text": "anxious and tearful"}'], False),
+    "classify_to_file": classify_lines(
+        ['{"id": "a", "text": "anxious and tearful"}'], True
+    ),
+    "classify_empty_corpus": classify_lines([], False),
+    "classify_empty_corpus_to_file": classify_lines([], True),
+    "classify_bad_first_line": classify_lines(["{not json"], False),
+    "classify_bad_first_line_to_file": classify_lines(["{not json"], True),
+    "project_lda_nothing_labeled": project_lda_nothing_labeled,
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUNDLE_COMMANDS))
+@pytest.mark.parametrize("failure", sorted(FAILED_COMPONENTS))
+def test_failed_components_check_is_the_error(
+    failure, command, tmp_path, bundles, capsys
+):
+    """Whatever else the command meets, it reports the check, writes
+    nothing, and leaves no thread behind."""
+    corrupt, message = FAILED_COMPONENTS[failure]
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundles["mlp"], bundle)
+    corrupt(bundle)
+    argv, outputs = BUNDLE_COMMANDS[command](tmp_path, bundle)
+    capsys.readouterr()
+    threads = threading.active_count()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert threading.active_count() == threads
+    assert code == 2, captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert re.search(message, lines[0]), lines[0]
+    assert captured.out == ""
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("command", ["classify", "classify_to_file", "project-lda"])
+def test_no_thread_outlives_a_command(command, tmp_path, corpus_files, bundles, capsys):
+    argv = [
+        command.removesuffix("_to_file"), "--bundle", str(bundles["mlp"]),
+        "--corpus", str(corpus_files / "corpus.jsonl"),
+    ]
+    if command != "classify":
+        argv += ["--out", str(tmp_path / "out")]
+    threads = threading.active_count()
+    assert main(argv) == 0, capsys.readouterr().err
+    assert threading.active_count() == threads
 
 
 # The y test once recursed once per letter of a run of y's, so this word
