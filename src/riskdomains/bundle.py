@@ -11,15 +11,13 @@ once into its array, then hashes and checks those bytes, so nothing is read
 twice or copied. Nothing in a bundle depends on wall time; retraining with
 the same inputs, seed and BLAS thread count reproduces byte-identical files.
 
-Hashing svd_components.bin is most of a load, so in formats 4 and 5 its
-check (sha256 and finiteness) runs on a thread of its own, started once the
-load has read the file, while the load reads on and the caller goes on to
-its first paragraphs; hashlib and numpy release the GIL for it. Every other
-check ends before load_bundle returns. The SvdProjection holds the pending
-check, and every read of the component values waits for it and raises its
-DataError, so nothing is scored, projected or saved from unchecked
-components. A load that fails after starting the check waits for it, so its
-failure is the error raised, as when it came first.
+Hashing svd_components.bin is most of a load, so in formats 4 and 5 a
+thread of its own checks those bytes (their sha256 and finiteness) block by
+block as the load reads them; hashlib and numpy let it run beside the
+interpreter. load_bundle joins it before it returns, so a bundle that loads
+is fully checked. loading_bundle joins it at the end of a with block
+instead, so that the block can start its work beside the check, such as
+classify's first chunk; a failed check is the error the block ends with.
 
 A bundle stores only what cannot be recomputed, and what classify reads:
 the vocabulary as its key table (the words, each term's key and its
@@ -46,8 +44,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import queue
 import threading
 import typing
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +71,10 @@ _INT_ARRAYS = frozenset({"df", "term_keys", "term_columns"})
 
 SCORER_PREFIXES = {"cosine": "megadoc_", "mlp": "mlp_", "rbf": "rbf_"}
 
-# Values a check tests for finiteness at a time. Testing a whole array at
-# once allocates its size in booleans: 4 MiB for the 1x svd_components,
-# which on the check's thread landed in that thread's heap and raised the
-# peak memory of a classify run by 6 MiB.
-_FINITE_BLOCK = 2**20
+# Bytes of svd_components a load reads before it hands them to the thread
+# that checks them. 256 KiB and 4 MiB blocks each made a 1x load about 2 ms
+# slower than 1 MiB.
+_READ_BLOCK = 2**20
 
 
 def _array_file(directory: Path, name: str, version: int) -> tuple[Path, np.dtype, str]:
@@ -95,8 +94,9 @@ def manifest_sha256(manifest: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _check_sha256(path: Path, data, recorded: str) -> None:
-    if hashlib.sha256(data).hexdigest() != recorded:
+def _check_sha256(path: Path, sha, recorded: str) -> None:
+    """Raise unless sha, a hashlib sha256 of path's bytes, is recorded."""
+    if sha.hexdigest() != recorded:
         raise DataError(f"{path}: bytes do not match the sha256 in the manifest")
 
 
@@ -108,22 +108,12 @@ def _write_array(directory: Path, name: str, array: np.ndarray) -> dict:
     return {"shape": list(np.shape(array)), "sha256": hashlib.sha256(flat).hexdigest()}
 
 
-def _read_array(directory: Path, arrays: dict, name: str, version: int) -> np.ndarray:
-    """Array name, of the shape arrays[name] records, in its file's order,
-    its bytes checked."""
-    array, check = _read_unchecked(directory, arrays, name, version)
-    check()
-    return array
-
-
-def _read_unchecked(
+def _array_spec(
     directory: Path, arrays: dict, name: str, version: int
-) -> tuple[np.ndarray, typing.Callable[[], None]]:
-    """Array name, as _read_array gives it, and the check of its bytes: their
-    sha256, which formats 4 and 5 record, and that float values are finite.
-    The check's one temporary, a buffer of up to _FINITE_BLOCK booleans, is
-    allocated here, so that it comes from the caller's heap whichever thread
-    runs the check."""
+) -> tuple[Path, np.dtype, str, tuple[int, ...], str | None]:
+    """The file, dtype, memory order and shape of array name, once its file
+    is found to hold as many bytes as the shape arrays[name] records, and
+    its recorded sha256, which formats before 4 lack."""
     where = f"bundle array {name!r}"
     spec = require_field(arrays, name, "bundle manifest arrays", dict)
     shape = tuple(require_field(spec, "shape", where, list))
@@ -141,41 +131,85 @@ def _read_unchecked(
             f"bundle array {name!r} has {size} bytes, "
             f"expected {expected} for shape {list(shape)}"
         )
-    flat = np.fromfile(path, dtype=dtype)
     recorded = require_field(spec, "sha256", where, str) if version >= 4 else None
-    finite = None
-    if dtype.kind == "f":
-        finite = np.empty(min(flat.size, _FINITE_BLOCK), bool)
+    return path, dtype, order, shape, recorded
+
+
+def _read_array(directory: Path, arrays: dict, name: str, version: int) -> np.ndarray:
+    """Array name, of the shape arrays[name] records, in its file's order."""
+    path, dtype, order, shape, recorded = _array_spec(directory, arrays, name, version)
+    flat = np.fromfile(path, dtype=dtype)
+    if recorded is not None:  # older formats record no hashes
+        _check_sha256(path, hashlib.sha256(flat), recorded)
+    if dtype.kind == "f" and not np.isfinite(flat).all():
+        raise DataError(f"bundle array {name!r} holds non-finite values")
+    return flat.reshape(shape, order=order)
+
+
+def _read_checking(
+    directory: Path, arrays: dict, name: str, version: int
+) -> tuple[np.ndarray, _CheckThread | None]:
+    """Array name, as _read_array gives it but unchecked until the check
+    ends, and in formats 4 and 5 the thread that checks it. The file is read
+    in _READ_BLOCK blocks into memory allocated here, and the thread hashes
+    each block and tests its finiteness once it is read, so that the check
+    ends soon after the read, beside whatever the caller does next. Formats
+    1 to 3 record no hash: their array is checked before it is returned,
+    and there is no thread."""
+    path, dtype, order, shape, recorded = _array_spec(directory, arrays, name, version)
+    if recorded is None:
+        return _read_array(directory, arrays, name, version), None
+    flat = np.empty(math.prod(shape), dtype)
+    step = _READ_BLOCK // dtype.itemsize
+    # The thread's one temporary, allocated here so that it comes from this
+    # thread's heap: a whole-array isfinite on the thread took 4 MiB from
+    # that thread's heap and raised a classify run's peak memory by 6 MiB.
+    finite = np.empty(min(flat.size, step), bool)
+    blocks: queue.SimpleQueue = queue.SimpleQueue()
 
     def check() -> None:
-        if recorded is not None:
-            _check_sha256(path, flat, recorded)
-        if finite is not None:
-            for a in range(0, flat.size, finite.size):
-                block = flat[a : a + finite.size]
-                if not np.isfinite(block, out=finite[: block.size]).all():
-                    raise DataError(f"bundle array {name!r} holds non-finite values")
+        sha, all_finite = hashlib.sha256(), True
+        while (item := blocks.get()) is not None:
+            block, size = item
+            sha.update(memoryview(block).cast("B")[:size])
+            all_finite &= bool(np.isfinite(block, out=finite[: block.size]).all())
+        _check_sha256(path, sha, recorded)  # first, as in _read_array
+        if not all_finite:
+            raise DataError(f"bundle array {name!r} holds non-finite values")
 
-    return flat.reshape(shape, order=order), check
+    checking = _CheckThread(check)
+    try:
+        with open(path, "rb") as f:
+            for a in range(0, flat.size, step):
+                block = flat[a : a + step]
+                # A file cut short since its size was read hashes short.
+                blocks.put((block, f.readinto(block)))
+    except BaseException:
+        blocks.put(None)
+        checking.join()  # the read's error is the one raised
+        raise
+    blocks.put(None)
+    return flat.reshape(shape, order=order), checking
 
 
-class _CheckThread:
-    """A check run on a thread of its own; wait() joins the thread and raises
-    what the check raised, on every call."""
+class _CheckThread(threading.Thread):
+    """A thread that runs a check; wait() joins it and raises what the
+    check raised."""
 
     def __init__(self, check: typing.Callable[[], None]):
+        super().__init__()
+        self._check = check
         self._error: Exception | None = None
-        self._thread = threading.Thread(target=self._run, args=(check,))
-        self._thread.start()
+        self.start()
 
-    def _run(self, check: typing.Callable[[], None]) -> None:
+    def run(self) -> None:
         try:
-            check()
+            self._check()
         except Exception as e:  # for wait() to raise, whatever it is
             self._error = e
 
     def wait(self) -> None:
-        self._thread.join()
+        self.join()
         if self._error is not None:
             raise self._error
 
@@ -193,7 +227,8 @@ def _read_vocabulary_lines(
         raise DataError(f"bundle vocabulary file missing: {path}")
     raw = path.read_bytes()
     if version >= 4:
-        _check_sha256(path, raw, require_field(manifest, field, where, str))
+        recorded = require_field(manifest, field, where, str)
+        _check_sha256(path, hashlib.sha256(raw), recorded)
     with parse_errors(path):
         return tuple(raw.decode("utf-8").splitlines())
 
@@ -208,11 +243,8 @@ def save_bundle(
     existing bundle as it was.
     """
     directory = Path(directory)
-    # Both before anything is written. A loaded pipeline whose components
-    # fail their check fails here, so a save never hashes unchecked bytes
-    # afresh. A training vocabulary whose keys would not fit in 64 bits
-    # fails here too, and leaves no directory behind.
-    pipeline.svd.wait_for_check()
+    # Derived before anything is written: a training vocabulary whose keys
+    # would not fit in 64 bits fails here and leaves no directory behind.
     pipeline.tfidf.vocabulary.key_table
     if directory.exists():
         if not (directory / MANIFEST_NAME).exists() and any(directory.iterdir()):
@@ -281,6 +313,23 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
     bundle whose manifest says use_mwes false fuses no keyphrases, whatever
     its stored lexicon holds. Manifest fields the reader does not use, such
     as mlp_dropout, rbf_dropout and those older formats stored, are ignored.
+    Every check has passed when it returns.
+    """
+    with loading_bundle(directory) as loaded:
+        pass
+    return loaded
+
+
+@contextmanager
+def loading_bundle(
+    directory: str | Path,
+) -> typing.Iterator[tuple[Pipeline, KeywordLexicon, dict]]:
+    """Load a bundle as load_bundle does, for a with block that runs while
+    the check of svd_components (formats 4 and 5) may still run on a thread
+    of its own. The block's end waits for that check, and a failed check is
+    the error raised there, in place of any the block raised. So nothing the
+    block computes from the components may leave it before the block ends
+    without error: it must not be written, returned or saved from inside.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -313,15 +362,13 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
         return _read_array(directory, arrays, name, version)
 
     df = arr("df")
-    components, check = _read_unchecked(directory, arrays, "svd_components", version)
-    if version >= 4:
-        # Hashing this file is most of a load: check it beside the rest.
-        wait = _CheckThread(check).wait
-    else:  # no hash to compute
-        check()
-        wait = None
+    # Hashing this file is most of a load: a thread checks it while this one
+    # reads it, the rest of the bundle and what the block does.
+    components, checking = _read_checking(directory, arrays, "svd_components", version)
     try:
-        svd = SvdProjection(components, arr("svd_singular_values"), wait)
+        svd = SvdProjection(
+            components=components, singular_values=arr("svd_singular_values")
+        )
         # The vocabulary is read after svd_components: reading its small
         # arrays before that one raised the peak memory of repeated loads by
         # 23 MiB in 3 of 4 runs, by where the C heap placed them.
@@ -370,10 +417,11 @@ def load_bundle(directory: str | Path) -> tuple[Pipeline, KeywordLexicon, dict]:
             kind=kind, use_mwes=use_mwes, lexicon=lexicon, tfidf=tfidf, svd=svd,
             thresholds=thresholds, scorer=scorer,
         )
-    except BaseException:
-        # A failed check is the error a load raises, as when it came first;
-        # and no check outlives a failed load.
-        if wait is not None:
-            wait()
+        yield pipeline, lexicon, manifest
+    except Exception:
+        # A failed check is the error raised, as when it came first.
+        if checking is not None:
+            checking.wait()
         raise
-    return pipeline, lexicon, manifest
+    if checking is not None:
+        checking.wait()

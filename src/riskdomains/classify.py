@@ -152,9 +152,9 @@ class Pipeline:
                 f"got {type(self.scorer).__name__}"
             )
         terms = len(self.tfidf.vocabulary)
-        if self.svd.shape[1] != terms:
+        if self.svd.components.shape[1] != terms:
             raise DataError(
-                f"svd components of shape {list(self.svd.shape)} "
+                f"svd components of shape {list(self.svd.components.shape)} "
                 f"do not fit {terms} terms"
             )
         # Each scorer checks the width of what it scores; probe it once. Only

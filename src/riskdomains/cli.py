@@ -21,13 +21,12 @@ import inspect
 import json
 import sys
 import warnings
-from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
-from .bundle import load_bundle, save_bundle
+from .bundle import load_bundle, loading_bundle, save_bundle
 from .classify import classify_batch, embed
 from .corpus import (
     Paragraph,
@@ -196,18 +195,6 @@ def cmd_train(opts: _Options) -> int:
     return 0
 
 
-@contextmanager
-def _checked(pipeline):
-    """Run a command's work on a loaded pipeline, then wait for the check of
-    its components, which can still be running (see bundle.load_bundle). A
-    failed check is the error the command reports, whatever the work raised,
-    as when the load failed; and no check outlives the command."""
-    try:
-        yield
-    finally:
-        pipeline.svd.wait_for_check()
-
-
 def _prediction_lines(pipeline, paragraphs: list[Paragraph]) -> str:
     """One JSON line of labels and scores per paragraph, classified as a batch."""
     labels, scores = classify_batch(pipeline, [p.text for p in paragraphs])
@@ -225,21 +212,23 @@ def _prediction_lines(pipeline, paragraphs: list[Paragraph]) -> str:
 def cmd_classify(opts: _Options) -> int:
     bundle_dir = opts.require("bundle")
     corpus_path = _existing_file(opts.require("corpus"), "corpus")
-    pipeline, _, _ = load_bundle(bundle_dir)
-    with _checked(pipeline):
+    with loading_bundle(bundle_dir) as (pipeline, _, _):
         paragraphs = iter_paragraphs(corpus_path)
         chunks = iter(lambda: list(islice(paragraphs, CLASSIFY_CHUNK)), [])
-        out = opts.get("out")
-        if out is None:
-            for chunk in chunks:
-                sys.stdout.write(_prediction_lines(pipeline, chunk))
-            return 0
-        written = 0
-        with replaced(Path(out)) as staged, open(staged, "w", encoding="utf-8") as f:
-            for chunk in chunks:
-                f.write(_prediction_lines(pipeline, chunk))
-                written += len(chunk)
-            pipeline.svd.wait_for_check()  # before the file takes its name
+        # The first chunk is classified beside the check of the bundle's SVD
+        # components, and written only once the check has passed.
+        first = [(c, _prediction_lines(pipeline, c)) for c in islice(chunks, 1)]
+    classified = chain(first, ((c, _prediction_lines(pipeline, c)) for c in chunks))
+    out = opts.get("out")
+    if out is None:
+        for _, lines in classified:
+            sys.stdout.write(lines)
+        return 0
+    written = 0
+    with replaced(Path(out)) as staged, open(staged, "w", encoding="utf-8") as f:
+        for chunk, lines in classified:
+            f.write(lines)
+            written += len(chunk)
     _log(f"wrote {written} predictions to {out}")
     return 0
 
@@ -320,24 +309,22 @@ def cmd_project_lda(opts: _Options) -> int:
     corpus_path = _existing_file(opts.require("corpus"), "corpus")
     out = str(opts.require("out"))
     pipeline, lexicon, _ = load_bundle(bundle_dir)
-    with _checked(pipeline):
-        paragraphs = load_paragraphs(corpus_path)
+    paragraphs = load_paragraphs(corpus_path)
 
-        gold_path = opts.get("gold")
-        labeled: list[tuple[Paragraph, Domain]] = []
-        if gold_path is not None:
-            gold = load_gold(_existing_file(gold_path, "gold"))
-            for p in paragraphs:
-                # Other is always a sole label, so checking the first suffices.
-                if p.id in gold and gold[p.id][0] is not Domain.OTHER:
-                    labeled.append((p, gold[p.id][0]))
-        else:
-            labeled = list(weak_label(paragraphs, lexicon).entries)
-        if not labeled:
-            raise DataError("no labeled paragraphs to project")
+    gold_path = opts.get("gold")
+    labeled: list[tuple[Paragraph, Domain]] = []
+    if gold_path is not None:
+        gold = load_gold(_existing_file(gold_path, "gold"))
+        for p in paragraphs:
+            # Other is always a sole label, so checking the first suffices.
+            if p.id in gold and gold[p.id][0] is not Domain.OTHER:
+                labeled.append((p, gold[p.id][0]))
+    else:
+        labeled = list(weak_label(paragraphs, lexicon).entries)
+    if not labeled:
+        raise DataError("no labeled paragraphs to project")
 
-        vectors, _ = embed(pipeline, [p.text for p, _ in labeled])
-
+    vectors, _ = embed(pipeline, [p.text for p, _ in labeled])
     domains = [d for _, d in labeled]
     coords = lda_2d(vectors, domains)
 

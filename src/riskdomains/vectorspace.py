@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -293,6 +293,7 @@ class TfidfModel:
         object.__setattr__(self, "idf", np.log((1.0 + n) / (1.0 + df)) + 1.0)
 
 
+@dataclass(frozen=True)
 class SvdProjection:
     """Top-k right singular vectors and their singular values.
 
@@ -300,23 +301,14 @@ class SvdProjection:
     and project_all multiplies by it without copying the (k, V) matrix.
     Building one makes it so, copying only components held in another
     order, such as those of a bundle older than format 4.
-
-    A loaded projection can hold components whose check still runs on
-    another thread: pending_check waits for it and raises its DataError. Every
-    read of components (project_all, save_bundle) waits for it first, and
-    raises again after a failed check; shape and k read no values, so they
-    do not wait.
     """
 
-    def __init__(
-        self,
-        components: np.ndarray,  # (k, V), rows orthonormal
-        singular_values: np.ndarray,  # (k,), non-negative, non-increasing
-        pending_check: Callable[[], None] | None = None,
-    ):
-        self._components = components = np.asfortranarray(components)
-        self.singular_values = singular_values
-        self._pending_check = pending_check
+    components: np.ndarray       # (k, V), rows orthonormal
+    singular_values: np.ndarray  # (k,), non-negative, non-increasing
+
+    def __post_init__(self):
+        object.__setattr__(self, "components", np.asfortranarray(self.components))
+        components, singular_values = self.components, self.singular_values
         if components.ndim != 2 or singular_values.shape != components.shape[:1]:
             raise DataError(
                 f"svd components of shape {list(components.shape)} and singular "
@@ -327,25 +319,9 @@ class SvdProjection:
                 "svd_singular_values must be non-negative and non-increasing"
             )
 
-    def wait_for_check(self) -> None:
-        """Wait for the pending check of the components, if any; raise its
-        DataError if it failed."""
-        if self._pending_check is not None:
-            self._pending_check()
-            self._pending_check = None
-
-    @property
-    def components(self) -> np.ndarray:
-        self.wait_for_check()
-        return self._components
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._components.shape
-
     @property
     def k(self) -> int:
-        return self.shape[0]
+        return self.components.shape[0]
 
 
 def fit_tfidf(docs: Sequence[Mapping[str, int]]) -> TfidfModel:

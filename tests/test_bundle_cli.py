@@ -20,7 +20,7 @@ import riskdomains.bundle as bundle_module
 import riskdomains.cli as cli_module
 import riskdomains.vectorspace as vectorspace
 from riskdomains.bundle import load_bundle, manifest_sha256, save_bundle
-from riskdomains.classify import classify_batch, classify_paragraph, embed
+from riskdomains.classify import classify_batch
 from riskdomains.cli import _ALLOWED_KEYS, build_parser, main
 from riskdomains.corpus import (
     Paragraph,
@@ -598,18 +598,41 @@ class TestReadArray:
 
     @pytest.mark.parametrize("block", [1, 4, 29, 30, 31])
     def test_finiteness_is_checked_in_every_block(self, tmp_path, monkeypatch, block):
-        """The check tests block values at a time: a non-finite value in any
-        block, the last one partial or not, is refused."""
-        monkeypatch.setattr(bundle_module, "_FINITE_BLOCK", block)
+        """The thread that checks svd_components tests each block it is
+        handed: a non-finite value in any block, the last one partial or
+        not, is refused."""
+        monkeypatch.setattr(bundle_module, "_READ_BLOCK", block * 8)
+
+        def read(arrays):
+            array, checking = bundle_module._read_checking(
+                tmp_path, arrays, "svd_components", 4
+            )
+            checking.wait()
+            return array
+
         values = np.ones(30)
         arrays = write_array_file(tmp_path, "svd_components", values, [6, 5])
-        assert bundle_module._read_array(tmp_path, arrays, "svd_components", 4).all()
+        assert read(arrays).all()
         for i in range(30):
             values = np.ones(30)
             values[i] = np.nan
             arrays = write_array_file(tmp_path, "svd_components", values, [6, 5])
             with pytest.raises(DataError, match="non-finite"):
-                bundle_module._read_array(tmp_path, arrays, "svd_components", 4)
+                read(arrays)
+
+
+    def test_hash_is_checked_before_finiteness(self, tmp_path):
+        """Bytes that miss their sha256 and hold a NaN are refused for the
+        hash, by the load's own read and by the thread alike."""
+        arrays = write_array_file(tmp_path, "svd_components", np.ones(30), [6, 5])
+        values = np.ones(30)
+        values[3] = np.nan
+        values.tofile(tmp_path / "svd_components.bin")
+        with pytest.raises(DataError, match="do not match the sha256"):
+            bundle_module._read_array(tmp_path, arrays, "svd_components", 4)
+        _, checking = bundle_module._read_checking(tmp_path, arrays, "svd_components", 4)
+        with pytest.raises(DataError, match="do not match the sha256"):
+            checking.wait()
 
 
 # The error of a components file whose bytes miss their sha256.
@@ -617,75 +640,102 @@ COMPONENTS_MISMATCH = r"svd_components\.bin: bytes do not match the sha256"
 
 
 class TestComponentsCheckedBesideTheLoad:
-    """Format 4 and 5 loads check svd_components on a thread of their own;
-    every read of the component values waits for that check."""
+    """Format 4 and 5 loads check svd_components on a thread of their own,
+    beside the rest of the load: load_bundle joins it before it returns,
+    loading_bundle at the end of its with block."""
 
     @pytest.fixture(params=[4, 5])
-    def failing(self, request, trained_mlp, tmp_path):
-        """A bundle of format 4 or 5 whose svd_components misses its sha256."""
+    def saved(self, request, trained_mlp, tmp_path):
+        """The trained mlp pipeline as a bundle of format 4 or 5."""
         directory = tmp_path / f"v{request.param}"
         if request.param == 5:
-            saved = save_bundle(directory, trained_mlp.pipeline)
-        else:
-            saved = write_older_format(trained_mlp.pipeline, directory, 4)
+            return save_bundle(directory, trained_mlp.pipeline)
+        return write_older_format(trained_mlp.pipeline, directory, 4)
+
+    @pytest.fixture
+    def failing(self, saved):
+        """A bundle of format 4 or 5 whose svd_components misses its sha256."""
         path = saved / "svd_components.bin"
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0x01
         path.write_bytes(raw)
         return saved
 
-    def test_save_of_the_loaded_pipeline_writes_nothing(self, failing, tmp_path):
-        """An upgrade by save_bundle never hashes unchecked bytes afresh."""
-        pipeline = load_bundle(failing)[0]
-        parent = tmp_path / "new"
-        with pytest.raises(DataError, match=COMPONENTS_MISMATCH):
-            save_bundle(parent / "resaved", pipeline)
-        assert not parent.exists()
+    def test_load_ends_the_hash_before_it_returns(self, saved, monkeypatch):
+        """The components are hashed on another thread, which has ended
+        when the load returns."""
+        hashed_on = []
+        check_sha256 = bundle_module._check_sha256
 
-    @pytest.mark.parametrize(
-        "use",
-        [
-            lambda p: classify_paragraph(p, "anxious and tearful"),
-            lambda p: classify_batch(p, ["anxious and tearful", "calm"]),
-            lambda p: embed(p, ["anxious and tearful"]),
-            lambda p: p.svd.components,
-        ],
-        ids=["classify_paragraph", "classify_batch", "embed", "components"],
-    )
-    def test_first_read_of_the_values_raises(self, failing, use):
-        pipeline = load_bundle(failing)[0]
-        for _ in range(2):  # and every read after it
-            with pytest.raises(DataError, match=COMPONENTS_MISMATCH):
-                use(pipeline)
+        def recording(path, sha, recorded):
+            check_sha256(path, sha, recorded)
+            if path.name == "svd_components.bin":
+                hashed_on.append(threading.current_thread())
 
-    def test_k_and_shape_do_not_wait(self, failing, trained_mlp, monkeypatch):
-        """With the check held, k and shape answer, while the check's thread
-        still runs; then the values' first read raises."""
+        monkeypatch.setattr(bundle_module, "_check_sha256", recording)
+        threads = threading.active_count()
+        load_bundle(saved)
+        assert len(hashed_on) == 1
+        assert hashed_on[0] is not threading.current_thread()
+        assert not hashed_on[0].is_alive()
+        assert threading.active_count() == threads
+
+    def test_block_runs_beside_the_check(self, failing, monkeypatch):
+        """A with block of loading_bundle runs while the check does; its end
+        waits for the check, whose failure replaces the block's error."""
         release = threading.Event()
         check_sha256 = bundle_module._check_sha256
 
-        def held(path, data, recorded):
+        def held(path, sha, recorded):
             if path.name == "svd_components.bin":
-                release.wait(10)
-            check_sha256(path, data, recorded)
+                assert release.wait(10)
+            check_sha256(path, sha, recorded)
 
         monkeypatch.setattr(bundle_module, "_check_sha256", held)
         threads = threading.active_count()
-        pipeline = load_bundle(failing)[0]
-        try:
-            svd = trained_mlp.pipeline.svd
-            assert pipeline.svd.k == svd.k
-            assert pipeline.svd.shape == svd.components.shape
-            assert threading.active_count() == threads + 1
-        finally:
-            release.set()
         with pytest.raises(DataError, match=COMPONENTS_MISMATCH):
-            pipeline.svd.components
+            with bundle_module.loading_bundle(failing) as (pipeline, _, _):
+                assert threading.active_count() == threads + 1
+                release.set()
+                raise ValueError("the block failed first")
         assert threading.active_count() == threads
 
-    def test_failed_check_is_the_error_of_a_failed_load(self, failing):
-        """A load that fails after starting the check reports the check, as
-        when it ran first, and leaves no thread behind."""
+    def test_failed_hash_is_the_error_of_the_load(self, failing):
+        """No pipeline with unchecked components is returned, so none can be
+        classified with or saved afresh."""
+        threads = threading.active_count()
+        with pytest.raises(DataError, match=COMPONENTS_MISMATCH):
+            load_bundle(failing)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("block", [64, 4096 + 8, 2**30])
+    def test_blocks_are_read_and_hashed_whole(self, saved, trained_mlp, monkeypatch, block):
+        """Whatever the block size, the last block partial or not, the load
+        reads the components the save wrote, and their hash matches."""
+        monkeypatch.setattr(bundle_module, "_READ_BLOCK", block)
+        got = load_bundle(saved)[0].svd.components
+        np.testing.assert_array_equal(got, trained_mlp.pipeline.svd.components)
+
+    def test_file_cut_short_during_the_load_is_refused(self, saved, monkeypatch):
+        """A file that loses bytes after its size was checked hashes short."""
+        array_spec = bundle_module._array_spec
+
+        def then_cut(directory, arrays, name, version):
+            spec = array_spec(directory, arrays, name, version)
+            if name == "svd_components":
+                path = spec[0]
+                path.write_bytes(path.read_bytes()[:-8])
+            return spec
+
+        monkeypatch.setattr(bundle_module, "_array_spec", then_cut)
+        threads = threading.active_count()
+        with pytest.raises(DataError, match=COMPONENTS_MISMATCH):
+            load_bundle(saved)
+        assert threading.active_count() == threads
+
+    def test_failed_hash_is_the_error_of_a_failed_load(self, failing):
+        """A load that fails after starting the hash reports the hash, as
+        when it was checked first, and leaves no thread behind."""
         path = failing / "manifest.json"
         manifest = json.loads(path.read_text())
         del manifest["thresholds"]

@@ -997,8 +997,8 @@ def project_lda_nothing_labeled(tmp_path, bundle):
 
 # Commands on a loaded bundle; each gives its argv and the files it may write.
 # Some would fail, or classify nothing, with good components too. A load
-# returns before the components are checked, and each still exits as if the
-# check had come first.
+# hashes the components beside the rest of its work, and each command still
+# exits as if their check had come first.
 BUNDLE_COMMANDS = {
     "classify": classify_lines(['{"id": "a", "text": "anxious and tearful"}'], False),
     "classify_to_file": classify_lines(
